@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import ArgumentError
 from .functions import companion_g
+from .krylov import cgs2
+from .poles import require_poles
 
 ELLIPSE_SAMPLES = 4096
 RATIONAL_GRID = 2000
@@ -132,20 +134,16 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, rho_grid=None,
 
 def rho_of(sigma_min, sigma_max, xi):
     """Two-branch convergence ratio of the Shift-and-Invert bound."""
+    return max(*rho_branches(sigma_min, sigma_max, xi))
+
+
+def rho_branches(sigma_min, sigma_max, xi):
+    """The two branches whose maximum is the Shift-and-Invert ratio rho."""
     s, S, xi = float(sigma_min), float(sigma_max), float(xi)
     if not (0 < s <= S):
         raise ArgumentError("need 0 < sigma_min <= sigma_max")
     if not xi < 0:
         raise ArgumentError("the Shift-and-Invert pole must be negative")
-    rS = math.sqrt(S * S - xi)
-    rs = math.sqrt(s * s - xi)
-    branch1 = (rS - rs) / (rS + rs)
-    branch2 = (S * rs - s * rS) / (S * rs + s * rS)
-    return max(branch1, branch2)
-
-
-def rho_branches(sigma_min, sigma_max, xi):
-    s, S, xi = float(sigma_min), float(sigma_max), float(xi)
     rS = math.sqrt(S * S - xi)
     rs = math.sqrt(s * s - xi)
     return ((rS - rs) / (rS + rs),
@@ -190,30 +188,27 @@ def _grid_rational_basis(w, poles, k):
     """Grid-orthonormal basis of {p(w)/prod_{j<k}(w - xi_j) : deg p <= k-1}.
 
     Built one pole factor at a time with re-orthonormalization on the grid
-    (rational Arnoldi on the diagonal matrix diag(w)), which keeps every
-    column at unit scale; a single Vandermonde-type matrix divided by the
-    full denominator would span dozens of orders of magnitude and lose the
-    fit entirely for repeated poles.
+    (rational Arnoldi on the diagonal matrix diag(w), cleaned by CGS2), which
+    keeps every column at unit scale; a single Vandermonde-type matrix divided
+    by the full denominator would span dozens of orders of magnitude and lose
+    the fit entirely for repeated poles.
     """
-    cols = [np.ones_like(w) / math.sqrt(w.size)]
-    v = cols[0]
+    V = np.empty((w.size, max(k, 1)))
+    V[:, 0] = 1.0 / math.sqrt(w.size)
     for j in range(k - 1):
-        xi = poles[j]
+        xi, v = poles[j], V[:, j]
         if xi == math.inf:
             cand = w * v
         elif xi == 0.0:
             cand = v / w
         else:
             cand = (w * v) / (w - xi)
-        for _ in range(2):
-            for c in cols:
-                cand = cand - (c @ cand) * c
+        cand, _ = cgs2(V[:, :j + 1], cand)
         nrm = np.linalg.norm(cand)
         if nrm <= 1e-14:
-            break
-        v = cand / nrm
-        cols.append(v)
-    return np.column_stack(cols)
+            return V[:, :j + 1]
+        V[:, j + 1] = cand / nrm
+    return V
 
 
 def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, grid_size=RATIONAL_GRID,
@@ -230,11 +225,10 @@ def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, grid_size=RATION
     if not (0 < a <= b):
         raise ArgumentError("need 0 < sigma_n <= sigma_1")
     k = int(k)
-    if k - 1 > len(list(poles)):
-        raise ArgumentError("pole sequence too short for the requested k")
+    poles = require_poles(poles, k)
     z = _chebyshev_grid(a, b, int(grid_size))
     w = z * z
-    phi = _grid_rational_basis(w, list(poles), k)
+    phi = _grid_rational_basis(w, poles, k)
     design = z[:, None] * phi
     fz = f(z)
     coef, *_ = np.linalg.lstsq(design, fz, rcond=None)

@@ -5,6 +5,9 @@ The two coupled recurrences
     s_k = A^T p_k - alpha_k q_k,        beta_k  = ||s_k||,  q_{k+1} = s_k/beta_k,
 build orthonormal P_k, Q_k with P_k^T A Q_k upper bidiagonal (alpha on the
 diagonal, beta above it). Signs are fixed by taking alpha_k, beta_k >= 0.
+``gk_step`` is the textbook step (with optional CGS2 reorthogonalization
+against the stored bases); ``gk_approximate`` hands p_k and the bidiagonal
+column (beta_{k-1}, alpha_k) to the shared approximation loop.
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .reference import gmf_dense
-from .traces import ConvergenceTrace, relative_error
-
-BREAKDOWN_RTOL = 1e-14
+from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
 
 
 @dataclass
@@ -27,7 +27,7 @@ class BidiagonalState:
     p: np.ndarray = None          # p_k
     p_prev: np.ndarray = None     # p_{k-1}
     q: np.ndarray = None          # q_{k+1}, the next start vector
-    P: list = None                # stored bases (reorthogonalization / evaluation)
+    P: list = None                # stored bases (reorthogonalization)
     Q: list = None
     breakdown: bool = False
 
@@ -45,25 +45,16 @@ class BidiagonalState:
         return B
 
 
-def gk_init(b, store_bases=True):
+def gk_init(b):
     b = np.asarray(b, dtype=float)
     nb = np.linalg.norm(b)
     if nb == 0:
         raise ArgumentError("start vector must be nonzero")
     state = BidiagonalState()
     state.q = b / nb
-    if store_bases:
-        state.P = []
-        state.Q = [state.q]
+    state.P = []
+    state.Q = [state.q]
     return state
-
-
-def _reorthogonalize(w, basis):
-    # two passes of modified Gram-Schmidt against the stored columns
-    for _ in range(2):
-        for v in basis:
-            w = w - (v @ w) * v
-    return w
 
 
 def gk_step(state, op, reorth=False):
@@ -74,15 +65,13 @@ def gk_step(state, op, reorth=False):
     """
     if state.breakdown:
         return state
-    if reorth and (state.P is None or state.Q is None):
-        raise ArgumentError("reorthogonalization requires stored bases")
     tol = BREAKDOWN_RTOL * op.norm_estimate()
 
     r = op.apply(state.q)
     if state.p is not None:
         r = r - state.beta[-1] * state.p
     if reorth and state.P:
-        r = _reorthogonalize(r, state.P)
+        r, _ = cgs2(np.array(state.P).T, r)
     alpha = np.linalg.norm(r)
     if alpha <= tol:
         state.breakdown = True
@@ -90,22 +79,20 @@ def gk_step(state, op, reorth=False):
     p_new = r / alpha
 
     s = op.applyt(p_new) - alpha * state.q
-    if reorth and state.Q:
-        s = _reorthogonalize(s, state.Q)
+    if reorth:
+        s, _ = cgs2(np.array(state.Q).T, s)
     beta = np.linalg.norm(s)
 
     state.alpha.append(float(alpha))
     state.p_prev = state.p
     state.p = p_new
-    if state.P is not None:
-        state.P.append(p_new)
+    state.P.append(p_new)
     if beta <= tol:
         state.breakdown = True
         return state
     state.beta.append(float(beta))
     state.q = s / beta
-    if state.Q is not None:
-        state.Q.append(state.q)
+    state.Q.append(state.q)
     return state
 
 
@@ -115,22 +102,16 @@ def gk_approximate(f, op, b, k_max, reorth=False, reference=None):
     Stops early at breakdown (the Krylov space became invariant). When a
     reference vector is supplied the trace records relative 2-norm errors.
     """
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    state = gk_init(b, store_bases=True)
-    trace = ConvergenceTrace()
-    ys = []
-    for k in range(1, int(k_max) + 1):
-        gk_step(state, op, reorth=reorth)
-        if state.k < k:
-            break
-        Pk = np.column_stack(state.P[:k])
-        # rtol=0: f acts on every positive singular value of B_k; truncating
-        # would mask the small-singular-value pollution of wide matrices
-        yk = nb * (Pk @ gmf_dense(f, state.bidiagonal(k), rtol=0.0)[:, 0])
-        ys.append(yk)
-        err = relative_error(yk, reference) if reference is not None else None
-        trace.record(k, error=err)
-        if state.breakdown:
-            break
-    return ys, trace
+    state = gk_init(b)
+
+    def step(P):
+        k = P.shape[1] + 1
+        if state.breakdown or gk_step(state, op, reorth=reorth).k < k:
+            return None
+        column = np.zeros(k)
+        column[-1] = state.alpha[-1]
+        if k > 1:
+            column[-2] = state.beta[k - 2]
+        return state.p, column
+
+    return approximation_loop(f, b, op.rows, k_max, step, reference)

@@ -43,10 +43,6 @@ class PoleSequence:
     def has_zero(self):
         return any(xi == 0.0 for xi in self.poles)
 
-    @property
-    def finite_nonzero_only(self):
-        return all(math.isfinite(xi) and xi != 0.0 for xi in self.poles)
-
     def validate_interval(self, sigma_min, sigma_max):
         """Reject finite poles inside [sigma_min^2, sigma_max^2]."""
         lo, hi = float(sigma_min) ** 2, float(sigma_max) ** 2
@@ -56,6 +52,21 @@ class PoleSequence:
                     f"pole {xi} lies inside the declared squared singular "
                     f"interval [{lo:g}, {hi:g}]")
         return self
+
+
+def require_poles(poles, k=1):
+    """The poles as a PoleSequence, checked to support k basis vectors (k-1 poles)."""
+    if poles is None:
+        raise ArgumentError("a pole sequence is required")
+    if not isinstance(poles, PoleSequence):
+        try:
+            poles = PoleSequence(tuple(poles))
+        except (TypeError, ValueError) as exc:
+            raise ArgumentError(f"poles must be a sequence of numbers: {exc}") from None
+    if int(k) - 1 > len(poles):
+        raise ArgumentError(
+            f"{len(poles)} poles support at most {len(poles) + 1} basis vectors")
+    return poles
 
 
 def polynomial_poles(k):

@@ -20,7 +20,10 @@ the reference the short recurrence is validated against.
 
 The second basis P_k is obtained by orthonormalizing the columns of A Q_k
 (a QR decomposition A Q_k = P_k B_k with nonnegative diagonal of B_k), after
-which y_k = ||b|| P_k f◇(B_k) e_1 approximates f◇(A) b.
+which y_k = ||b|| P_k f◇(B_k) e_1 approximates f◇(A) b. The QR is grown one
+column per step: CGS2 of A q_k against P_{k-1} gives p_k and column k of B_k,
+which the shared approximation loop stores and evaluates. Every cleaning
+against stored columns, on either side, is the CGS2 kernel.
 """
 
 import math
@@ -29,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
 from .operators import solve_shifted_gram
-from .poles import PoleSequence
-from .reference import gmf_dense
-from .traces import ConvergenceTrace, relative_error
+from .poles import PoleSequence, require_poles
 
-BREAKDOWN_RTOL = 1e-14
 ZERO_POLE_WINDOW = 6
 
 
@@ -69,7 +70,7 @@ class GramLanczos:
         if nb == 0:
             raise ArgumentError("start vector must be nonzero")
         self.op = op
-        self.poles = poles if isinstance(poles, PoleSequence) else PoleSequence(tuple(poles))
+        self.poles = require_poles(poles)
         self.full = orthogonalize == "full"
         self.windowed = self.poles.has_zero
         self.n = op.cols
@@ -84,24 +85,17 @@ class GramLanczos:
         self.count = 1             # basis vectors produced so far
 
         self.columns = [self.q] if self.full else None
-        self._window = [self.q]
+        self._window = [self.q]    # trailing columns cleaned against (zero poles)
         # pencil bookkeeping (H and K columns, built in full mode)
         self._h_cols = []
         self._k_cols = []
 
     def _orthogonalize(self, w, j):
-        """Clean w against stored columns; returns (w, coefficient list)."""
-        if self.full:
-            basis = self.columns
-        else:
-            basis = self._window if self.windowed else []
+        """Clean w against stored columns by CGS2; returns (w, coefficient vector)."""
         coeffs = np.zeros(j)
-        offset = j - len(basis)
-        for _ in range(2):
-            for i, v in enumerate(basis):
-                c = v @ w
-                w = w - c * v
-                coeffs[offset + i] += c
+        if self.full or self.windowed:
+            w, c = cgs2(np.array(self.columns if self.full else self._window).T, w)
+            coeffs[j - c.size:] = c
         return w, coeffs
 
     def _raw_candidate(self, xi, q):
@@ -202,10 +196,9 @@ class GramLanczos:
         self.count += 1
         if self.full:
             self.columns.append(q_new)
-        else:
+        elif self.windowed:
             self._window.append(q_new)
-            keep = ZERO_POLE_WINDOW if self.windowed else 2
-            del self._window[:-keep]
+            del self._window[:-ZERO_POLE_WINDOW]
         return q_new
 
     def pencil(self):
@@ -255,10 +248,7 @@ def rational_arnoldi(op, b, poles, k):
     k = int(k)
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    eng = GramLanczos(op, b, poles, orthogonalize="full")
-    if k - 1 > len(eng.poles):
-        raise ArgumentError(
-            f"{len(eng.poles)} poles support at most {len(eng.poles) + 1} basis vectors")
+    eng = GramLanczos(op, b, require_poles(poles, k), orthogonalize="full")
     while eng.count < k and not eng.breakdown:
         eng.advance()
     Q = np.column_stack(eng.columns)
@@ -299,62 +289,16 @@ def project(op, Q, poles=None):
     return GmfProjection(W, Q, R, structure=tag, rank_deficient=deficient)
 
 
-class _IncrementalProjection:
-    """Columns of P_k and B_k grown one rational basis vector at a time."""
-
-    def __init__(self, op):
-        self.op = op
-        self.P = []
-        self.B_cols = []
-
-    def add(self, q):
-        w = self.op.apply(q)
-        k = len(self.P)
-        col = np.zeros(k + 1)
-        for _ in range(2):
-            for i, p in enumerate(self.P):
-                c = p @ w
-                w = w - c * p
-                col[i] += c
-        col[k] = np.linalg.norm(w)
-        if col[k] > 0:
-            self.P.append(w / col[k])
-        else:
-            self.P.append(w)
-        self.B_cols.append(col)
-
-    def matrices(self, k=None):
-        k = len(self.P) if k is None else k
-        P = np.column_stack(self.P[:k])
-        B = np.zeros((k, k))
-        for j in range(k):
-            B[:j + 1, j] = self.B_cols[j][:j + 1]
-        return P, B
-
-
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 from the rational subspace."""
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    poles = poles if isinstance(poles, PoleSequence) else PoleSequence(tuple(poles))
-    if int(k_max) - 1 > len(poles):
-        raise ArgumentError(
-            f"{len(poles)} poles support at most {len(poles) + 1} iterations")
-    eng = GramLanczos(op, b, poles, orthogonalize="full")
-    proj = _IncrementalProjection(op)
-    trace = ConvergenceTrace()
-    ys = []
-    for k in range(1, int(k_max) + 1):
-        if k == 1:
-            q = eng.q
-        else:
-            q = eng.advance()
-            if q is None:
-                break
-        proj.add(q)
-        Pk, Bk = proj.matrices()
-        yk = nb * (Pk @ gmf_dense(f, Bk, rtol=0.0)[:, 0])
-        ys.append(yk)
-        err = relative_error(yk, reference) if reference is not None else None
-        trace.record(k, error=err)
-    return ys, trace
+    eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")
+
+    def step(P):
+        q = eng.q if P.shape[1] == 0 else eng.advance()
+        if q is None:
+            return None
+        w, coeffs = cgs2(P, op.apply(q))
+        d = np.linalg.norm(w)
+        return (w / d if d > 0 else w), np.append(coeffs, d)
+
+    return approximation_loop(f, b, op.rows, k_max, step, reference)

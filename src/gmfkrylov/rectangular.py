@@ -11,9 +11,9 @@ import numpy as np
 
 from .errors import ArgumentError
 from .golub_kahan import gk_approximate
+from .krylov import error_trace
 from .rational import rational_gmf_approximate
 from .short_recurrence import rgk_run
-from .traces import ConvergenceTrace, relative_error
 
 METHODS = ("golub_kahan", "rational_full", "rational_short")
 
@@ -45,11 +45,5 @@ def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
         ws, _, _ = rgk_run(f, op_t, c, poles, k_max)
 
     lsq = np.linalg.pinv(op.dense.T)   # min-norm solve of A^T y = w, reused per k
-    trace = ConvergenceTrace()
-    ys = []
-    for k, w in enumerate(ws, start=1):
-        y = lsq @ w
-        ys.append(y)
-        err = relative_error(y, reference) if reference is not None else None
-        trace.record(k, error=err)
-    return ys, trace
+    ys = [lsq @ w for w in ws]
+    return ys, error_trace(ys, reference)

@@ -14,6 +14,10 @@ and the second superdiagonal gamma. One step updates
 where x_k carries the whole above-diagonal part of column k in the P basis,
 so only two inner products are needed. The companion basis q_k comes from the
 short (two-column) rational Lanczos recurrence on A^T A with the same poles.
+``rgk_run`` grows the dense B_k one column per step by the same rank-one
+recursion (``reconstruct_dense`` applies it to all columns at once) and hands
+p_k and that column to the shared approximation loop, which also records the
+orthogonality drift of P_k.
 """
 
 from dataclasses import dataclass, field
@@ -21,12 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .poles import PoleSequence
+from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
+from .poles import require_poles
 from .rational import GramLanczos
-from .reference import gmf_dense
-from .traces import ConvergenceTrace, relative_error
 
-BREAKDOWN_RTOL = 1e-14
 BETA_FALLBACK_RTOL = 1e-13
 
 
@@ -84,18 +86,27 @@ def reconstruct_dense(B, k=None):
     """
     k = B.k if k is None else int(k)
     out = np.zeros((k, k))
+    column = None
     for j in range(k):
-        out[j, j] = B.d[j]
-        if j >= 1:
-            out[j - 1, j] = B.beta[j - 1]
-        if j >= 2:
-            out[j - 2, j] = B.gamma[j - 2]
-            if B.beta[j - 2] == 0.0 and j >= 3:
-                raise ArgumentError(
-                    "vanished beta below a gamma entry: column recursion undefined")
-            for i in range(j - 3, -1, -1):
-                out[i, j] = (B.gamma[j - 2] / B.beta[j - 2]) * out[i, j - 1]
+        column = _dense_column(B, j, column)
+        out[:j + 1, j] = column
     return out
+
+
+def _dense_column(B, j, previous):
+    """Column j (entries 0..j) of the dense matrix, from column j-1."""
+    column = np.zeros(j + 1)
+    column[j] = B.d[j]
+    if j >= 1:
+        column[j - 1] = B.beta[j - 1]
+    if j >= 2:
+        column[j - 2] = B.gamma[j - 2]
+    if j >= 3:
+        if B.beta[j - 2] == 0.0:
+            raise ArgumentError(
+                "vanished beta below a gamma entry: column recursion undefined")
+        column[:j - 2] = (B.gamma[j - 2] / B.beta[j - 2]) * previous[:j - 2]
+    return column
 
 
 def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
@@ -104,8 +115,8 @@ def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
     Returns (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback). The first
     two steps pass ``p_prev1``/``p_prev2`` as None. When |beta_{k-2}| has
     vanished the rank-one recursion for x_k is undefined; with ``p_history``
-    available the step falls back to explicit orthogonalization against the
-    stored P columns for this step only.
+    (the stored P columns, as a sequence of vectors) available the step falls
+    back to CGS2 against them for this step only.
     """
     w = op.apply(q_k)
     scale = op.norm_estimate()
@@ -128,9 +139,8 @@ def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
                     f"beta_{{k-2}} = {beta_prev:.3e} vanished and no stored P "
                     "columns are available for the fallback")
             used_fallback = True
-            x_k = np.zeros(op.rows)
-            for p in p_history:
-                x_k += (w @ p) * p
+            history = np.asarray(p_history).T
+            x_k = history @ cgs2(history, w)[1]
         else:
             x_k = (gamma_km2 / beta_prev) * x_prev + beta_km1 * p_prev1
 
@@ -145,70 +155,39 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
     """Run the short-recurrence rational Golub-Kahan method.
 
     The recurrence itself keeps two p-columns, two q-columns and x_k; the
-    produced P columns are appended to a write-once output buffer because the
-    approximation y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
+    produced P columns go to the shared loop's write-once output array because
+    the approximation y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
     re-orthogonalized). The trace records the orthogonality drift
     ||I - P_k^T P_k|| per iteration, and relative errors when a reference is
     supplied. Returns (ys, B, trace).
     """
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    poles = poles if isinstance(poles, PoleSequence) else PoleSequence(tuple(poles))
-    if int(k_max) - 1 > len(poles):
-        raise ArgumentError(
-            f"{len(poles)} poles support at most {len(poles) + 1} iterations")
-    eng = GramLanczos(op, b, poles, orthogonalize="short")
+    eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="short")
     B = QuasiseparableUpper()
-    trace = ConvergenceTrace()
-    ys = []
-    P_buffer = []
-    gram = np.zeros((0, 0))   # P_k^T P_k, grown incrementally for the drift record
-    p1 = p2 = None
     x_prev = np.zeros(op.rows)
-    beta_prev = 0.0
+    column = None
 
-    for k in range(1, int(k_max) + 1):
-        if k == 1:
-            q = eng.q
-        else:
-            q = eng.advance()
-            if q is None:
-                break
-        p_k, d_k, beta_km1, gamma_km2, x_k, fb = rgk_step(
-            op, q, p1, p2, x_prev, beta_prev,
-            p_history=P_buffer if P_buffer else None)
+    def step(P):
+        nonlocal x_prev, column
+        k = P.shape[1] + 1
+        q = eng.q if k == 1 else eng.advance()
+        if q is None:
+            return None
+        # the step divides by beta_{k-2}, the last beta appended so far
+        p_k, d_k, beta_km1, gamma_km2, x_prev, fallback = rgk_step(
+            op, q, P[:, -1] if k > 1 else None, P[:, -2] if k > 2 else None,
+            x_prev, B.beta[-1] if B.beta else 0.0, p_history=P.T)
         if p_k is None:
-            break
-        if fb:
+            return None
+        if fallback:
             B.fallback_steps.append(k)
         B.d.append(d_k)
         if beta_km1 is not None:
             B.beta.append(beta_km1)
         if gamma_km2 is not None:
             B.gamma.append(gamma_km2)
+        column = _dense_column(B, k - 1, column)
+        return p_k, column
 
-        cross = np.array([p_k @ p for p in P_buffer])
-        gram_new = np.zeros((k, k))
-        gram_new[:k - 1, :k - 1] = gram
-        gram_new[:k - 1, k - 1] = cross
-        gram_new[k - 1, :k - 1] = cross
-        gram_new[k - 1, k - 1] = p_k @ p_k
-        gram = gram_new
-        drift = float(np.linalg.norm(np.eye(k) - gram, 2))
-
-        P_buffer.append(p_k)
-        p2 = p1
-        p1 = p_k
-        x_prev = x_k
-        # the step after next divides by beta_{k-2}: the one appended just now
-        beta_prev = B.beta[-1] if B.beta else 0.0
-
-        err = None
-        if evaluate:
-            Pk = np.column_stack(P_buffer)
-            yk = nb * (Pk @ gmf_dense(f, B.dense(), rtol=0.0)[:, 0])
-            ys.append(yk)
-            if reference is not None:
-                err = relative_error(yk, reference)
-        trace.record(k, error=err, drift=drift)
+    ys, trace = approximation_loop(f, b, op.rows, k_max, step, reference,
+                                   evaluate=evaluate, drift=True)
     return ys, B, trace

@@ -16,10 +16,9 @@ class ConvergenceTrace:
 
     ks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    bound_values: list = field(default_factory=list)
     orthogonality_drift: list = field(default_factory=list)
 
-    def record(self, k, error=None, bound=None, drift=None):
+    def record(self, k, error=None, drift=None):
         if self.ks and k <= self.ks[-1]:
             raise ArgumentError("iteration indices must be strictly increasing")
         self.ks.append(int(k))
@@ -27,8 +26,6 @@ class ConvergenceTrace:
             if error < 0:
                 raise ArgumentError("errors must be nonnegative")
             self.errors.append(float(error))
-        if bound is not None:
-            self.bound_values.append(float(bound))
         if drift is not None:
             self.orthogonality_drift.append(float(drift))
 

@@ -122,6 +122,12 @@ class TestShiftInvertBound:
         with pytest.raises(ArgumentError):
             rho_of(1.0, 2.0, 0.5)
 
+    def test_branches_reject_positive_pole(self):
+        # a pole inside the squared interval would take a square root of a
+        # negative number; the check runs before it
+        with pytest.raises(ArgumentError):
+            rho_branches(0.1, 10.0, 5.0)
+
     def test_h_supremum_for_log_function(self):
         # g(w) = log(1 + w^(1/4)) / w^(1/4) has supremum 1 at w -> 0
         M = sample_h_sup(builtin("sqrt_log1p_sqrt"), -1.0)

@@ -75,6 +75,25 @@ class TestReconstruction:
         assert reconstruct_dense(B) == pytest.approx(np.array([[2.0, 0.5],
                                                                [0.0, 3.0]]))
 
+    def test_matches_entrywise_recursion(self):
+        # the column-at-a-time form multiplies the same numbers as the
+        # entry-by-entry recursion, so the results are equal, not just close
+        rng = np.random.default_rng(4)
+        k = 9
+        B = QuasiseparableUpper(d=list(rng.uniform(1, 2, k)),
+                                beta=list(rng.uniform(0.5, 1.5, k - 1)),
+                                gamma=list(rng.uniform(-1, 1, k - 2)))
+        ref = np.zeros((k, k))
+        for j in range(k):
+            ref[j, j] = B.d[j]
+            if j >= 1:
+                ref[j - 1, j] = B.beta[j - 1]
+            if j >= 2:
+                ref[j - 2, j] = B.gamma[j - 2]
+            for i in range(j - 3, -1, -1):
+                ref[i, j] = (B.gamma[j - 2] / B.beta[j - 2]) * ref[i, j - 1]
+        assert np.array_equal(reconstruct_dense(B), ref)
+
     def test_infinite_poles_give_bidiagonal(self):
         op, b = seeded_problem(12, 9, "logspace", 0.5, 3.0, 1)
         _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(6), 6,
