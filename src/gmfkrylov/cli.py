@@ -46,8 +46,10 @@ def _build_parser():
 
 
 def _load_vector(path):
-    vec = np.loadtxt(path, ndmin=1, dtype=float)
-    return vec.reshape(-1)
+    vec = np.loadtxt(path, ndmin=1, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(vec)):
+        raise ArgumentError(f"{path}: vector holds non-finite entries")
+    return vec
 
 
 def _cmd_run(args):

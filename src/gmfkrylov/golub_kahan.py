@@ -4,7 +4,8 @@ The two coupled recurrences
     r_k = A q_k - beta_{k-1} p_{k-1},   alpha_k = ||r_k||,  p_k = r_k/alpha_k,
     s_k = A^T p_k - alpha_k q_k,        beta_k  = ||s_k||,  q_{k+1} = s_k/beta_k,
 build orthonormal P_k, Q_k with P_k^T A Q_k upper bidiagonal (alpha on the
-diagonal, beta above it). Signs are fixed by taking alpha_k, beta_k >= 0.
+diagonal, beta above it), with alpha_k, beta_k >= 0; ``krylov.normalize``
+sets a vanished one to zero, which marks the invariance index.
 ``gk_step`` is the textbook step (with optional CGS2 reorthogonalization
 against the stored bases); ``gk_approximate`` hands p_k and the bidiagonal
 column (beta_{k-1}, alpha_k) to the shared approximation loop.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
+from .krylov import approximation_loop, cgs2, normalize
 
 
 @dataclass
@@ -25,7 +26,6 @@ class BidiagonalState:
     alpha: list = field(default_factory=list)
     beta: list = field(default_factory=list)
     p: np.ndarray = None          # p_k
-    p_prev: np.ndarray = None     # p_{k-1}
     q: np.ndarray = None          # q_{k+1}, the next start vector
     P: list = None                # stored bases (reorthogonalization)
     Q: list = None
@@ -60,39 +60,32 @@ def gk_init(b):
 def gk_step(state, op, reorth=False):
     """Advance the bidiagonalization by one step (mutates and returns state).
 
-    A vanished alpha or beta (below 1e-14 * ||A||) marks the invariance index:
-    the state is flagged ``breakdown`` and no further vectors are produced.
+    ``krylov.normalize`` tests alpha against ||A q_k|| and beta against
+    ||A^T p_k||. A vanished alpha gives p_k = 0 and alpha_k = 0, so beta
+    vanishes too: the state is flagged ``breakdown`` (the invariance index).
     """
     if state.breakdown:
         return state
-    tol = BREAKDOWN_RTOL * op.norm_estimate()
 
-    r = op.apply(state.q)
+    r = Aq = op.apply(state.q)
     if state.p is not None:
         r = r - state.beta[-1] * state.p
     if reorth and state.P:
         r, _ = cgs2(np.array(state.P).T, r)
-    alpha = np.linalg.norm(r)
-    if alpha <= tol:
-        state.breakdown = True
-        return state
-    p_new = r / alpha
+    state.p, alpha = normalize(r, np.linalg.norm(Aq))
+    state.alpha.append(alpha)
+    state.P.append(state.p)
 
-    s = op.applyt(p_new) - alpha * state.q
+    Atp = op.applyt(state.p)
+    s = Atp - alpha * state.q
     if reorth:
         s, _ = cgs2(np.array(state.Q).T, s)
-    beta = np.linalg.norm(s)
-
-    state.alpha.append(float(alpha))
-    state.p_prev = state.p
-    state.p = p_new
-    state.P.append(p_new)
-    if beta <= tol:
-        state.breakdown = True
-        return state
-    state.beta.append(float(beta))
-    state.q = s / beta
-    state.Q.append(state.q)
+    q, beta = normalize(s, np.linalg.norm(Atp))
+    state.breakdown = beta == 0.0
+    if not state.breakdown:
+        state.beta.append(beta)
+        state.q = q
+        state.Q.append(q)
     return state
 
 

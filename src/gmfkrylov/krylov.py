@@ -1,4 +1,4 @@
-"""The part the three projection engines share: CGS2 and the approximation loop.
+"""The part the three projection engines share: CGS2, breakdown and the loop.
 
 Golub-Kahan, the fully orthogonalized rational method and the short
 recurrence differ only in how they produce the columns of P_k and B_k; each
@@ -10,6 +10,9 @@ y_k = ||b|| P_k f◇(B_k) e_1 and records the convergence trace.
 Orthogonalization against a stored block is classical Gram-Schmidt applied
 twice (``cgs2``): two block products per pass, as accurate as twice-applied
 modified Gram-Schmidt ("twice is enough", Giraud, Langou & Rozlozník 2005).
+Every engine normalizes its new basis vector by the one breakdown rule,
+``normalize``: a vector of norm at most BREAKDOWN_RTOL times that of the vector
+it was formed from has vanished, and the Krylov space is invariant.
 """
 
 import numpy as np
@@ -33,6 +36,14 @@ def cgs2(V, w):
     return w - V @ c2, c + c2
 
 
+def normalize(w, scale):
+    """(w/||w||, ||w||), or (0, 0.0) when ||w|| <= BREAKDOWN_RTOL * scale."""
+    nw = float(np.linalg.norm(w))
+    if nw <= BREAKDOWN_RTOL * scale:
+        return np.zeros_like(w), 0.0
+    return w / nw, nw
+
+
 def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
                        drift=False):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
@@ -46,7 +57,10 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     k_max = int(k_max)
     if k_max < 1:
         raise ArgumentError("k_max must be >= 1")
-    nb = np.linalg.norm(np.asarray(b, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ArgumentError("start vector b contains non-finite entries")
+    nb = np.linalg.norm(b)
     P = np.zeros((rows, k_max), order="F")
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None

@@ -136,6 +136,7 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
 
     if op.dense is not None:
         x = scipy.linalg.lu_solve(op._gram_factor(xi), v, check_finite=False)
+        r = op.gram_apply(x) - xi * x - v
     else:
         def shifted_mv(y):
             return op.gram_apply(y) - xi * y
@@ -153,7 +154,7 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
             if np.linalg.norm(r) <= 0.1 * rtol * nv:
                 break
 
-    residual = np.linalg.norm(op.gram_apply(x) - xi * x - v)
+    residual = np.linalg.norm(r)
     if not residual <= rtol * nv:
         raise SolveFailure(
             f"shifted Gram solve residual {residual:.3e} exceeds "
@@ -273,6 +274,8 @@ def load_dense_matrix(path):
     if data.shape != (m, n):
         raise ArgumentError(
             f"{path}: header promises {m}x{n}, file holds {data.shape[0]}x{data.shape[1]}")
+    if not np.all(np.isfinite(data)):
+        raise ArgumentError(f"{path}: matrix holds non-finite entries")
     return LinearOperator.from_dense(data)
 
 

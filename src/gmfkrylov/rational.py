@@ -22,8 +22,8 @@ The second basis P_k is obtained by orthonormalizing the columns of A Q_k
 (a QR decomposition A Q_k = P_k B_k with nonnegative diagonal of B_k), after
 which y_k = ||b|| P_k f◇(B_k) e_1 approximates f◇(A) b. The QR is grown one
 column per step: CGS2 of A q_k against P_{k-1} gives p_k and column k of B_k,
-which the shared approximation loop stores and evaluates. Every cleaning
-against stored columns, on either side, is the CGS2 kernel.
+which the shared approximation loop stores and evaluates. On either side,
+cleaning is the CGS2 kernel and breakdown is ``krylov.normalize``.
 """
 
 import math
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
+from .krylov import approximation_loop, cgs2, normalize
 from .operators import solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
@@ -119,15 +119,34 @@ class GramLanczos:
 
         if self.windowed:
             w = self._raw_candidate(xi, self.q)
-            w_pre = np.linalg.norm(w)
-            w, coeffs = self._orthogonalize(w, j)
-            b_new = np.linalg.norm(w)
-            if b_new <= BREAKDOWN_RTOL * w_pre:
+            scale = np.linalg.norm(w)
+        else:
+            d_new = _delta(xi)
+            Mq = self.op.gram_apply(self.q)
+            t0 = Mq + (self.d_prev * self.b_prev) * self.Mq_prev \
+                - self.b_prev * self.q_prev
+            t1 = self.d_cur * Mq - self.q
+            if d_new == 0.0:
+                y0, y1 = t0, t1
+            else:
+                y0 = solve_shifted_gram(self.op, xi, -xi * t0)
+                y1 = solve_shifted_gram(self.op, xi, -xi * t1)
+            denom = self.q @ y1
+            if abs(denom) <= np.finfo(float).tiny:
                 self.breakdown = True
                 return None
-            q_new = w / b_new
-            h_col = np.zeros(j + 1)
-            k_col = np.zeros(j + 1)
+            a_j = -(self.q @ y0) / denom
+            w = y0 + a_j * y1
+            scale = max(np.linalg.norm(w), np.linalg.norm(y0))
+        w, coeffs = self._orthogonalize(w, j)
+        q_new, b_new = normalize(w, scale)
+        if b_new == 0.0:
+            self.breakdown = True
+            return None
+
+        h_col = np.zeros(j + 1)
+        k_col = np.zeros(j + 1)
+        if self.windowed:
             if xi == math.inf:
                 h_col[:j] = coeffs
                 h_col[j] = b_new
@@ -146,37 +165,11 @@ class GramLanczos:
                 k_col[j] = d_new * b_new
             d_new = 0.0 if xi in (math.inf, 0.0) else _delta(xi)
         else:
-            d_new = _delta(xi)
-            Mq = self.op.gram_apply(self.q)
-            t0 = Mq + (self.d_prev * self.b_prev) * self.Mq_prev \
-                - self.b_prev * self.q_prev
-            t1 = self.d_cur * Mq - self.q
-            if d_new == 0.0:
-                y0, y1 = t0, t1
-            else:
-                y0 = solve_shifted_gram(self.op, xi, -xi * t0)
-                y1 = solve_shifted_gram(self.op, xi, -xi * t1)
-            denom = self.q @ y1
-            if abs(denom) <= np.finfo(float).tiny:
-                self.breakdown = True
-                return None
-            a_j = -(self.q @ y0) / denom
-            w = y0 + a_j * y1
-            w_pre = np.linalg.norm(w)
-            w, coeffs = self._orthogonalize(w, j)
-            b_new = np.linalg.norm(w)
-            if b_new <= BREAKDOWN_RTOL * max(w_pre, np.linalg.norm(y0)):
-                self.breakdown = True
-                return None
-            q_new = w / b_new
-
-            h_col = np.zeros(j + 1)
             h_col[:j] = coeffs
             if j >= 2:
                 h_col[j - 2] += self.b_prev
             h_col[j - 1] += a_j
             h_col[j] = b_new
-            k_col = np.zeros(j + 1)
             k_col[j - 1] = 1.0
             if j >= 2:
                 k_col[j - 2] = self.d_prev * self.b_prev
@@ -297,8 +290,9 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
         q = eng.q if P.shape[1] == 0 else eng.advance()
         if q is None:
             return None
-        w, coeffs = cgs2(P, op.apply(q))
-        d = np.linalg.norm(w)
-        return (w / d if d > 0 else w), np.append(coeffs, d)
+        Aq = op.apply(q)
+        w, coeffs = cgs2(P, Aq)
+        p, d = normalize(w, np.linalg.norm(Aq))
+        return p, np.append(coeffs, d)
 
     return approximation_loop(f, b, op.rows, k_max, step, reference)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import BREAKDOWN_RTOL, approximation_loop, cgs2
+from .krylov import approximation_loop, cgs2, normalize
 from .poles import require_poles
 from .rational import GramLanczos
 
@@ -112,14 +112,16 @@ def _dense_column(B, j, previous):
 def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
     """One step of the short-recurrence update of P and B.
 
-    Returns (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback). The first
-    two steps pass ``p_prev1``/``p_prev2`` as None. When |beta_{k-2}| has
-    vanished the rank-one recursion for x_k is undefined; with ``p_history``
-    (the stored P columns, as a sequence of vectors) available the step falls
-    back to CGS2 against them for this step only.
+    Returns (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback); at
+    breakdown (``krylov.normalize`` against ||A q_k||) p_k = 0 and d_k = 0. The
+    first two steps pass ``p_prev1``/``p_prev2`` as None. When |beta_{k-2}| has
+    vanished (against ||A q_k|| too) the rank-one recursion for x_k is
+    undefined; with ``p_history`` (the stored P columns, as a sequence of
+    vectors) available the step falls back to CGS2 against them for this step
+    only.
     """
     w = op.apply(q_k)
-    scale = op.norm_estimate()
+    scale = np.linalg.norm(w)
     used_fallback = False
 
     if p_prev1 is None:
@@ -144,11 +146,8 @@ def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
         else:
             x_k = (gamma_km2 / beta_prev) * x_prev + beta_km1 * p_prev1
 
-    w = w - x_k
-    d_k = float(np.linalg.norm(w))
-    if d_k <= BREAKDOWN_RTOL * scale:
-        return None, d_k, beta_km1, gamma_km2, x_k, used_fallback
-    return w / d_k, d_k, beta_km1, gamma_km2, x_k, used_fallback
+    p_k, d_k = normalize(w - x_k, scale)
+    return p_k, d_k, beta_km1, gamma_km2, x_k, used_fallback
 
 
 def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
@@ -176,7 +175,7 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
         p_k, d_k, beta_km1, gamma_km2, x_prev, fallback = rgk_step(
             op, q, P[:, -1] if k > 1 else None, P[:, -2] if k > 2 else None,
             x_prev, B.beta[-1] if B.beta else 0.0, p_history=P.T)
-        if p_k is None:
+        if d_k == 0.0:
             return None
         if fallback:
             B.fallback_steps.append(k)

@@ -176,6 +176,21 @@ class TestCli:
         vec.write_text("1\n2\n3\n", encoding="ascii")
         assert main(["oracle", str(mat), "sqrt", str(vec)]) == 2
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_oracle_nonfinite_matrix_exit_code(self, tmp_path, entry):
+        mat = tmp_path / "m.txt"
+        mat.write_text(f"2 2\n1 0\n0 {entry}\n", encoding="ascii")
+        vec = tmp_path / "b.txt"
+        vec.write_text("1\n2\n", encoding="ascii")
+        assert main(["oracle", str(mat), "sqrt", str(vec)]) == 2
+
+    def test_oracle_nonfinite_vector_exit_code(self, tmp_path):
+        mat = tmp_path / "m.txt"
+        save_dense_matrix(mat, np.eye(2))
+        vec = tmp_path / "b.txt"
+        vec.write_text("1\nnan\n", encoding="ascii")
+        assert main(["oracle", str(mat), "sqrt", str(vec)]) == 2
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg(method="warp")))
