@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError
-from .krylov import approximation_loop, cgs2, normalize
+from .krylov import approximation_loop, cgs2, normalize, start_vector
 
 
 @dataclass
@@ -38,20 +37,12 @@ class BidiagonalState:
     def bidiagonal(self, k=None):
         """Dense upper-bidiagonal B_k."""
         k = self.k if k is None else k
-        B = np.zeros((k, k))
-        B[np.arange(k), np.arange(k)] = self.alpha[:k]
-        if k > 1:
-            B[np.arange(k - 1), np.arange(1, k)] = self.beta[:k - 1]
-        return B
+        return np.diag(self.alpha[:k]) + np.diag(self.beta[:max(k - 1, 0)], 1)
 
 
 def gk_init(b):
-    b = np.asarray(b, dtype=float)
-    nb = np.linalg.norm(b)
-    if nb == 0:
-        raise ArgumentError("start vector must be nonzero")
     state = BidiagonalState()
-    state.q = b / nb
+    state.q, _ = start_vector(b)
     state.P = []
     state.Q = [state.q]
     return state
@@ -89,11 +80,13 @@ def gk_step(state, op, reorth=False):
     return state
 
 
-def gk_approximate(f, op, b, k_max, reorth=False, reference=None):
+def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max.
 
-    Stops early at breakdown (the Krylov space became invariant). When a
-    reference vector is supplied the trace records relative 2-norm errors.
+    Stops early at breakdown (the Krylov space became invariant). Both bases
+    are reorthogonalized by default: without it orthogonality is lost and the
+    run goes on past invariance. When a reference vector is supplied the trace
+    records relative 2-norm errors.
     """
     state = gk_init(b)
 

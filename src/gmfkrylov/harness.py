@@ -156,19 +156,23 @@ def build_poles(config):
 
 def synthesize(config):
     """Seeded (operator, b) pair; matrix and start vector use spawned streams."""
-    root = np.random.SeedSequence(config.seed)
-    mat_seed, b_seed = root.spawn(2)
+    mat_seed, _ = np.random.SeedSequence(config.seed).spawn(2)
     profile = singular_profile(config.matrix.kind, min(config.matrix.m, config.matrix.n),
                                config.matrix.lo, config.matrix.hi)
     op = synthesize_test_matrix(config.matrix.m, config.matrix.n, profile, mat_seed)
-    b = np.random.default_rng(b_seed).standard_normal(config.matrix.n)
-    return op, b
+    return op, seeded_start_vector(config)
 
 
-def _bound_overlays(config, op, b, poles):
+def seeded_start_vector(config):
+    """The start vector b of ``synthesize``, drawn without building the matrix."""
+    _, b_seed = np.random.SeedSequence(config.seed).spawn(2)
+    return np.random.default_rng(b_seed).standard_normal(config.matrix.n)
+
+
+def _bound_overlays(config, b, poles):
     f = builtin(config.function)
     smin, smax = config.matrix.lo, config.matrix.hi
-    nb = float(np.linalg.norm(b)) if b is not None else 1.0
+    nb = float(np.linalg.norm(b))
     ks = range(1, config.k_max + 1)
     overlays = {}
     for tag in config.bounds:
@@ -234,7 +238,7 @@ def run(config, output_dir=None):
             reference=y_ref, reorth=config.reorthogonalize)
         files["err"] = trace.pairs()
 
-    files.update(_bound_overlays(config, op, b, poles))
+    files.update(_bound_overlays(config, b, poles))
 
     paths = {}
     for tag, pairs in files.items():
@@ -263,14 +267,13 @@ def run(config, output_dir=None):
 def evaluate_bounds(config, output_dir=None):
     """Evaluate only the configured bound overlays (no method run).
 
-    The start vector is synthesized exactly as in ``run`` so that the bound
-    files match those a full run would produce byte for byte.
+    The start vector is drawn as in ``run``, without building the matrix, so
+    the bound files match those a full run would produce byte for byte.
     """
     out = output_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     poles = build_poles(config)
-    _, b = synthesize(config)
-    overlays = _bound_overlays(config, None, b, poles)
+    overlays = _bound_overlays(config, seeded_start_vector(config), poles)
     paths = {}
     for tag, pairs in overlays.items():
         path = os.path.join(out, f"{config.name}_{tag}.dat")

@@ -36,6 +36,22 @@ def cgs2(V, w):
     return w - V @ c2, c + c2
 
 
+def start_vector(b):
+    """(b/||b||, ||b||) for a finite, nonzero start vector b.
+
+    A norm that over- or underflows as a sum of squares is m ||b/m||, m = max |b_i|.
+    """
+    b = np.asarray(b, dtype=float)
+    m = np.abs(b).max(initial=0.0)
+    with np.errstate(over="ignore"):
+        nb = np.linalg.norm(b)
+        if 0.0 < m < np.inf and nb in (0.0, np.inf):
+            nb = m * np.linalg.norm(b / m)
+    if not (0.0 < m < np.inf and nb < np.inf):
+        raise ArgumentError("start vector b must be finite, nonzero, of finite norm")
+    return b / nb, nb
+
+
 def normalize(w, scale):
     """(w/||w||, ||w||), or (0, 0.0) when ||w|| <= BREAKDOWN_RTOL * scale."""
     nw = float(np.linalg.norm(w))
@@ -57,10 +73,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     k_max = int(k_max)
     if k_max < 1:
         raise ArgumentError("k_max must be >= 1")
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ArgumentError("start vector b contains non-finite entries")
-    nb = np.linalg.norm(b)
+    _, nb = start_vector(b)
     P = np.zeros((rows, k_max), order="F")
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None

@@ -32,19 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import approximation_loop, cgs2, normalize
+from .krylov import approximation_loop, cgs2, normalize, start_vector
 from .operators import solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
 ZERO_POLE_WINDOW = 6
-
-
-def _delta(xi):
-    if xi == math.inf:
-        return 0.0
-    if xi == 0.0:
-        raise ArgumentError("zero pole has no inverse-pole representation")
-    return 1.0 / xi
 
 
 class GramLanczos:
@@ -60,43 +52,37 @@ class GramLanczos:
     tridiagonal pencil normalization breaks down at a zero pole; alternating
     inf/0 sequences have a short recurrence of bounded width, which the
     window covers.
+
+    Each step appends a column (k, h) to the pencil M Q K = Q H. A non-zero
+    pole's candidate solves (I - delta M) w = M Q_j u - Q_j v, with u = e_j,
+    v = 0 in the windowed step and u, v read off the module's three-term step.
+    Cleaning writes w = Q_{j+1} c, c = (coefficients, b_j), so k = u + delta c
+    and h = v + c. A zero pole solves M w = q_j, so k = c and h = e_j.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
         if orthogonalize not in ("full", "short"):
             raise ArgumentError("orthogonalize must be 'full' or 'short'")
-        b = np.asarray(b, dtype=float)
-        nb = np.linalg.norm(b)
-        if nb == 0:
-            raise ArgumentError("start vector must be nonzero")
+        self.q, _ = start_vector(b)
         self.op = op
         self.poles = require_poles(poles)
         self.full = orthogonalize == "full"
         self.windowed = self.poles.has_zero
-        self.n = op.cols
         self.breakdown = False
 
-        self.q = b / nb
-        self.q_prev = np.zeros(self.n)
-        self.Mq_prev = np.zeros(self.n)
+        self.q_prev = np.zeros_like(self.q)
+        self.Mq_prev = np.zeros_like(self.q)
         self.b_prev = 0.0          # b_{j-1} of the pencil
         self.d_cur = 0.0           # delta_j for the current q_j
         self.d_prev = 0.0          # delta_{j-1}
         self.count = 1             # basis vectors produced so far
 
-        self.columns = [self.q] if self.full else None
-        self._window = [self.q]    # trailing columns cleaned against (zero poles)
-        # pencil bookkeeping (H and K columns, built in full mode)
+        # every column in full mode; the trailing window in short mode, which
+        # a zero-pole sequence cleans against
+        self.columns = [self.q]
+        # pencil bookkeeping (H and K columns)
         self._h_cols = []
         self._k_cols = []
-
-    def _orthogonalize(self, w, j):
-        """Clean w against stored columns by CGS2; returns (w, coefficient vector)."""
-        coeffs = np.zeros(j)
-        if self.full or self.windowed:
-            w, c = cgs2(np.array(self.columns if self.full else self._window).T, w)
-            coeffs[j - c.size:] = c
-        return w, coeffs
 
     def _raw_candidate(self, xi, q):
         """Windowed-mode candidate for the next direction."""
@@ -116,12 +102,14 @@ class GramLanczos:
                 f"pole sequence exhausted: {len(self.poles)} poles support at most "
                 f"{len(self.poles) + 1} basis vectors")
         xi = self.poles[j - 1]
+        d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
+        u, v = np.zeros(j + 1), np.zeros(j + 1)
 
         if self.windowed:
+            u[j - 1] = 1.0
             w = self._raw_candidate(xi, self.q)
             scale = np.linalg.norm(w)
         else:
-            d_new = _delta(xi)
             Mq = self.op.gram_apply(self.q)
             t0 = Mq + (self.d_prev * self.b_prev) * self.Mq_prev \
                 - self.b_prev * self.q_prev
@@ -138,60 +126,33 @@ class GramLanczos:
             a_j = -(self.q @ y0) / denom
             w = y0 + a_j * y1
             scale = max(np.linalg.norm(w), np.linalg.norm(y0))
-        w, coeffs = self._orthogonalize(w, j)
+            u[j - 1], v[j - 1] = 1.0 + self.d_cur * a_j, a_j
+            if j >= 2:
+                u[j - 2], v[j - 2] = self.d_prev * self.b_prev, self.b_prev
+            self.Mq_prev = Mq
+        c = np.zeros(j + 1)        # cleaning coefficients, then b_j
+        if self.full or self.windowed:
+            w, coeffs = cgs2(np.array(self.columns).T, w)
+            c[j - coeffs.size:j] = coeffs
         q_new, b_new = normalize(w, scale)
         if b_new == 0.0:
             self.breakdown = True
             return None
 
-        h_col = np.zeros(j + 1)
-        k_col = np.zeros(j + 1)
-        if self.windowed:
-            if xi == math.inf:
-                h_col[:j] = coeffs
-                h_col[j] = b_new
-                k_col[j - 1] = 1.0
-            elif xi == 0.0:
-                h_col[j - 1] = 1.0
-                k_col[:j] = coeffs
-                k_col[j] = b_new
-            else:
-                # M (q + delta*(stuff)) = stuff with stuff = coeffs + b_new e_{j+1}
-                d_new = _delta(xi)
-                h_col[:j] = coeffs
-                h_col[j] = b_new
-                k_col[:j] = d_new * coeffs
-                k_col[j - 1] += 1.0
-                k_col[j] = d_new * b_new
-            d_new = 0.0 if xi in (math.inf, 0.0) else _delta(xi)
+        c[j] = b_new
+        if xi == 0.0:
+            self._k_cols.append(c)
+            self._h_cols.append(u)
         else:
-            h_col[:j] = coeffs
-            if j >= 2:
-                h_col[j - 2] += self.b_prev
-            h_col[j - 1] += a_j
-            h_col[j] = b_new
-            k_col[j - 1] = 1.0
-            if j >= 2:
-                k_col[j - 2] = self.d_prev * self.b_prev
-            k_col[j - 1] += self.d_cur * a_j
-            k_col[j] = d_new * b_new
-            k_col[:j] += d_new * coeffs
-
-            self.Mq_prev = Mq
-            self.b_prev = b_new
-
-        self._h_cols.append(h_col)
-        self._k_cols.append(k_col)
-        self.d_prev = self.d_cur
-        self.d_cur = d_new
-        self.q_prev = self.q
-        self.q = q_new
+            self._k_cols.append(u + d_new * c)
+            self._h_cols.append(v + c)
+        self.b_prev = b_new
+        self.d_prev, self.d_cur = self.d_cur, d_new
+        self.q_prev, self.q = self.q, q_new
         self.count += 1
-        if self.full:
-            self.columns.append(q_new)
-        elif self.windowed:
-            self._window.append(q_new)
-            del self._window[:-ZERO_POLE_WINDOW]
+        self.columns.append(q_new)
+        if not self.full:
+            del self.columns[:-ZERO_POLE_WINDOW]
         return q_new
 
     def pencil(self):

@@ -34,7 +34,7 @@ def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
 
     op_t = op.transpose()
     c = op.apply(b)
-    if np.linalg.norm(c) == 0:
+    if not np.any(c):
         raise ArgumentError("A b = 0: nothing to approximate")
 
     if method == "golub_kahan":

@@ -51,30 +51,20 @@ class QuasiseparableUpper:
     def generators(self, k=None):
         """Vectors u, v with triu(B, 1) = triu(u v^T, 1).
 
-        Built from the column recursion: v accumulates the ratios
-        gamma_{t-1}/beta_{t-1}, u rescales beta accordingly.
+        Built from the column recursion: v_0 = 0 and v_{j+1} is the running
+        product of the ratios gamma_t/beta_t, t < j, so u_i = beta_i / v_{i+1}.
         """
         k = self.k if k is None else k
         u = np.zeros(k)
         v = np.zeros(k)
         if k < 2:
             return u, v
-        scale = 1.0
-        v[1] = 1.0
-        for j in range(2, k):
-            if self.beta[j - 2] == 0.0:
-                raise ArgumentError(
-                    "vanished beta: generator form unavailable (fallback path)")
-            scale *= self.gamma[j - 2] / self.beta[j - 2]
-            v[j] = scale
-        running = 1.0
-        for i in range(k - 1):
-            u[i] = self.beta[i] / running
-            if i + 1 < k - 1:
-                if self.beta[i] == 0.0:
-                    raise ArgumentError(
-                        "vanished beta: generator form unavailable (fallback path)")
-                running *= self.gamma[i] / self.beta[i]
+        beta = np.asarray(self.beta[:k - 2])
+        if np.any(beta == 0.0):
+            raise ArgumentError(
+                "vanished beta: generator form unavailable (fallback path)")
+        v[1:] = np.cumprod(np.append(1.0, np.asarray(self.gamma[:k - 2]) / beta))
+        u[:k - 1] = np.asarray(self.beta[:k - 1]) / v[1:]
         return u, v
 
 

@@ -159,6 +159,19 @@ class TestCli:
         assert (out / "t_bound_si.dat").exists()
         assert (out / "t_bound_rational.dat").exists()
 
+    def test_bounds_command_matches_run(self, tmp_path):
+        raw = cfg(method="rational_full", poles={"kind": "shift_invert"},
+                  bounds=["polynomial", "shift_invert", "rational"])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "run")]) == 0
+        assert main(["bounds", str(path), "--output-dir", str(tmp_path / "bounds")]) == 0
+        names = sorted(os.listdir(tmp_path / "bounds"))
+        assert names == ["t_bound_poly.dat", "t_bound_rational.dat", "t_bound_si.dat"]
+        for name in names:
+            assert ((tmp_path / "bounds" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes()), name
+
     def test_oracle_command(self, tmp_path, capsys):
         A = np.diag([4.0, 9.0])
         mat = tmp_path / "m.txt"

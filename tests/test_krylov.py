@@ -93,6 +93,19 @@ def test_engines_reject_bad_input_with_argument_error(engine, case):
         ENGINES[engine](op, b, *args)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_take_start_vectors_whose_norm_over_or_underflows(engine, scale):
+    # ||scale * b||^2 over- or underflows; f◇(A) b is linear in b
+    op, b = seeded_problem(10, 10, "logspace", 0.5, 3.0, 0)
+    poles = si_optimal_pole(0.5, 3.0, 6)
+    ys = ENGINES[engine](op, b, poles, 6)[0]
+    ys_scaled = ENGINES[engine](op, scale * b, poles, 6)[0]
+    assert len(ys_scaled) == len(ys) == 6
+    for y, y_scaled in zip(ys, ys_scaled):
+        assert np.linalg.norm(y_scaled / scale - y) <= 1e-12 * np.linalg.norm(y)
+
+
 @pytest.mark.parametrize("engine", [*ENGINES, "gk_reorth"])
 def test_engines_never_call_norm_estimate(engine, monkeypatch):
     def refuse(self):
@@ -128,6 +141,11 @@ class TestBreakdownAtInvariance:
         op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
         ys, _ = gk_approximate(F, op, b, 8, reorth=True)
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
+
+    def test_gk_reorthogonalizes_by_default(self):
+        op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
+        ys, _ = gk_approximate(F, op, b, 8)
+        assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-12
 
     def test_gk_wide(self):
         op, b = seeded_problem(20, 30, "chebyshev2", 0.5, 4.0, 3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,24 @@ class TestRationalArnoldi:
         assert np.linalg.norm(off) <= 1e-8 * np.linalg.norm(top)
         assert np.linalg.norm(top - top.T) <= 1e-8 * np.linalg.norm(top)
         assert fac.pencil_residual(op) <= 1e-9
+
+    @pytest.mark.parametrize("poles", [
+        extended_poles(10),
+        PoleSequence((0.0, -1.5, math.inf, -3.0, 0.0, -0.7, math.inf, -2.0, -1.0)),
+        PoleSequence((30.0, -1.5, 40.0, math.inf, -3.0, 50.0, -0.7, -2.0, 60.0)),
+    ], ids=["extended", "zero_finite_inf", "positive"])
+    def test_pencil_of_zero_and_positive_poles(self, poles):
+        op, b = seeded_problem(20, 20, "logspace", 1.0, 5.0, 5)
+        fac = rational_arnoldi(op, b, poles, 10)
+        assert fac.k == 10
+        assert fac.pencil_residual(op) <= 1e-9
+        assert fac.orthogonality_defect() <= 1e-12
+
+    def test_nonfinite_start_vector_raises(self):
+        op, b = seeded_problem(10, 10, "logspace", 0.5, 3.0, 0)
+        b[2] = np.nan
+        with pytest.raises(ArgumentError):
+            rational_arnoldi(op, b, polynomial_poles(4), 5)
 
     def test_invariance_truncates(self):
         op = LinearOperator.from_dense(np.diag([2.0, 1.0]))
