@@ -18,6 +18,20 @@ import numpy as np
 from .krylov import approximation_loop, cgs2, normalize, start_vector
 
 
+class _Rows:
+    """Vectors of one length kept as the rows of a block that doubles when full."""
+
+    def __init__(self):
+        self.block, self.size = np.empty((0, 0)), 0
+
+    def append(self, v):
+        if self.size == len(self.block):
+            self.block = np.vstack((self.block.reshape(-1, v.size),
+                                    np.empty((max(self.size, 16), v.size))))
+        self.block[self.size] = v
+        self.size += 1
+
+
 @dataclass
 class BidiagonalState:
     """State of the bidiagonalization after k completed steps."""
@@ -26,13 +40,23 @@ class BidiagonalState:
     beta: list = field(default_factory=list)
     p: np.ndarray = None          # p_k
     q: np.ndarray = None          # q_{k+1}, the next start vector
-    P: list = None                # stored bases (reorthogonalization)
-    Q: list = None
+    p_rows: _Rows = field(default_factory=_Rows)     # stored bases, one vector per row
+    q_rows: _Rows = field(default_factory=_Rows)
     breakdown: bool = False
 
     @property
     def k(self):
         return len(self.alpha)
+
+    @property
+    def P(self):
+        """p_1..p_k as the rows of a view."""
+        return self.p_rows.block[:self.p_rows.size]
+
+    @property
+    def Q(self):
+        """q_1..q_{k+1} as the rows of a view."""
+        return self.q_rows.block[:self.q_rows.size]
 
     def bidiagonal(self, k=None):
         """Dense upper-bidiagonal B_k."""
@@ -43,8 +67,7 @@ class BidiagonalState:
 def gk_init(b):
     state = BidiagonalState()
     state.q, _ = start_vector(b)
-    state.P = []
-    state.Q = [state.q]
+    state.q_rows.append(state.q)
     return state
 
 
@@ -61,22 +84,22 @@ def gk_step(state, op, reorth=False):
     r = Aq = op.apply(state.q)
     if state.p is not None:
         r = r - state.beta[-1] * state.p
-    if reorth and state.P:
-        r, _ = cgs2(np.array(state.P).T, r)
+    if reorth and state.k:
+        r, _ = cgs2(state.P.T, r)
     state.p, alpha = normalize(r, np.linalg.norm(Aq))
     state.alpha.append(alpha)
-    state.P.append(state.p)
+    state.p_rows.append(state.p)
 
     Atp = op.applyt(state.p)
     s = Atp - alpha * state.q
     if reorth:
-        s, _ = cgs2(np.array(state.Q).T, s)
+        s, _ = cgs2(state.Q.T, s)
     q, beta = normalize(s, np.linalg.norm(Atp))
     state.breakdown = beta == 0.0
     if not state.breakdown:
         state.beta.append(beta)
         state.q = q
-        state.Q.append(q)
+        state.q_rows.append(q)
     return state
 
 

@@ -117,6 +117,14 @@ def parse_config(raw, base_dir="."):
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             poles = dict(poles, path=path)
+        # a zero pole solves with the Gram matrix itself, which is singular for
+        # a wide A (A^T A) or, under the transpose trick's inner method, for a
+        # tall one (A A^T): refuse it before the matrix and the oracle are built
+        gram, singular = ("A A^T", m > n) if method == "transpose_trick" else ("A^T A", m < n)
+        if singular and (poles["kind"] == "extended" or (
+                poles["kind"] == "user_file" and load_user_poles(poles["path"]).has_zero)):
+            raise ConfigError(f"{poles['kind']} poles include 0, but {gram} of a "
+                              f"{m}x{n} matrix is singular")
 
     bounds = tuple(raw.get("bounds", ()))
     for tag in bounds:

@@ -7,6 +7,17 @@ Everything after that step is written once here: ``approximation_loop`` stores
 p_k and column k of B_k in arrays allocated once, forms
 y_k = ||b|| P_k f◇(B_k) e_1 and records the convergence trace.
 
+B_k only ever grows by one column, B_{k+1} = [[B_k, c], [0, delta]], so the
+loop does not take a fresh SVD of B_k per k: ``BorderedSvd`` updates U_k, the
+singular values and the first row of V_k (all that f◇(B_k) e_1 needs). The
+middle factor of the update is a rank-one change of a diagonal, whose SVD
+comes from the secular equation (Bunch & Nielsen 1978; LAPACK ``dlasd4``) in
+O(k^2); deflation of tiny and close entries and the recomputed z of Gu &
+Eisenstat (1995) keep the singular vectors orthogonal. What is left per step
+is one gemm with U_k over the non-deflated columns. If ``dlasd4`` fails or a
+result is not finite, the dense SVD of B_k (``gmf_dense``) takes over for the
+rest of the run.
+
 Orthogonalization against a stored block is classical Gram-Schmidt applied
 twice (``cgs2``): two block products per pass, as accurate as twice-applied
 modified Gram-Schmidt ("twice is enough", Giraud, Langou & Rozlozník 2005).
@@ -16,12 +27,15 @@ it was formed from has vanished, and the Krylov space is invariant.
 """
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 from .errors import ArgumentError
 from .reference import gmf_dense
 from .traces import ConvergenceTrace, relative_error
 
 BREAKDOWN_RTOL = 1e-14
+DEFLATION_RTOL = 8 * np.finfo(float).eps
+ZERO_RTOL = np.finfo(float).eps ** 2
 
 
 def cgs2(V, w):
@@ -60,6 +74,112 @@ def normalize(w, scale):
     return w / nw, nw
 
 
+class BorderedSvd:
+    """SVD of an upper-triangular B_k that grows by one column per step.
+
+    Keeps U_k, the singular values sigma (ascending) and v0 = V_k^T e_1, with 0
+    for a zero singular value: B_k's null vectors stay null vectors of every
+    later B, so their right vectors enter neither f◇(B) e_1 nor a later step. With
+    z = (delta, U_k^T c), B_{k+1} = W N [e_{k+1}, (V_k; 0)]^T, where the left
+    basis W = [e_{k+1}, (U_k; 0)] and N = diag(0, sigma) + z e_1^T, whose
+    singular values are the roots of 1 + sum_j z_j^2 / (d_j^2 - s^2) with
+    d = (0, sigma). Index 0 is the new row and column throughout.
+    """
+
+    def __init__(self):
+        self.U, self.sigma, self.v0 = np.zeros((0, 0)), np.zeros(0), np.zeros(0)
+
+    def update(self, column, f):
+        """Append column (c, delta); f◇(B_{k+1}) e_1, or None if the update failed."""
+        k = self.sigma.size
+        z = np.concatenate(([column[k]], self.U.T @ column[:k]))
+        d = np.concatenate(([0.0], self.sigma))
+        v0 = np.concatenate(([float(k == 0)], self.v0))
+        W = np.zeros((k + 1, k + 1))
+        W[k, 0] = 1.0
+        W[:k, 1:] = self.U
+        scale = max(np.abs(z).max(), d[-1])
+        tol, zero = DEFLATION_RTOL * scale, ZERO_RTOL * scale
+        # a sigma_j <= eps^2 scale is an exact 0 (far below its roundoff, and
+        # its square stays clear of underflow), so row j of N is z_j e_1^T: a
+        # rotation folds it into row 0. Any larger sigma stays, since f acts on
+        # every positive singular value
+        for j in np.flatnonzero(d[1:] <= zero) + 1:
+            d[j], r = 0.0, np.hypot(z[0], z[j])
+            if r > 0.0:
+                W[:, [0, j]] = W[:, [0, j]] @ np.array([[z[0], -z[j]], [z[j], z[0]]]) / r
+                z[0], z[j] = r, 0.0
+        # a tiny z_j leaves (d_j, W e_j, e_j) a singular triplet of N (dlasd2).
+        # Of two d equal to working accuracy, a rotation on both sides zeroes
+        # the first z; the test is relative, so roundoff-level singular values
+        # (wide matrices) stay apart, as they do in a dense SVD
+        keep = np.abs(z) > tol
+        keep[0] = abs(z[0]) > zero  # else row 0 of N vanished: sigma = 0
+        live = np.flatnonzero(keep[1:]) + 1
+        for t in np.flatnonzero(np.diff(d[live]) <= DEFLATION_RTOL * d[live[1:]]):
+            i, j = live[t], live[t + 1]
+            tau = np.hypot(z[i], z[j])
+            G = np.array([[z[j], z[i]], [-z[i], z[j]]]) / tau
+            W[:, [i, j]] = W[:, [i, j]] @ G
+            v0[[i, j]] = v0[[i, j]] @ G
+            z[i], z[j], keep[i] = 0.0, tau, False
+        deflated = np.flatnonzero(~keep[1:]) + 1
+        J = np.flatnonzero(keep)
+        dj = d[J] / scale
+        secular = _secular(dj, z[J] / scale)
+        if secular is None:
+            return None
+        roots, zh, L = secular
+        R = dj[:, None] * L         # the right vectors are (-1, d L)
+        L /= np.linalg.norm(L, axis=0)
+        sigma = [d[deflated], scale * roots]
+        U = [W[:, deflated], W[:, J] @ L]
+        v = [v0[deflated], (v0[J] @ R - v0[0]) / np.sqrt(1.0 + (R * R).sum(axis=0))]
+        if not keep[0]:             # sigma = 0, with left vector e_{k+1}
+            sigma.append([0.0])
+            U.append(W[:, :1])
+            v.append([0.0])
+        self.sigma = np.concatenate(sigma)
+        order = np.argsort(self.sigma, kind="stable")
+        self.sigma = self.sigma[order]
+        self.U = np.concatenate(U, axis=1)[:, order]
+        self.v0 = np.concatenate(v)[order]
+        # rtol=0: f acts on every positive singular value of B_k; truncating
+        # would mask the small-singular-value pollution of wide matrices
+        p = np.searchsorted(self.sigma, 0.0, side="right")
+        out = self.U[:, p:] @ (f(self.sigma[p:]) * self.v0[p:])
+        return out if np.all(np.isfinite(out)) else None
+
+
+def _secular(d, z):
+    """Roots of 1 + sum_j z_j^2 / (d_j^2 - s^2) for 0 <= d_1 < d_2 < ..., the z
+    for which they are exact (Gu & Eisenstat's, as in dlasd3) and the matrix
+    zhat_j / (d_j^2 - s_i^2) of unnormalized left vectors; None if dlasd4 fails.
+    """
+    n = d.size
+    if n == 0:
+        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+    if n == 1:                      # dlasd4 returns no differences for n = 1
+        roots = np.hypot(d, z)
+        DS = ((d - roots) * (d + roots))[:, None]
+    else:
+        rho = z @ z
+        zn = z / np.sqrt(rho)
+        roots, DS, work = np.empty(n), np.empty((n, n)), np.empty((n, n))
+        for i in range(n):
+            DS[:, i], roots[i], work[:, i], info = dlasd4(i, d, zn, rho)
+            if info != 0:
+                return None
+        DS *= work                  # d_j^2 - root_i^2, free of cancellation
+    # root i lies in (d_i, d_{i+1}): pair it with d_i below i and d_{i+1} from
+    # i on, so that every factor is a ratio in (0, 1]
+    other = np.arange(n - 1)[None, :]
+    other = d[other + (other >= np.arange(n)[:, None])]
+    zh = np.prod(DS[:, :-1] / ((d[:, None] - other) * (d[:, None] + other)), axis=1)
+    zh = np.copysign(np.sqrt(np.abs(zh * DS[:, -1])), z)
+    return roots, zh, zh[:, None] / DS
+
+
 def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
                        drift=False):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
@@ -77,6 +197,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     P = np.zeros((rows, k_max), order="F")
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None
+    svd = BorderedSvd()
     ys, drifts = [], []
     for k in range(1, k_max + 1):
         column = step(P[:, :k - 1])
@@ -87,9 +208,11 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
             gram[:k, k - 1] = gram[k - 1, :k] = P[:, :k].T @ P[:, k - 1]
             drifts.append(float(np.linalg.norm(np.eye(k) - gram[:k, :k], 2)))
         if evaluate:
-            # rtol=0: f acts on every positive singular value of B_k; truncating
-            # would mask the small-singular-value pollution of wide matrices
-            ys.append(nb * (P[:, :k] @ gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]))
+            z = svd.update(B[:k, k - 1], f) if svd is not None else None
+            if z is None:       # the dense SVD of B_k from here on
+                svd = None
+                z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
+            ys.append(nb * (P[:, :k] @ z))
     return ys, error_trace(ys, reference, drifts)
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gmfkrylov import SingularProfile, singular_profile, synthesize_test_matrix
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays reproducible
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def seeded_problem(m, n, kind, lo, hi, seed):

@@ -81,6 +81,37 @@ class TestConfigValidation:
                                   transpose_inner="golub_kahan"))
         assert build_poles(config) is None
 
+    @staticmethod
+    def sized(m, n, **overrides):
+        raw = cfg(**overrides)
+        raw["matrix"].update(m=m, n=n)
+        return raw
+
+    # a zero pole solves with A^T A (A A^T for the transpose trick's inner
+    # method), singular for a wide (tall) matrix
+    @pytest.mark.parametrize("method,m,n", [("rational_full", 12, 20),
+                                            ("rational_short", 12, 20),
+                                            ("transpose_trick", 20, 12)])
+    def test_zero_pole_with_singular_gram_rejected(self, method, m, n):
+        with pytest.raises(ConfigError, match="singular"):
+            parse_config(self.sized(m, n, method=method, poles={"kind": "extended"}))
+
+    def test_user_file_zero_pole_with_singular_gram_rejected(self, tmp_path):
+        (tmp_path / "p.txt").write_text("inf\n-1.5\n0\n", encoding="ascii")
+        raw = self.sized(12, 20, method="rational_full",
+                         poles={"kind": "user_file", "path": "p.txt"})
+        with pytest.raises(ConfigError, match="singular"):
+            parse_config(raw, base_dir=str(tmp_path))
+        (tmp_path / "p.txt").write_text("inf\n-1.5\n-2\n", encoding="ascii")
+        parse_config(raw, base_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("method,m,n,inner", [("rational_full", 20, 12, "rational_full"),
+                                                  ("transpose_trick", 12, 20, "rational_short"),
+                                                  ("transpose_trick", 20, 12, "golub_kahan")])
+    def test_zero_pole_with_nonsingular_gram_accepted(self, method, m, n, inner):
+        parse_config(self.sized(m, n, method=method, poles={"kind": "extended"},
+                                transpose_inner=inner))
+
 
 class TestEmitDat:
     def test_empty(self, tmp_path):
@@ -208,6 +239,15 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg(method="warp")))
         assert main(["run", str(path)]) == 2
+
+    def test_zero_pole_on_wide_matrix_exit_code(self, tmp_path):
+        raw = cfg(method="rational_full", poles={"kind": "extended"},
+                  output_dir=str(tmp_path / "out"))
+        raw["matrix"].update(m=12, n=20)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 4

@@ -1,12 +1,14 @@
-"""The CGS2 kernel, the breakdown rule and the entry checks the engines share."""
+"""The CGS2 kernel, the breakdown rule, the bordered SVD update and the entry
+checks the engines share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate,
-                       gmf_apply_reference, gmf_via_transpose, rational_gmf_approximate,
-                       relative_error, rgk_run, si_optimal_pole)
-from gmfkrylov.krylov import BREAKDOWN_RTOL, cgs2, normalize
+from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
+                       gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
+                       rational_gmf_approximate, relative_error, rgk_run, si_optimal_pole)
+from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, cgs2, normalize
 
 from conftest import explicit_profile_problem, seeded_problem
 
@@ -156,3 +158,113 @@ class TestBreakdownAtInvariance:
         op, b = seeded_problem(20, 30, "chebyshev2", 0.5, 4.0, 3)
         ys, _ = rational_gmf_approximate(F, op, b, si_optimal_pole(0.5, 4.0, 26), 26)
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
+
+
+def update_defects(B, f):
+    """Per k: ||z_k - gmf_dense(f, B_k)||, ||gmf_dense(f, B_k)|| and ||U_k^T U_k - I||_F.
+
+    z_k is the bordered update's f◇(B_k) e_1; the Frobenius norm bounds the 2-norm.
+    """
+    svd, out = BorderedSvd(), []
+    for k in range(1, B.shape[0] + 1):
+        z = svd.update(B[:k, k - 1], f)
+        assert z is not None, f"the update failed at k={k}"
+        ref = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
+        out.append((np.linalg.norm(z - ref), np.linalg.norm(ref),
+                    np.linalg.norm(svd.U.T @ svd.U - np.eye(k))))
+    return np.array(out).T
+
+
+def gk_bidiagonal(op, b, k):
+    state = gk_init(b)
+    for _ in range(k):
+        if gk_step(state, op, reorth=True).breakdown:
+            break
+    return state.bidiagonal()
+
+
+class TestBorderedSvd:
+    """The update of the SVD of B_k against a dense SVD of every B_k, f = sqrt."""
+
+    def check(self, B):
+        err, ref, orth = update_defects(B, F)
+        assert np.max(err / ref) <= 1e-12
+        assert np.max(orth) <= 1e-12
+
+    def test_golub_kahan_bidiagonal(self):
+        # the gk_reorth benchmark problem at seed 1, k = 1..300
+        self.check(gk_bidiagonal(*seeded_problem(400, 400, "chebyshev2", 0.1, 10.0, 1), 300))
+
+    def test_clustered_singular_values(self):
+        # 8 clusters of 50 singular values, relative spread 1e-10: the Ritz
+        # values cluster, and without the recomputed z the update loses U's
+        # orthogonality (4.4e-6) and the agreement (6.7e-7)
+        centers = np.geomspace(0.1, 10.0, 8)
+        values = np.sort(np.outer(centers, 1.0 + 1e-10 * np.linspace(-1, 1, 50)).ravel())
+        op, b = explicit_profile_problem(values[::-1], 400, 400, 2)
+        self.check(gk_bidiagonal(op, b, 60))
+
+    def test_breakdown_column(self):
+        # rank 4: GK breaks down at k = 5 with the final column (beta_4, 0)
+        op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
+        B = gk_bidiagonal(op, b, 8)
+        assert B.shape == (5, 5) and B[4, 4] == 0.0
+        self.check(B)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_evaluate_without_a_dense_svd(engine, monkeypatch):
+    calls = []
+    dense = krylov.gmf_dense
+    monkeypatch.setattr(krylov, "gmf_dense", lambda *a, **kw: calls.append(a) or dense(*a, **kw))
+    op, b = seeded_problem(12, 10, "logspace", 0.5, 3.0, 0)
+    ys = ENGINES[engine](op, b, si_optimal_pole(0.5, 3.0, 10), 10)[0]
+    assert len(ys) == 10 and not calls
+    assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-6
+
+
+def test_dlasd4_failure_hands_the_run_to_the_dense_svd(monkeypatch):
+    op, b = seeded_problem(30, 30, "chebyshev2", 0.1, 10.0, 1)
+    monkeypatch.setattr(BorderedSvd, "update", lambda self, column, f: None)
+    dense_ys, _ = gk_approximate(F, op, b, 12)
+    monkeypatch.undo()
+
+    calls = []
+    dense = krylov.gmf_dense
+    monkeypatch.setattr(krylov, "gmf_dense", lambda *a, **kw: calls.append(a) or dense(*a, **kw))
+    monkeypatch.setattr(krylov, "dlasd4",
+                        lambda i, d, z, rho: (np.zeros_like(d), 0.0, np.zeros_like(d), 1))
+    ys, _ = gk_approximate(F, op, b, 12)
+    # k = 1 needs no dlasd4; its first call fails at k = 2, and the dense SVD
+    # evaluates every k from there on
+    assert len(calls) == 11
+    assert relative_error(ys[0], dense_ys[0]) <= 1e-15
+    assert all(np.array_equal(y, y_dense) for y, y_dense in zip(ys[1:], dense_ys[1:]))
+
+
+def triangular_case(seed, k, shape, diagonal):
+    """A k x k upper-triangular or bidiagonal B with ||B||_2 = 1."""
+    rng = np.random.default_rng(seed)
+    B = np.triu(rng.standard_normal((k, k)))
+    if shape == "bidiagonal":
+        B = np.tril(B, 1)
+    if diagonal == "graded":
+        B *= (10.0 ** -rng.uniform(0.05, 0.6)) ** np.add.outer(np.arange(k), np.arange(k))
+    elif diagonal == "repeated":
+        B[np.diag_indices(k)] = rng.choice([1.0, 2.0], k)
+        B[np.triu_indices(k, 1)] *= rng.random(k * (k - 1) // 2) < 0.3
+    elif diagonal == "zero":
+        B[np.diag_indices(k)] *= rng.random(k) < 0.5
+    norm = np.linalg.norm(B, 2)
+    return B / norm if norm > 0 else B
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+       shape=st.sampled_from(["upper", "bidiagonal"]),
+       diagonal=st.sampled_from(["random", "graded", "repeated", "zero"]))
+def test_bordered_update_matches_dense_svd(seed, k, shape, diagonal):
+    # sinh is entire and odd, so f◇ is well conditioned: the two SVDs must
+    # agree to roundoff even where singular values repeat or vanish
+    err, _, orth = update_defects(triangular_case(seed, k, shape, diagonal), builtin("sinh"))
+    assert np.max(err) <= 1e-12
+    assert np.max(orth) <= 1e-12
