@@ -15,21 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import approximation_loop, cgs2, normalize, start_vector
-
-
-class _Rows:
-    """Vectors of one length kept as the rows of a block that doubles when full."""
-
-    def __init__(self):
-        self.block, self.size = np.empty((0, 0)), 0
-
-    def append(self, v):
-        if self.size == len(self.block):
-            self.block = np.vstack((self.block.reshape(-1, v.size),
-                                    np.empty((max(self.size, 16), v.size))))
-        self.block[self.size] = v
-        self.size += 1
+from .krylov import Rows, approximation_loop, cgs2, normalize, start_vector
 
 
 @dataclass
@@ -40,8 +26,8 @@ class BidiagonalState:
     beta: list = field(default_factory=list)
     p: np.ndarray = None          # p_k
     q: np.ndarray = None          # q_{k+1}, the next start vector
-    p_rows: _Rows = field(default_factory=_Rows)     # stored bases, one vector per row
-    q_rows: _Rows = field(default_factory=_Rows)
+    p_rows: Rows = field(default_factory=Rows)     # stored bases, one vector per row
+    q_rows: Rows = field(default_factory=Rows)
     breakdown: bool = False
 
     @property
@@ -51,12 +37,12 @@ class BidiagonalState:
     @property
     def P(self):
         """p_1..p_k as the rows of a view."""
-        return self.p_rows.block[:self.p_rows.size]
+        return self.p_rows.filled
 
     @property
     def Q(self):
         """q_1..q_{k+1} as the rows of a view."""
-        return self.q_rows.block[:self.q_rows.size]
+        return self.q_rows.filled
 
     def bidiagonal(self, k=None):
         """Dense upper-bidiagonal B_k."""

@@ -50,6 +50,31 @@ def cgs2(V, w):
     return w - V @ c2, c + c2
 
 
+class Rows:
+    """Vectors of one length kept as the rows of a block that doubles when full;
+    with ``window`` set, only the last ``window`` of them, which a full block
+    then moves to its front instead of growing."""
+
+    def __init__(self, window=None):
+        self.block, self.start, self.size, self.window = np.empty((0, 0)), 0, 0, window
+
+    @property
+    def filled(self):
+        """The kept vectors as the rows of a view."""
+        return self.block[self.start:self.size]
+
+    def append(self, v):
+        if self.size == len(self.block) and self.start:
+            self.block[:self.size - self.start] = self.filled
+            self.size, self.start = self.size - self.start, 0
+        elif self.size == len(self.block):
+            self.block = np.vstack((self.block.reshape(-1, v.size),
+                                    np.empty((max(self.size, 16), v.size))))
+        self.block[self.size] = v
+        self.size += 1
+        self.start = max(self.size - (self.window or self.size), 0)
+
+
 def start_vector(b):
     """(b/||b||, ||b||) for a finite, nonzero start vector b.
 

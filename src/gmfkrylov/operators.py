@@ -120,7 +120,8 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     """Solve (A^T A - xi I) x = v with a residual check on every return.
 
     Dense payloads use a cached LU factorization of the shifted Gram matrix;
-    matrix-free operators fall back to MINRES. A residual above
+    matrix-free operators use CG for xi <= 0 and MINRES for xi > 0. Each return
+    costs one Gram product for its residual check; a residual above
     ``rtol * ||v||`` raises :class:`SolveFailure` (the shift is singular or
     too close to the spectrum of A^T A, or the iteration did not converge).
     """

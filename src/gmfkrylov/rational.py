@@ -13,16 +13,19 @@ three-term step: with delta_i the inverse pole attached to q_i,
         = (1 + delta_j a_j) M q_j + delta_{j-1} b_{j-1} M q_{j-1}
           - a_j q_j - b_{j-1} q_{j-1},
 
-and a_j is fixed by orthogonality of q_{j+1} against q_j. With all poles at
-infinity this is the classical Lanczos recurrence. The full-orthogonalization
-variant additionally cleans the candidate against every stored column and is
-the reference the short recurrence is validated against.
+and a_j is fixed by orthogonality of q_{j+1} against q_j. A finite pole takes
+one shifted solve per right-hand side, but when it repeats (delta_{j+1} =
+delta_j) the second is -(M - xi I) q_j, solved by -q_j with no solve. With all
+poles at infinity this is the classical Lanczos recurrence. The
+full-orthogonalization variant additionally cleans the candidate against every
+stored column and is the reference the short recurrence is validated against.
 
 The second basis P_k is obtained by orthonormalizing the columns of A Q_k
 (a QR decomposition A Q_k = P_k B_k with nonnegative diagonal of B_k), after
 which y_k = ||b|| P_k f◇(B_k) e_1 approximates f◇(A) b. The QR is grown one
-column per step: CGS2 of A q_k against P_{k-1} gives p_k and column k of B_k,
-which the shared approximation loop stores and evaluates. On either side,
+column per step: CGS2 of A q_k (formed once, as M q_k = A^T (A q_k) needs it
+too) against P_{k-1} gives p_k and column k of B_k, which the shared
+approximation loop stores and evaluates. On either side,
 cleaning is the CGS2 kernel and breakdown is ``krylov.normalize``.
 """
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import approximation_loop, cgs2, normalize, start_vector
+from .krylov import Rows, approximation_loop, cgs2, normalize, start_vector
 from .operators import solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
@@ -76,21 +79,27 @@ class GramLanczos:
         self.d_cur = 0.0           # delta_j for the current q_j
         self.d_prev = 0.0          # delta_{j-1}
         self.count = 1             # basis vectors produced so far
+        self._Aq = None            # A q_j, formed at most once
 
-        # every column in full mode; the trailing window in short mode, which
-        # a zero-pole sequence cleans against
-        self.columns = [self.q]
+        # every column in full mode, else the window zero-pole steps clean against
+        self.columns = Rows(None if self.full else ZERO_POLE_WINDOW)
+        self.columns.append(self.q)
         # pencil bookkeeping (H and K columns)
         self._h_cols = []
         self._k_cols = []
 
-    def _raw_candidate(self, xi, q):
+    def apply_q(self):
+        """A q_j for the current q_j; the P side and M q_j = A^T (A q_j) share it."""
+        if self._Aq is None:
+            self._Aq = self.op.apply(self.q)
+        return self._Aq
+
+    def _raw_candidate(self, xi):
         """Windowed-mode candidate for the next direction."""
-        if xi == math.inf:
-            return self.op.gram_apply(q)
         if xi == 0.0:
-            return solve_shifted_gram(self.op, 0.0, q)
-        return solve_shifted_gram(self.op, xi, -xi * self.op.gram_apply(q))
+            return solve_shifted_gram(self.op, 0.0, self.q)
+        Mq = self.op.applyt(self.apply_q())
+        return Mq if xi == math.inf else solve_shifted_gram(self.op, xi, -xi * Mq)
 
     def advance(self):
         """Produce the next basis vector; returns it, or None at invariance."""
@@ -107,10 +116,10 @@ class GramLanczos:
 
         if self.windowed:
             u[j - 1] = 1.0
-            w = self._raw_candidate(xi, self.q)
+            w = self._raw_candidate(xi)
             scale = np.linalg.norm(w)
         else:
-            Mq = self.op.gram_apply(self.q)
+            Mq = self.op.applyt(self.apply_q())
             t0 = Mq + (self.d_prev * self.b_prev) * self.Mq_prev \
                 - self.b_prev * self.q_prev
             t1 = self.d_cur * Mq - self.q
@@ -118,7 +127,9 @@ class GramLanczos:
                 y0, y1 = t0, t1
             else:
                 y0 = solve_shifted_gram(self.op, xi, -xi * t0)
-                y1 = solve_shifted_gram(self.op, xi, -xi * t1)
+                # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
+                y1 = (-self.q if d_new == self.d_cur
+                      else solve_shifted_gram(self.op, xi, -xi * t1))
             denom = self.q @ y1
             if abs(denom) <= np.finfo(float).tiny:
                 self.breakdown = True
@@ -132,7 +143,7 @@ class GramLanczos:
             self.Mq_prev = Mq
         c = np.zeros(j + 1)        # cleaning coefficients, then b_j
         if self.full or self.windowed:
-            w, coeffs = cgs2(np.array(self.columns).T, w)
+            w, coeffs = cgs2(self.columns.filled.T, w)
             c[j - coeffs.size:j] = coeffs
         q_new, b_new = normalize(w, scale)
         if b_new == 0.0:
@@ -148,11 +159,9 @@ class GramLanczos:
             self._h_cols.append(v + c)
         self.b_prev = b_new
         self.d_prev, self.d_cur = self.d_cur, d_new
-        self.q_prev, self.q = self.q, q_new
+        self.q_prev, self.q, self._Aq = self.q, q_new, None
         self.count += 1
         self.columns.append(q_new)
-        if not self.full:
-            del self.columns[:-ZERO_POLE_WINDOW]
         return q_new
 
     def pencil(self):
@@ -205,9 +214,8 @@ def rational_arnoldi(op, b, poles, k):
     eng = GramLanczos(op, b, require_poles(poles, k), orthogonalize="full")
     while eng.count < k and not eng.breakdown:
         eng.advance()
-    Q = np.column_stack(eng.columns)
-    H, K = eng.pencil()
-    return RationalArnoldiFactorization(Q, H, K, eng.poles, eng.breakdown)
+    return RationalArnoldiFactorization(eng.columns.filled.T, *eng.pencil(), eng.poles,
+                                        eng.breakdown)
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,7 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
         q = eng.q if P.shape[1] == 0 else eng.advance()
         if q is None:
             return None
-        Aq = op.apply(q)
+        Aq = eng.apply_q()
         w, coeffs = cgs2(P, Aq)
         p, d = normalize(w, np.linalg.norm(Aq))
         return p, np.append(coeffs, d)

@@ -99,7 +99,7 @@ def _dense_column(B, j, previous):
     return column
 
 
-def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
+def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None, Aq=None):
     """One step of the short-recurrence update of P and B.
 
     Returns (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback); at
@@ -108,9 +108,9 @@ def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None):
     vanished (against ||A q_k|| too) the rank-one recursion for x_k is
     undefined; with ``p_history`` (the stored P columns, as a sequence of
     vectors) available the step falls back to CGS2 against them for this step
-    only.
+    only. ``Aq`` is A q_k when the caller has formed it already.
     """
-    w = op.apply(q_k)
+    w = op.apply(q_k) if Aq is None else Aq
     scale = np.linalg.norm(w)
     used_fallback = False
 
@@ -164,7 +164,7 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
         # the step divides by beta_{k-2}, the last beta appended so far
         p_k, d_k, beta_km1, gamma_km2, x_prev, fallback = rgk_step(
             op, q, P[:, -1] if k > 1 else None, P[:, -2] if k > 2 else None,
-            x_prev, B.beta[-1] if B.beta else 0.0, p_history=P.T)
+            x_prev, B.beta[-1] if B.beta else 0.0, p_history=P.T, Aq=eng.apply_q())
         if d_k == 0.0:
             return None
         if fallback:

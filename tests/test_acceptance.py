@@ -21,6 +21,7 @@ The [5, 30] slope is still printed, as information only.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -261,8 +262,8 @@ def test_criterion_13_determinism(tmp_path):
     }
     config = parse_config(json.loads(json.dumps(raw)))
     first = run(config)
-    blobs = {t: open(p, "rb").read() for t, p in first["traces"].items()}
+    blobs = {t: Path(p).read_bytes() for t, p in first["traces"].items()}
     second = run(config)
-    identical = all(open(p, "rb").read() == blobs[t]
+    identical = all(Path(p).read_bytes() == blobs[t]
                     for t, p in second["traces"].items())
     report("13", identical, "trace files byte-identical across re-runs")

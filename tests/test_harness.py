@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ class TestRun:
         assert os.path.exists(summary["traces"]["err"])
         pairs = read_dat(summary["traces"]["err"])
         assert [k for k, _ in pairs] == list(range(1, len(pairs) + 1))
-        manifest = json.loads(open(summary["manifest"]).read())
+        manifest = json.loads(Path(summary["manifest"]).read_text())
         assert manifest["config"]["seed"] == 3
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -152,10 +153,10 @@ class TestRun:
                                   poles={"kind": "shift_invert"},
                                   bounds=["shift_invert"], output_dir=str(tmp_path)))
         first = run(config)
-        blobs = {tag: open(p, "rb").read() for tag, p in first["traces"].items()}
+        blobs = {tag: Path(p).read_bytes() for tag, p in first["traces"].items()}
         second = run(config)
         for tag, path in second["traces"].items():
-            assert open(path, "rb").read() == blobs[tag], tag
+            assert Path(path).read_bytes() == blobs[tag], tag
 
     def test_short_with_comparison_traces(self, tmp_path):
         config = parse_config(cfg(method="rational_short",

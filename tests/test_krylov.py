@@ -1,5 +1,5 @@
-"""The CGS2 kernel, the breakdown rule, the bordered SVD update and the entry
-checks the engines share."""
+"""The CGS2 kernel, the growing basis block, the breakdown rule, the bordered
+SVD update and the entry checks the engines share."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
                        gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
                        rational_gmf_approximate, relative_error, rgk_run, si_optimal_pole)
-from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, cgs2, normalize
+from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
 
 from conftest import explicit_profile_problem, seeded_problem
 
@@ -33,6 +33,18 @@ class TestCgs2:
         out, c = cgs2(np.empty((7, 0)), w)
         assert np.array_equal(out, w)
         assert c.size == 0
+
+
+@pytest.mark.parametrize("window", [None, 6])
+def test_rows_keep_every_vector_or_the_last_window(window):
+    # 40 appends pass the first allocation of 16 rows: the block grows, or
+    # moves its window to the front
+    vs = np.random.default_rng(4).standard_normal((40, 7))
+    rows = Rows(window)
+    for i, v in enumerate(vs):
+        rows.append(v)
+        kept = vs[:i + 1] if window is None else vs[max(i + 1 - window, 0):i + 1]
+        assert np.array_equal(rows.filled, kept)
 
 
 class TestNormalize:

@@ -6,7 +6,9 @@ import pytest
 from gmfkrylov import (ArgumentError, GramLanczos, LinearOperator, PoleSequence,
                        ScalarFunction, builtin, extended_poles, gk_init, gk_step,
                        gmf_apply_reference, polynomial_poles, project,
-                       rational_arnoldi, rational_gmf_approximate, si_optimal_pole)
+                       rational_arnoldi, rational_gmf_approximate, rgk_run,
+                       si_optimal_pole, solve_shifted_gram)
+from gmfkrylov import rational
 
 from conftest import seeded_problem
 
@@ -192,3 +194,61 @@ class TestShortMode:
             Q = np.column_stack(cols)
             defect = np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q)
             assert defect <= 1e-10, poles.kind
+
+
+def _count_operations(monkeypatch, op):
+    """Count op.apply, op.applyt (also inside gram_apply and the residual
+    checks) and the shifted solves the rational engines call."""
+    counts = {"apply": 0, "applyt": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(op, "apply", counted("apply", op.apply))
+    monkeypatch.setattr(op, "applyt", counted("applyt", op.applyt))
+    monkeypatch.setattr(rational, "solve_shifted_gram",
+                        counted("solve", rational.solve_shifted_gram))
+    return counts
+
+
+class TestOneSolvePerStep:
+    K = 20
+
+    @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
+                             ids=["short", "full"])
+    def test_repeated_pole_counts(self, monkeypatch, engine):
+        # one solve per step (two at the first), A q_j formed once and shared
+        # with M q_j = A^T (A q_j); each solve's residual check is one Gram product
+        op, b = seeded_problem(40, 40, "logspace", 0.5, 3.0, 11)
+        counts = _count_operations(monkeypatch, op)
+        ys = engine(builtin("sqrt"), op, b, si_optimal_pole(0.5, 3.0, self.K),
+                    self.K)[0]
+        assert len(ys) == self.K
+        assert counts == {"apply": 2 * self.K, "applyt": 2 * self.K - 1,
+                          "solve": self.K}
+
+    @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
+                             ids=["short", "full"])
+    def test_distinct_pole_counts(self, monkeypatch, engine):
+        op, b = seeded_problem(40, 40, "logspace", 0.5, 3.0, 11)
+        counts = _count_operations(monkeypatch, op)
+        poles = PoleSequence(tuple(-np.geomspace(0.3, 9.0, self.K - 1)))
+        ys = engine(builtin("sqrt"), op, b, poles, self.K)[0]
+        assert len(ys) == self.K
+        assert counts == {"apply": 3 * self.K - 2, "applyt": 3 * self.K - 3,
+                          "solve": 2 * (self.K - 1)}
+
+    def test_repeated_pole_solve_returns_minus_q(self):
+        # the identity behind the skipped solve: with delta = 1/xi,
+        # (M - xi I)^{-1} (-xi (delta M q - q)) = -q
+        op, _ = seeded_problem(40, 40, "logspace", 0.5, 3.0, 12)
+        xi = si_optimal_pole(0.5, 3.0, 1)[0]
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            q = rng.standard_normal(op.cols)
+            q /= np.linalg.norm(q)
+            y = solve_shifted_gram(op, xi, -xi * ((1.0 / xi) * op.gram_apply(q) - q))
+            assert np.linalg.norm(y + q) <= 1e-13
