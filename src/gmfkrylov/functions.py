@@ -33,14 +33,6 @@ class ScalarFunction:
             raise EvaluationError(f"{self.name}: non-finite value on positive input")
         return out
 
-    def odd(self, z):
-        """Odd extension sign(z) * f(|z|), with 0 -> 0."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        mask = z != 0
-        out[mask] = np.sign(z[mask]) * self(np.abs(z[mask]))
-        return out
-
     @property
     def has_complex(self):
         return self._complex_evaluate is not None

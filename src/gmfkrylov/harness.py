@@ -18,17 +18,14 @@ from .bounds import (polynomial_bound_curve, quasi_optimal_rational_bound,
                      sample_h_sup, si_closed_form_bound)
 from .errors import ConfigError
 from .functions import builtin
-from .golub_kahan import gk_approximate
 from .operators import singular_profile, synthesize_test_matrix
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
-from .rational import rational_gmf_approximate
-from .rectangular import gmf_via_transpose
+from .rectangular import ENGINES, gmf_via_transpose, needs_poles
 from .reference import gmf_apply_reference
-from .short_recurrence import rgk_run
 from .traces import emit_dat
 
-METHODS = ("gk", "rational_full", "rational_short", "transpose_trick")
+METHODS = (*ENGINES, "transpose_trick")
 POLE_KINDS = ("polynomial", "extended", "shift_invert", "user_file")
 BOUND_TAGS = ("polynomial", "rational", "shift_invert")
 
@@ -96,19 +93,29 @@ def parse_config(raw, base_dir="."):
 
     method = raw["method"]
     _require(method in METHODS, f"method must be one of {METHODS}")
+    transpose_inner = raw.get("transpose_inner", ExperimentConfig.transpose_inner)
+    _require(isinstance(transpose_inner, str) and transpose_inner in ENGINES,
+             f"transpose_inner must be one of {tuple(ENGINES)}")
+    engine = transpose_inner if method == "transpose_trick" else method
     k_max = int(raw["k_max"])
     _require(k_max >= 1, "k_max must be >= 1")
 
     function = raw["function"]
     builtin(function)   # raises on unknown names
 
+    bounds = raw.get("bounds", [])
+    _require(isinstance(bounds, list), "bounds must be a list of tags")
+    for tag in bounds:
+        _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
+
+    # a pole spec is checked wherever it is given, and wherever the engine or
+    # the rational bound needs one
     poles = raw.get("poles", {})
-    needs_poles = method in ("rational_full", "rational_short") or (
-        method == "transpose_trick"
-        and raw.get("transpose_inner", "rational_full") != "golub_kahan")
-    if needs_poles:
+    solves = needs_poles(engine)
+    if poles != {} or solves or "rational" in bounds:
+        _require(poles != {}, f"method {method!r} with bounds {bounds} requires a pole spec")
         _require(isinstance(poles, dict) and "kind" in poles,
-                 f"method {method!r} requires a pole spec with a 'kind'")
+                 "a pole spec must be an object with a 'kind'")
         _require(poles["kind"] in POLE_KINDS,
                  f"pole kind must be one of {POLE_KINDS}")
         if poles["kind"] == "user_file":
@@ -117,6 +124,7 @@ def parse_config(raw, base_dir="."):
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             poles = dict(poles, path=path)
+    if solves:
         # a zero pole solves with the Gram matrix itself, which is singular for
         # a wide A (A^T A) or, under the transpose trick's inner method, for a
         # tall one (A A^T): refuse it before the matrix and the oracle are built
@@ -126,17 +134,10 @@ def parse_config(raw, base_dir="."):
             raise ConfigError(f"{poles['kind']} poles include 0, but {gram} of a "
                               f"{m}x{n} matrix is singular")
 
-    bounds = tuple(raw.get("bounds", ()))
-    for tag in bounds:
-        _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
-    transpose_inner = raw.get("transpose_inner", "rational_full")
-    _require(transpose_inner in ("golub_kahan", "rational_full", "rational_short"),
-             "transpose_inner must be golub_kahan | rational_full | rational_short")
-
     return ExperimentConfig(
         name=str(raw["name"]), seed=int(raw["seed"]), matrix=spec,
         function=function, method=method, k_max=k_max, poles=dict(poles),
-        bounds=bounds, reorthogonalize=bool(raw.get("reorthogonalize", True)),
+        bounds=tuple(bounds), reorthogonalize=bool(raw.get("reorthogonalize", True)),
         compare_full=bool(raw.get("compare_full", False)),
         transpose_inner=transpose_inner,
         output_dir=str(raw.get("output_dir", "out")))
@@ -195,8 +196,6 @@ def _bound_overlays(config, b, poles):
             overlays["bound_si"] = [
                 (k, si_closed_form_bound(smin, smax, M, k, norm_b=nb)) for k in ks]
         elif tag == "rational":
-            if poles is None:
-                raise ConfigError("the rational bound overlay needs a pole spec")
             overlays["bound_rational"] = [
                 (k, quasi_optimal_rational_bound(f, poles, smin, smax, k, norm_b=nb))
                 for k in ks]
@@ -209,50 +208,32 @@ def run(config, output_dir=None):
     Outputs are deterministic per seed: re-running the same configuration
     reproduces byte-identical trace files.
     """
-    out = output_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
+    poles = build_poles(config)
     op, b = synthesize(config)
     f = builtin(config.function)
-    poles = build_poles(config)
     y_ref = gmf_apply_reference(f, op.dense, b)
 
-    files = {}
-    summary = {"name": config.name, "method": config.method}
-
-    if config.method == "gk":
-        _, trace = gk_approximate(f, op, b, config.k_max,
-                                  reorth=config.reorthogonalize, reference=y_ref)
-        files["err"] = trace.pairs()
-    elif config.method == "rational_full":
-        _, trace = rational_gmf_approximate(f, op, b, poles, config.k_max,
-                                            reference=y_ref)
-        files["err"] = trace.pairs()
-    elif config.method == "rational_short":
-        ys_short, _, trace = rgk_run(f, op, b, poles, config.k_max, reference=y_ref)
-        files["err"] = trace.pairs()
-        files["drift"] = trace.pairs("drift")
-        if config.compare_full:
-            ys_full, trace_full = rational_gmf_approximate(
-                f, op, b, poles, config.k_max, reference=y_ref)
-            files["err_full"] = trace_full.pairs()
-            diffs = []
-            for k, (ys_, yf_) in enumerate(zip(ys_short, ys_full), start=1):
-                denom = np.linalg.norm(y_ref)
-                diffs.append((k, float(np.linalg.norm(ys_ - yf_) / denom)))
-            files["diff_short_full"] = diffs
-    else:
-        _, trace = gmf_via_transpose(
+    if config.method == "transpose_trick":
+        ys, trace = gmf_via_transpose(
             f, op, b, config.transpose_inner, poles=poles, k_max=config.k_max,
             reference=y_ref, reorth=config.reorthogonalize)
-        files["err"] = trace.pairs()
+    else:
+        ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref,
+                                           reorth=config.reorthogonalize)
+    files = {"err": trace.pairs()}
+    if trace.orthogonality_drift:
+        files["drift"] = trace.pairs("drift")
+    if config.compare_full and config.method == "rational_short":
+        ys_full, trace_full = ENGINES["rational_full"](f, op, b, poles, config.k_max,
+                                                       reference=y_ref)
+        files["err_full"] = trace_full.pairs()
+        denom = np.linalg.norm(y_ref)
+        files["diff_short_full"] = [(k, float(np.linalg.norm(y - y_full) / denom))
+                                    for k, (y, y_full) in enumerate(zip(ys, ys_full), start=1)]
 
     files.update(_bound_overlays(config, b, poles))
-
-    paths = {}
-    for tag, pairs in files.items():
-        path = os.path.join(out, f"{config.name}_{tag}.dat")
-        emit_dat(pairs, path)
-        paths[tag] = path
+    out = output_dir or config.output_dir
+    paths = _write_dat(out, config.name, files)
 
     manifest = {
         "config": _config_dict(config),
@@ -265,9 +246,9 @@ def run(config, output_dir=None):
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    summary["traces"] = paths
-    summary["manifest"] = manifest_path
-    if "err" in files and files["err"]:
+    summary = {"name": config.name, "method": config.method, "traces": paths,
+               "manifest": manifest_path}
+    if files["err"]:
         summary["final_error"] = files["err"][-1][1]
     return summary
 
@@ -278,16 +259,19 @@ def evaluate_bounds(config, output_dir=None):
     The start vector is drawn as in ``run``, without building the matrix, so
     the bound files match those a full run would produce byte for byte.
     """
-    out = output_dir or config.output_dir
+    overlays = _bound_overlays(config, seeded_start_vector(config), build_poles(config))
+    return {"name": config.name,
+            "traces": _write_dat(output_dir or config.output_dir, config.name, overlays)}
+
+
+def _write_dat(out, name, files):
+    """Write each tag's (k, value) pairs to <out>/<name>_<tag>.dat; returns the paths."""
     os.makedirs(out, exist_ok=True)
-    poles = build_poles(config)
-    overlays = _bound_overlays(config, seeded_start_vector(config), poles)
     paths = {}
-    for tag, pairs in overlays.items():
-        path = os.path.join(out, f"{config.name}_{tag}.dat")
-        emit_dat(pairs, path)
-        paths[tag] = path
-    return {"name": config.name, "traces": paths}
+    for tag, pairs in files.items():
+        paths[tag] = os.path.join(out, f"{name}_{tag}.dat")
+        emit_dat(pairs, paths[tag])
+    return paths
 
 
 def _config_dict(config):

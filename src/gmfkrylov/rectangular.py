@@ -1,4 +1,11 @@
-"""Transpose trick for wide matrices (m < n).
+"""The engine table, and the transpose trick for wide matrices (m < n).
+
+``ENGINES`` maps each engine name (``gk``, alias ``golub_kahan``;
+``rational_full``; ``rational_short``) to one call shape, ``(f, op, b, poles,
+k_max, reference=None, reorth=True) -> (ys, trace)``: GK reads no poles, the
+rational engines ignore ``reorth``. Each entry looks its engine up by module
+name when called and stores no function object, so a profiler that rebinds
+``gk_approximate`` and the others sees the calls made through the table.
 
 Directly projecting a wide A traps spurious near-zero singular values in the
 projected matrix, which functions with large derivative at 0 amplify. Writing
@@ -15,19 +22,35 @@ from .krylov import error_trace
 from .rational import rational_gmf_approximate
 from .short_recurrence import rgk_run
 
-METHODS = ("golub_kahan", "rational_full", "rational_short")
+
+ENGINES = {
+    "gk": lambda f, op, b, poles, k_max, reference=None, reorth=True: gk_approximate(
+        f, op, b, k_max, reorth=reorth, reference=reference),
+    "rational_full": lambda f, op, b, poles, k_max, reference=None, reorth=True:
+        rational_gmf_approximate(f, op, b, poles, k_max, reference=reference),
+    # rgk_run returns (ys, B, trace)
+    "rational_short": lambda f, op, b, poles, k_max, reference=None, reorth=True:
+        rgk_run(f, op, b, poles, k_max, reference=reference)[::2],
+}
+ENGINES["golub_kahan"] = ENGINES["gk"]
+
+
+def needs_poles(name):
+    """Whether the engine of that name reads a pole sequence (GK does not)."""
+    return ENGINES[name] is not ENGINES["gk"]
 
 
 def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
                       reorth=True):
     """Approximate f◇(A) b through f◇(A^T) (A b) and a least squares solve.
 
-    The least squares factor (a pseudoinverse of A^T) is formed once from the
-    dense payload and reused across all iterations; rank deficiency is
-    handled by the minimum-norm solution. Returns (ys, trace).
+    ``method`` names the inner engine in ``ENGINES``. The least squares factor
+    (a pseudoinverse of A^T) is formed once from the dense payload and reused
+    across all iterations; rank deficiency is handled by the minimum-norm
+    solution. Returns (ys, trace).
     """
-    if method not in METHODS:
-        raise ArgumentError(f"method must be one of {METHODS}")
+    if not isinstance(method, str) or method not in ENGINES:
+        raise ArgumentError(f"method must be one of {tuple(ENGINES)}")
     if op.dense is None:
         raise ArgumentError("the transpose trick needs a dense payload at desk scale")
     b = np.asarray(b, dtype=float)
@@ -37,12 +60,7 @@ def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
     if not np.any(c):
         raise ArgumentError("A b = 0: nothing to approximate")
 
-    if method == "golub_kahan":
-        ws, _ = gk_approximate(f, op_t, c, k_max, reorth=reorth)
-    elif method == "rational_full":
-        ws, _ = rational_gmf_approximate(f, op_t, c, poles, k_max)
-    else:
-        ws, _, _ = rgk_run(f, op_t, c, poles, k_max)
+    ws, _ = ENGINES[method](f, op_t, c, poles, k_max, reorth=reorth)
 
     lsq = np.linalg.pinv(op.dense.T)   # min-norm solve of A^T y = w, reused per k
     ys = [lsq @ w for w in ws]

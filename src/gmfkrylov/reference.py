@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import companion_g
+from .traces import relative_error
 
 RANK_RTOL = 1e-13
 
@@ -48,11 +49,6 @@ def gmf_dense(f, A, rtol=RANK_RTOL):
 def gmf_apply_reference(f, A, b):
     """Ground truth for f◇(A) b."""
     return gmf_dense(f, A) @ np.asarray(b, dtype=float)
-
-
-def _rel(err, ref):
-    scale = np.linalg.norm(ref)
-    return float(np.linalg.norm(err) / (scale if scale > 0 else 1.0))
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,8 @@ def check_identities(f, A, tolerance=1e-10, seed=0):
         lhs = gmf_dense(p, A)
         via_left = matrix_poly(coeffs, A @ A.T) @ A
         via_right = A @ matrix_poly(coeffs, A.T @ A)
-        defects[f"odd_poly_deg{degree}_left"] = _rel(lhs - via_left, lhs)
-        defects[f"odd_poly_deg{degree}_right"] = _rel(lhs - via_right, lhs)
+        defects[f"odd_poly_deg{degree}_left"] = relative_error(via_left, lhs)
+        defects[f"odd_poly_deg{degree}_right"] = relative_error(via_right, lhs)
 
     fA = gmf_dense(f, A)
     if f.small_at_zero:
@@ -113,10 +109,10 @@ def check_identities(f, A, tolerance=1e-10, seed=0):
         w, Q = np.linalg.eigh(gram)
         w = np.clip(w, 0.0, None)
         g_gram = (Q * g(w)) @ Q.T
-        defects["f_equals_A_g_gram"] = _rel(fA - A @ g_gram, fA)
+        defects["f_equals_A_g_gram"] = relative_error(A @ g_gram, fA)
 
     pinvT = np.linalg.pinv(A).T
-    defects["f_via_transpose"] = _rel(fA - pinvT @ gmf_dense(f, A.T) @ A, fA)
-    defects["swap_transpose"] = _rel(A.T @ fA - gmf_dense(f, A.T) @ A, A.T @ fA)
+    defects["f_via_transpose"] = relative_error(pinvT @ gmf_dense(f, A.T) @ A, fA)
+    defects["swap_transpose"] = relative_error(gmf_dense(f, A.T) @ A, A.T @ fA)
 
     return IdentityReport(defects, tolerance)

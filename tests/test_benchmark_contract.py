@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` records spans by rebinding the package attributes
 listed in its ``TARGETS``; a renamed or deleted one would only fail when a
 traced benchmark run installs the tracer. The file is loaded by path and
-left as it is.
+left as it is. A traced ``harness.run`` must also show each engine it reaches
+through the engine table as a span of its own.
 """
 
 import importlib
@@ -13,18 +14,21 @@ import os
 
 import pytest
 
+import gmfkrylov
+from gmfkrylov import harness
+
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
-@pytest.mark.parametrize("span,target", sorted(_targets().items()))
+@pytest.mark.parametrize("span,target", sorted(_tracing().TARGETS.items()))
 def test_tracing_target_resolves(span, target):
     mod_name, attr = target
     module = importlib.import_module(f"gmfkrylov.{mod_name}")
@@ -35,3 +39,22 @@ def test_tracing_target_resolves(span, target):
         assert inspect.isfunction(owner.__dict__.get(meth)), span
     else:
         assert inspect.isfunction(getattr(module, attr, None)), span
+
+
+# a table that stored the engines' function objects would hide them from the
+# tracer, which rebinds module attributes
+@pytest.mark.parametrize("overrides,m,spans", [
+    ({"method": "gk"}, 12, {"golub_kahan.gk_approximate"}),
+    ({"method": "rational_short", "compare_full": True}, 12,
+     {"short_recurrence.rgk_run", "rational.approximate"}),
+    ({"method": "transpose_trick"}, 8,
+     {"rectangular.gmf_via_transpose", "rational.approximate"}),
+], ids=["gk", "rational_short_compare_full", "transpose_trick"])
+def test_harness_run_records_engine_spans(tmp_path, overrides, m, spans):
+    raw = {"name": "t", "seed": 3, "function": "sqrt", "k_max": 5,
+           "poles": {"kind": "shift_invert"}, **overrides,
+           "matrix": {"m": m, "n": 12, "profile": {"kind": "logspace", "lo": 0.5, "hi": 4.0}}}
+    tracer = _tracing().Tracer(gmfkrylov)
+    with tracer.installed():
+        harness.run(harness.parse_config(raw), output_dir=str(tmp_path))
+    assert spans <= {span[0] for span in tracer.spans}

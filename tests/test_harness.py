@@ -250,6 +250,29 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"poles": {"kind": "bogus"}}, "pole kind"),
+        ({"poles": {"kind": "user_file"}}, "'path'"),
+        ({"method": "transpose_trick", "transpose_inner": "golub_kahan",
+          "poles": {"kind": "user_file"}}, "'path'"),
+        ({"poles": 5}, "pole spec"),
+        ({"bounds": ["rational"]}, "pole spec"),
+        ({"bounds": "polynomial"}, "bounds must be a list"),
+    ], ids=["unknown_pole_kind", "user_file_without_path",
+            "transpose_user_file_without_path", "poles_not_an_object",
+            "rational_bound_without_poles", "bounds_not_a_list"])
+    def test_malformed_pole_or_bound_spec_exit_code(self, tmp_path, capsys, overrides,
+                                                    message):
+        # the GK config reads no poles, yet a malformed spec is refused
+        # before anything is built or written
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg(output_dir=str(tmp_path / "out"), **overrides)))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gmf: invalid input:"), err
+        assert message in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 4
 
