@@ -28,7 +28,9 @@ class ScalarFunction:
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise EvaluationError(f"{self.name}: negative argument")
-        out = np.asarray(self._evaluate(z), dtype=float)
+        # an overflow or a pole shows as a non-finite value, reported below
+        with np.errstate(all="ignore"):
+            out = np.asarray(self._evaluate(z), dtype=float)
         if not np.all(np.isfinite(out[z > 0])):
             raise EvaluationError(f"{self.name}: non-finite value on positive input")
         return out
@@ -73,14 +75,7 @@ def companion_g(f):
             out[~pos] = 0.0
         return out
 
-    cplx = None
-    if f.has_complex:
-        def cplx(s):
-            root = np.sqrt(np.asarray(s, dtype=complex))
-            return f.complex_eval(root) / root
-
-    return ScalarFunction(f"g[{f.name}]", evaluate,
-                          small_at_zero=False, complex_evaluate=cplx)
+    return ScalarFunction(f"g[{f.name}]", evaluate)
 
 
 def odd_monomial(ell):

@@ -9,13 +9,14 @@ files plus a manifest capturing the full configuration.
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .bounds import (polynomial_bound_curve, quasi_optimal_rational_bound,
-                     sample_h_sup, si_closed_form_bound)
+                     sample_h_sup, si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
 from .operators import singular_profile, synthesize_test_matrix
@@ -35,8 +36,8 @@ class MatrixSpec:
     m: int
     n: int
     kind: str
-    lo: float
-    hi: float
+    lo: float = 1.0
+    hi: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,36 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
+# the JSON types a field of each type takes, compared exactly so that a bool
+# is no integer, and how a message names them
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               tuple: ((list,), "a list of bound tags"),
+               dict: ((dict,), "a pole spec object"), MatrixSpec: ((dict,), "an object")}
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
+
+
+def _read(obj, f, where=""):
+    """obj[f.name] checked against the JSON type of field ``f``, else f's default.
+
+    The value is stored as the field's type: an integer read for a float field
+    becomes a float, a list read for the tuple field a tuple.
+    """
+    _require(type(obj) is dict, f"{where.rstrip('.') or 'config'} must be a JSON object")
+    if f.name not in obj:
+        _require(f.default is not MISSING or f.default_factory is not MISSING,
+                 f"missing config key {where + f.name!r}")
+        return f.default if f.default_factory is MISSING else f.default_factory()
+    value = obj[f.name]
+    accepted, what = _JSON_TYPES[f.type]
+    # a float field refuses nan, inf and an integer too large for a float
+    _require(type(value) in accepted and (f.type is not float or abs(value) <= sys.float_info.max),
+             f"{where + f.name} must be {what}, not {value!r}")
+    return value if f.type is MatrixSpec else f.type(value)
 
 
 def load_config(path):
@@ -67,80 +95,53 @@ def load_config(path):
 
 
 def parse_config(raw, base_dir="."):
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    known = {"name", "seed", "matrix", "function", "method", "k_max", "poles",
-             "bounds", "reorthogonalize", "compare_full", "transpose_inner",
-             "output_dir"}
-    unknown = set(raw) - known
+    _require(type(raw) is dict, "config must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    for key in ("name", "seed", "matrix", "function", "method", "k_max"):
-        _require(key in raw, f"missing config key {key!r}")
+    c = {f.name: _read(raw, f) for f in fields(ExperimentConfig)}
 
-    mat = raw["matrix"]
-    _require(isinstance(mat, dict), "matrix must be an object")
-    for key in ("m", "n", "profile"):
-        _require(key in mat, f"matrix.{key} is required")
-    prof = mat["profile"]
-    _require(isinstance(prof, dict) and "kind" in prof,
-             "matrix.profile must be an object with a 'kind'")
-    _require(prof["kind"] in ("chebyshev2", "logspace"),
-             f"unknown profile kind {prof['kind']!r}")
-    lo, hi = float(prof.get("lo", 1.0)), float(prof.get("hi", 1.0))
-    _require(0 < lo <= hi, f"profile interval [{lo}, {hi}] must be positive")
-    m, n = int(mat["m"]), int(mat["n"])
-    _require(m >= 1 and n >= 1, "matrix dimensions must be positive")
-    spec = MatrixSpec(m, n, prof["kind"], lo, hi)
+    mat, (m, n, *profile) = c["matrix"], fields(MatrixSpec)
+    spec = c["matrix"] = MatrixSpec(
+        *(_read(mat, f, "matrix.") for f in (m, n)),
+        *(_read(mat.get("profile"), f, "matrix.profile.") for f in profile))
+    _require(spec.kind in ("chebyshev2", "logspace"), f"unknown profile kind {spec.kind!r}")
+    _require(0 < spec.lo <= spec.hi, f"profile interval [{spec.lo}, {spec.hi}] must be positive")
+    _require(spec.m >= 1 and spec.n >= 1, "matrix dimensions must be positive")
 
-    method = raw["method"]
-    _require(method in METHODS, f"method must be one of {METHODS}")
-    transpose_inner = raw.get("transpose_inner", ExperimentConfig.transpose_inner)
-    _require(isinstance(transpose_inner, str) and transpose_inner in ENGINES,
+    _require(os.path.basename(c["name"]) == c["name"], "name must be a file name, not a path")
+    _require(c["seed"] >= 0, "seed must be >= 0")
+    _require(c["method"] in METHODS, f"method must be one of {METHODS}")
+    _require(c["transpose_inner"] in ENGINES,
              f"transpose_inner must be one of {tuple(ENGINES)}")
-    engine = transpose_inner if method == "transpose_trick" else method
-    k_max = int(raw["k_max"])
-    _require(k_max >= 1, "k_max must be >= 1")
-
-    function = raw["function"]
-    builtin(function)   # raises on unknown names
-
-    bounds = raw.get("bounds", [])
-    _require(isinstance(bounds, list), "bounds must be a list of tags")
-    for tag in bounds:
+    _require(c["k_max"] >= 1, "k_max must be >= 1")
+    builtin(c["function"])   # raises on unknown names
+    for tag in c["bounds"]:
         _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
 
     # a pole spec is checked wherever it is given, and wherever the engine or
     # the rational bound needs one
-    poles = raw.get("poles", {})
-    solves = needs_poles(engine)
-    if poles != {} or solves or "rational" in bounds:
-        _require(poles != {}, f"method {method!r} with bounds {bounds} requires a pole spec")
-        _require(isinstance(poles, dict) and "kind" in poles,
-                 "a pole spec must be an object with a 'kind'")
-        _require(poles["kind"] in POLE_KINDS,
-                 f"pole kind must be one of {POLE_KINDS}")
+    poles = c["poles"]
+    transposed = c["method"] == "transpose_trick"
+    solves = needs_poles(c["transpose_inner"] if transposed else c["method"])
+    if poles or solves or "rational" in c["bounds"]:
+        _require(poles, f"method {c['method']!r} with bounds {list(c['bounds'])} "
+                        "requires a pole spec")
+        _require(poles.get("kind") in POLE_KINDS, f"pole kind must be one of {POLE_KINDS}")
         if poles["kind"] == "user_file":
-            _require("path" in poles, "user_file poles need a 'path'")
-            path = poles["path"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            poles = dict(poles, path=path)
-    if solves:
-        # a zero pole solves with the Gram matrix itself, which is singular for
-        # a wide A (A^T A) or, under the transpose trick's inner method, for a
-        # tall one (A A^T): refuse it before the matrix and the oracle are built
-        gram, singular = ("A A^T", m > n) if method == "transpose_trick" else ("A^T A", m < n)
-        if singular and (poles["kind"] == "extended" or (
-                poles["kind"] == "user_file" and load_user_poles(poles["path"]).has_zero)):
-            raise ConfigError(f"{poles['kind']} poles include 0, but {gram} of a "
-                              f"{m}x{n} matrix is singular")
+            _require(type(poles.get("path")) is str, "user_file poles need a 'path' string")
+            poles["path"] = os.path.join(base_dir, poles["path"])   # kept if absolute
+    config = ExperimentConfig(**c)
 
-    return ExperimentConfig(
-        name=str(raw["name"]), seed=int(raw["seed"]), matrix=spec,
-        function=function, method=method, k_max=k_max, poles=dict(poles),
-        bounds=tuple(bounds), reorthogonalize=bool(raw.get("reorthogonalize", True)),
-        compare_full=bool(raw.get("compare_full", False)),
-        transpose_inner=transpose_inner,
-        output_dir=str(raw.get("output_dir", "out")))
+    # xi, the pole file and its interval are checked here, once. A zero pole
+    # solves with the Gram matrix itself, which is singular for a wide A
+    # (A^T A) or, under the transpose trick's inner method, for a tall one
+    # (A A^T): refuse it before the matrix and the oracle are built
+    built = build_poles(config)
+    if solves and built.has_zero:
+        gram, singular = ("A A^T", spec.m > spec.n) if transposed else ("A^T A", spec.m < spec.n)
+        _require(not singular, f"{poles['kind']} poles include 0, but {gram} of a "
+                               f"{spec.m}x{spec.n} matrix is singular")
+    return config
 
 
 def build_poles(config):
@@ -156,8 +157,9 @@ def build_poles(config):
         return extended_poles(count)
     if kind == "shift_invert":
         if "xi" in spec:
-            xi = float(spec["xi"])
-            _require(xi < 0, "shift_invert xi override must be negative")
+            xi = spec["xi"]
+            _require(type(xi) in (int, float) and -sys.float_info.max <= xi < 0,
+                     f"shift_invert xi override must be a finite negative number, not {xi!r}")
             return PoleSequence((xi,) * count, kind="shift_invert")
         return si_optimal_pole(smin, smax, count)
     return load_user_poles(spec["path"], sigma_min=smin, sigma_max=smax)
@@ -193,8 +195,11 @@ def _bound_overlays(config, b, poles):
             if poles is not None and poles.kind == "shift_invert" and len(poles):
                 xi = poles[0]
             M = sample_h_sup(f, xi)
+            # the closed form holds only at its own pole; an override takes
+            # the two-branch rate
             overlays["bound_si"] = [
-                (k, si_closed_form_bound(smin, smax, M, k, norm_b=nb)) for k in ks]
+                (k, si_closed_form_bound(smin, smax, M, k, norm_b=nb) if xi == -smin * smax
+                 else nb * si_style_bound(smin, smax, xi, M, k)) for k in ks]
         elif tag == "rational":
             overlays["bound_rational"] = [
                 (k, quasi_optimal_rational_bound(f, poles, smin, smax, k, norm_b=nb))
@@ -236,7 +241,7 @@ def run(config, output_dir=None):
     paths = _write_dat(out, config.name, files)
 
     manifest = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "library_version": __version__,
         "pole_values": None if poles is None else
             [("inf" if math.isinf(x) else x) for x in poles],
@@ -273,8 +278,3 @@ def _write_dat(out, name, files):
         emit_dat(pairs, paths[tag])
     return paths
 
-
-def _config_dict(config):
-    d = asdict(config)
-    d["bounds"] = list(config.bounds)
-    return d

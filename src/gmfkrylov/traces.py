@@ -1,13 +1,10 @@
 """Per-iteration convergence records shared by the methods and the harness."""
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
-
-TRACE_DIGITS_ENV = "GMF_TRACE_DIGITS"
 
 
 @dataclass
@@ -40,25 +37,11 @@ def relative_error(y, y_ref):
     return float(np.linalg.norm(np.asarray(y) - y_ref) / (scale if scale > 0 else 1.0))
 
 
-def _digits():
-    raw = os.environ.get(TRACE_DIGITS_ENV, "")
-    try:
-        d = int(raw)
-    except ValueError:
-        return 15
-    return min(max(d, 1), 17)
-
-
 def emit_dat(pairs, path):
-    """Write "k value" lines (LF endings, 16 significant digits by default).
-
-    The ``GMF_TRACE_DIGITS`` environment variable overrides the number of
-    digits after the point in the exponent format.
-    """
-    d = _digits()
+    """Write "k value" lines (LF endings, 16 significant digits)."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for k, value in pairs:
-            fh.write(f"{k} {value:.{d}e}\n")
+            fh.write(f"{k} {value:.15e}\n")
 
 
 def read_dat(path):

@@ -9,7 +9,6 @@ from gmfkrylov import ConfigError, emit_dat, read_dat
 from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
 from gmfkrylov.operators import save_dense_matrix
-from gmfkrylov.traces import TRACE_DIGITS_ENV
 
 
 BASE = {
@@ -59,6 +58,18 @@ class TestConfigValidation:
         raw = cfg()
         raw["matrix"]["profile"]["lo"] = 0.0
         with pytest.raises(ConfigError, match="interval"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("profile,poles", [
+        ({"hi": float("inf")}, {}),
+        ({"hi": 10 ** 400}, {}),
+        ({}, {"kind": "shift_invert", "xi": -float("inf")}),
+        ({}, {"kind": "shift_invert", "xi": -10 ** 400}),
+    ], ids=["hi_inf", "hi_huge_int", "xi_inf", "xi_huge_int"])
+    def test_nonfinite_number_rejected(self, profile, poles):
+        raw = cfg(method="rational_full", poles=poles or {"kind": "polynomial"})
+        raw["matrix"]["profile"].update(profile)
+        with pytest.raises(ConfigError, match="finite"):
             parse_config(raw)
 
     def test_user_file_poles_resolved_and_built(self, tmp_path):
@@ -130,12 +141,6 @@ class TestEmitDat:
         path = tmp_path / "r.dat"
         emit_dat(pairs, path)
         assert read_dat(path) == pairs
-
-    def test_digits_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIGITS_ENV, "3")
-        path = tmp_path / "d.dat"
-        emit_dat([(1, 0.5)], path)
-        assert path.read_text() == "1 5.000e-01\n"
 
 
 class TestRun:
@@ -273,6 +278,40 @@ class TestCli:
         assert message in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"k_max": "abc"},
+        {"seed": [1]},
+        {"matrix": {"m": "a", "n": 12, "profile": {"kind": "logspace", "lo": 0.5, "hi": 4.0}}},
+        {"function": 5},
+        {"poles": {"kind": "user_file", "path": 5}},
+        {"method": "rational_full", "poles": {"kind": "shift_invert", "xi": "abc"}},
+        {"seed": -1},
+        {"k_max": 5.9},
+        {"reorthogonalize": "false"},
+        {"name": "../escaped"},
+    ], ids=["k_max_string", "seed_list", "matrix_m_string", "function_number",
+            "pole_path_number", "xi_string", "seed_negative", "k_max_float",
+            "reorthogonalize_string", "name_with_directory"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
+        # refused by the parser: no traceback, no silent truncation or
+        # coercion, and nothing written inside or outside the output directory
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg(output_dir=str(tmp_path / "out"), **overrides)))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gmf: invalid input:"), err
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    def test_oracle_overflow_exit_code(self, tmp_path, capsys):
+        # sinh(1000) overflows: a numerical failure, reported without a warning
+        mat = tmp_path / "m.txt"
+        save_dense_matrix(mat, np.diag([1000.0, 1.0]))
+        vec = tmp_path / "b.txt"
+        vec.write_text("1\n1\n", encoding="ascii")
+        assert main(["oracle", str(mat), "sinh", str(vec)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gmf: numerical failure:"), err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 4
 
@@ -317,4 +356,19 @@ class TestExperimentAnalogs:
         from gmfkrylov import builtin, gmf_apply_reference
         ref = gmf_apply_reference(builtin(config.function), op.dense, b)
         nr = np.linalg.norm(ref)
+        assert all(err * nr <= bound[k] for k, err in errs)
+
+    def test_si_bound_at_overridden_pole(self, tmp_path):
+        # the closed form holds only at xi = -sigma_min sigma_max; at xi = -1
+        # on [1, 10] the error exceeds that form at 5 of 20 steps
+        raw = cfg(method="rational_full", function="sqrt_log1p_sqrt", k_max=20,
+                  poles={"kind": "shift_invert", "xi": -1.0}, bounds=["shift_invert"])
+        raw["matrix"] = {"m": 60, "n": 60, "profile": {"kind": "logspace", "lo": 1.0, "hi": 10.0}}
+        config = parse_config(raw)
+        summary = run(config, output_dir=str(tmp_path))
+        errs = read_dat(summary["traces"]["err"])
+        bound = dict(read_dat(summary["traces"]["bound_si"]))
+        op, b = synthesize(config)
+        from gmfkrylov import builtin, gmf_apply_reference
+        nr = np.linalg.norm(gmf_apply_reference(builtin(config.function), op.dense, b))
         assert all(err * nr <= bound[k] for k, err in errs)
