@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundCurve, EllipseSampler, chui_hasson_constant,
                      polynomial_bound_curve, quasi_optimal_rational_bound,
-                     rho_branches, rho_of, sample_h_sup, si_closed_form_bound,
-                     si_style_bound)
+                     rational_bound_curve, rho_branches, rho_of, sample_h_sup,
+                     si_closed_form_bound, si_style_bound)
 from .errors import (ArgumentError, ConfigError, EvaluationError, SolveFailure)
 from .functions import ScalarFunction, builtin, builtin_names, companion_g, odd_monomial
 from .golub_kahan import BidiagonalState, gk_approximate, gk_init, gk_step
@@ -25,7 +25,7 @@ from .poles import (INF, PoleSequence, extended_poles, load_user_poles,
 from .rational import (GmfProjection, GramLanczos, RationalArnoldiFactorization,
                        project, rational_arnoldi, rational_gmf_approximate)
 from .rectangular import gmf_via_transpose
-from .reference import (CompactSvd, compact_svd, check_identities, gmf_apply_reference,
-                        gmf_dense)
+from .reference import (CompactSvd, compact_svd, check_identities, gmf_apply_factors,
+                        gmf_apply_reference, gmf_dense)
 from .short_recurrence import QuasiseparableUpper, reconstruct_dense, rgk_run, rgk_step
 from .traces import ConvergenceTrace, emit_dat, read_dat, relative_error

@@ -46,11 +46,16 @@ class EllipseSampler:
         return (self.b + self.a) / (self.b - self.a)
 
     def samples(self):
-        theta = np.linspace(0.0, 2.0 * np.pi, self.count, endpoint=False)
-        unit = 0.5 * (self.rho * np.exp(1j * theta)
-                      + np.exp(-1j * theta) / self.rho)
-        a2, b2 = self.a ** 2, self.b ** 2
-        return 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * unit
+        return _ellipse_points(self.rho, self.a, self.b, self.count)
+
+
+def _ellipse_points(rho, a, b, count):
+    """Samples of the ellipse with foci a^2, b^2 for each rho, along the last axis."""
+    theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    rho = np.asarray(rho, dtype=float)[..., None]
+    unit = 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho)
+    a2, b2 = a ** 2, b ** 2
+    return 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * unit
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,27 @@ def chui_hasson_constant(f1_eval, f2_eval, a, b, rho, samples=ELLIPSE_SAMPLES):
     evaluated at -sqrt(z). Returns +inf if any sample diverges (which happens
     e.g. at rho = (b+a)/(b-a), where the ellipse touches 0).
     """
-    a, b = float(a), float(b)
-    sampler = EllipseSampler(rho, a, b, samples)
-    if rho > sampler.rho_max() * (1 + 1e-12):
-        raise ArgumentError(f"rho must not exceed (b+a)/(b-a) = {sampler.rho_max():g}")
-    z = sampler.samples()
-    root = np.sqrt(z)
+    return float(_chui_hasson_constants(f1_eval, f2_eval, float(a), float(b), rho, samples))
+
+
+def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho, samples):
+    """``chui_hasson_constant`` at each rho of an array, from one pass over all samples."""
+    rho = np.asarray(rho, dtype=float)
+    if not a < b:
+        raise ArgumentError("interval collapses: need a < b")
+    if not np.all(rho > 1):
+        raise ArgumentError("need rho > 1")
+    rho_max = (b + a) / (b - a)
+    if np.any(rho > rho_max * (1 + 1e-12)):
+        raise ArgumentError(f"rho must not exceed (b+a)/(b-a) = {rho_max:g}")
+    root = np.sqrt(_ellipse_points(rho, a, b, samples))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f2 = np.asarray(f2_eval(root), dtype=complex)
         f1 = np.asarray(f1_eval(-root), dtype=complex)
-        vals = [np.abs(f1), np.abs(f2),
-                np.abs(f1 / root), np.abs(f2 / root)]
-    M1, M2, N1, N2 = (float(np.max(v)) for v in vals)
-    C = M1 + M2 + (N1 + N2) / a
-    if not math.isfinite(C):
-        return math.inf
-    return C
+        M1, M2, N1, N2 = (np.max(np.abs(v), axis=-1)
+                          for v in (f1, f2, f1 / root, f2 / root))
+        C = M1 + M2 + (N1 + N2) / a
+    return np.where(np.isfinite(C), C, math.inf)
 
 
 def _default_rho_grid(rho_max):
@@ -121,12 +131,12 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, rho_grid=None,
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.size == 0:
         raise ArgumentError("empty rho grid")
-    per_rho = []
-    for rho in rho_grid:
-        C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
-        pref = 2.0 * C * norm_b * rho / (rho - 1.0)
-        per_rho.append(pref * rho ** (-ks.astype(float)))
-    values = np.min(np.vstack(per_rho), axis=0)
+    # every ellipse is sampled in one pass; rho^-k stays a scalar power per
+    # rho, since a broadcast power may round differently
+    C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho_grid,
+                               ELLIPSE_SAMPLES)
+    pref = 2.0 * C * norm_b * rho_grid / (rho_grid - 1.0)
+    values = np.min([p * rho ** (-ks.astype(float)) for p, rho in zip(pref, rho_grid)], axis=0)
     constants["constant_mode"] = "included"
     constants["rho_grid"] = rho_grid
     return BoundCurve(ks, values, constants)
@@ -221,16 +231,35 @@ def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, grid_size=RATION
     z * po(z^2)/q(z^2) on the positive half grid. The result approximates
     the best uniform deviation from above only up to the discretization.
     """
+    return _rational_bound_values(f, poles, sigma_n, sigma_1, [k], grid_size, norm_b)[0]
+
+
+def rational_bound_curve(f, poles, sigma_n, sigma_1, k_max, grid_size=RATIONAL_GRID,
+                         norm_b=1.0):
+    """``quasi_optimal_rational_bound`` for k = 1..k_max, from one grid basis."""
+    ks = np.arange(1, int(k_max) + 1)
+    values = _rational_bound_values(f, poles, sigma_n, sigma_1, ks.tolist(), grid_size, norm_b)
+    return BoundCurve(ks, np.array(values))
+
+
+def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, grid_size, norm_b):
+    """The bound at each k of ks, fitted on the leading columns of one basis.
+
+    Column j of the grid basis depends only on columns 0..j-1, so the leading
+    k columns of the basis built for max(ks) are the basis built for k.
+    """
     a, b = float(sigma_n), float(sigma_1)
     if not (0 < a <= b):
         raise ArgumentError("need 0 < sigma_n <= sigma_1")
-    k = int(k)
-    poles = require_poles(poles, k)
+    ks = [int(k) for k in ks]
+    poles = require_poles(poles, max(ks))
     z = _chebyshev_grid(a, b, int(grid_size))
-    w = z * z
-    phi = _grid_rational_basis(w, poles, k)
-    design = z[:, None] * phi
+    basis = _grid_rational_basis(z * z, poles, max(ks))
     fz = f(z)
-    coef, *_ = np.linalg.lstsq(design, fz, rcond=None)
-    residual = fz - design @ coef
-    return 2.0 * norm_b * float(np.max(np.abs(residual)))
+    values = []
+    for k in ks:
+        design = z[:, None] * basis[:, :max(k, 1)]
+        coef, *_ = np.linalg.lstsq(design, fz, rcond=None)
+        residual = fz - design @ coef
+        values.append(2.0 * norm_b * float(np.max(np.abs(residual))))
+    return values

@@ -46,7 +46,10 @@ def _build_parser():
 
 
 def _load_vector(path):
-    vec = np.loadtxt(path, ndmin=1, dtype=float).reshape(-1)
+    try:
+        vec = np.loadtxt(path, ndmin=1, dtype=float).reshape(-1)
+    except ValueError as exc:   # a UnicodeDecodeError, a non-number
+        raise ArgumentError(f"{path}: not a text vector: {exc}") from None
     if not np.all(np.isfinite(vec)):
         raise ArgumentError(f"{path}: vector holds non-finite entries")
     return vec

@@ -1,9 +1,9 @@
 """Experiment harness: configure a run, execute it, emit reproducible traces.
 
 A configuration is a JSON object; ``run`` synthesizes the seeded test matrix
-and start vector, executes the requested method against the dense oracle,
-evaluates any configured bound overlays and writes two-column .dat trace
-files plus a manifest capturing the full configuration.
+and start vector, executes the requested method against the oracle taken from
+the synthesis factors, evaluates any configured bound overlays and writes
+two-column .dat trace files plus a manifest capturing the full configuration.
 """
 
 import json
@@ -15,15 +15,15 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .bounds import (polynomial_bound_curve, quasi_optimal_rational_bound,
-                     sample_h_sup, si_closed_form_bound, si_style_bound)
+from .bounds import (polynomial_bound_curve, rational_bound_curve, sample_h_sup,
+                     si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
 from .operators import singular_profile, synthesize_test_matrix
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
 from .rectangular import ENGINES, gmf_via_transpose, needs_poles
-from .reference import gmf_apply_reference
+from .reference import gmf_apply_factors
 from .traces import emit_dat
 
 METHODS = (*ENGINES, "transpose_trick")
@@ -90,7 +90,10 @@ def _read(obj, f, where=""):
 
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -141,7 +144,15 @@ def parse_config(raw, base_dir="."):
         gram, singular = ("A A^T", spec.m > spec.n) if transposed else ("A^T A", spec.m < spec.n)
         _require(not singular, f"{poles['kind']} poles include 0, but {gram} of a "
                                f"{spec.m}x{spec.n} matrix is singular")
+    # run and evaluate_bounds take this checked sequence, so a pole file is
+    # read once; it is no field, so neither the manifest nor replace() sees it
+    object.__setattr__(config, "_poles", built)
     return config
+
+
+def _checked_poles(config):
+    """The sequence parse_config built and checked for this config, else a new one."""
+    return config._poles if "_poles" in vars(config) else build_poles(config)
 
 
 def build_poles(config):
@@ -201,9 +212,8 @@ def _bound_overlays(config, b, poles):
                 (k, si_closed_form_bound(smin, smax, M, k, norm_b=nb) if xi == -smin * smax
                  else nb * si_style_bound(smin, smax, xi, M, k)) for k in ks]
         elif tag == "rational":
-            overlays["bound_rational"] = [
-                (k, quasi_optimal_rational_bound(f, poles, smin, smax, k, norm_b=nb))
-                for k in ks]
+            curve = rational_bound_curve(f, poles, smin, smax, config.k_max, norm_b=nb)
+            overlays["bound_rational"] = curve.pairs()
     return overlays
 
 
@@ -213,10 +223,11 @@ def run(config, output_dir=None):
     Outputs are deterministic per seed: re-running the same configuration
     reproduces byte-identical trace files.
     """
-    poles = build_poles(config)
+    poles = _checked_poles(config)
     op, b = synthesize(config)
     f = builtin(config.function)
-    y_ref = gmf_apply_reference(f, op.dense, b)
+    # the Haar factors are the SVD of A by construction: no dense SVD of A
+    y_ref = gmf_apply_factors(f, *op.factors, b)
 
     if config.method == "transpose_trick":
         ys, trace = gmf_via_transpose(
@@ -264,7 +275,7 @@ def evaluate_bounds(config, output_dir=None):
     The start vector is drawn as in ``run``, without building the matrix, so
     the bound files match those a full run would produce byte for byte.
     """
-    overlays = _bound_overlays(config, seeded_start_vector(config), build_poles(config))
+    overlays = _bound_overlays(config, seeded_start_vector(config), _checked_poles(config))
     return {"name": config.name,
             "traces": _write_dat(output_dir or config.output_dir, config.name, overlays)}
 

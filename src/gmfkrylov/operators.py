@@ -17,7 +17,11 @@ GRAM_SOLVE_RTOL = 1e-10
 
 
 class LinearOperator:
-    """Real m-by-n linear map with an adjoint and optional dense payload."""
+    """Real m-by-n linear map with an adjoint and optional dense payload.
+
+    ``factors`` is ``(U_r, sigma, V_r)`` with A = U_r diag(sigma) V_r^T when
+    the operator was synthesized from them, else None.
+    """
 
     def __init__(self, rows, cols, matvec, rmatvec, dense=None):
         self.rows = int(rows)
@@ -30,6 +34,7 @@ class LinearOperator:
         self._gram = None
         self._gram_factors = {}
         self._norm_est = None
+        self.factors = None
 
     @classmethod
     def from_dense(cls, A):
@@ -109,9 +114,11 @@ class LinearOperator:
     def _gram_factor(self, xi):
         fac = self._gram_factors.get(xi)
         if fac is None:
-            G = self.gram_matrix()
-            shifted = G - xi * np.eye(self.cols)
-            fac = scipy.linalg.lu_factor(shifted, check_finite=False)
+            # one Fortran-ordered copy, shifted on its diagonal and factored
+            # in place: the LU is that of G - xi I without an n-by-n identity
+            shifted = np.array(self.gram_matrix(), order="F")
+            shifted.flat[::self.cols + 1] -= xi
+            fac = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
             self._gram_factors[xi] = fac
         return fac
 
@@ -251,7 +258,11 @@ def haar_orthogonal(n, seed):
 
 
 def synthesize_test_matrix(m, n, profile, seed):
-    """Dense A = U diag(profile) V^T with independent Haar factors U, V."""
+    """Dense A = U diag(profile) V^T with independent Haar factors U, V.
+
+    The operator keeps ``factors = (U_r, profile, V_r)``, r = min(m, n): by
+    construction the SVD of A, so an oracle for it needs no second SVD.
+    """
     m, n = int(m), int(n)
     if len(profile) != min(m, n):
         raise ArgumentError(
@@ -261,17 +272,22 @@ def synthesize_test_matrix(m, n, profile, seed):
     V = _haar_from_rng(n, np.random.default_rng(kid_v))
     r = min(m, n)
     A = (U[:, :r] * profile.values) @ V[:, :r].T
-    return LinearOperator.from_dense(A)
+    op = LinearOperator.from_dense(A)
+    op.factors = (U[:, :r], profile.values, V[:, :r])
+    return op
 
 
 def load_dense_matrix(path):
     """Read the text matrix format: first line "m n", then m rows of n decimals."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ArgumentError(f"{path}: first line must be 'm n'")
-        m, n = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
+        try:
+            header = tuple(int(t) for t in fh.readline().split())
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:   # a UnicodeDecodeError, a non-number
+            raise ArgumentError(f"{path}: not a text matrix: {exc}") from None
+    if len(header) != 2:
+        raise ArgumentError(f"{path}: first line must be 'm n'")
+    m, n = header
     if data.shape != (m, n):
         raise ArgumentError(
             f"{path}: header promises {m}x{n}, file holds {data.shape[0]}x{data.shape[1]}")

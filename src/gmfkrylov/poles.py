@@ -97,7 +97,11 @@ def load_user_poles(path, sigma_min=None, sigma_max=None):
     """One pole per line: "inf", "0", or a decimal; blank lines ignored."""
     poles = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ArgumentError(f"{path}: not ASCII text ({exc.reason})") from None
+        for lineno, line in enumerate(lines, 1):
             tok = line.strip()
             if not tok:
                 continue

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ import pytest
 from gmfkrylov import (ArgumentError, EllipseSampler, builtin, chui_hasson_constant,
                        gk_approximate, gmf_apply_reference, polynomial_bound_curve,
                        polynomial_poles, quasi_optimal_rational_bound,
-                       rational_gmf_approximate, rho_branches, rho_of, sample_h_sup,
-                       si_closed_form_bound, si_optimal_pole, si_style_bound)
+                       rational_bound_curve, rational_gmf_approximate, rho_branches,
+                       rho_of, sample_h_sup, si_closed_form_bound, si_optimal_pole,
+                       si_style_bound)
+from gmfkrylov.harness import build_poles, load_config
 
 from conftest import seeded_problem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestEllipse:
@@ -96,6 +101,23 @@ class TestPolynomialBound:
         with pytest.raises(ArgumentError):
             polynomial_bound_curve(builtin("sqrt"), 0.5, 2.0, 4, rho_grid=[])
 
+    @pytest.mark.parametrize("k_max", [1, 30])
+    @pytest.mark.parametrize("name", ["sqrt", "inv_quarter", "sqrt_log", "z_log_z"])
+    def test_one_pass_equals_per_rho_loop(self, name, k_max):
+        # all ellipses sampled at once give the per-rho curve bit for bit
+        f, a, b, nb = builtin(name), 0.1, 10.0, 1.7
+        curve = polynomial_bound_curve(f, a, b, k_max, norm_b=nb)
+        ks = np.arange(1, k_max + 1).astype(float)
+        per_rho = []
+        for rho in curve.constants["rho_grid"]:
+            C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
+            per_rho.append(2.0 * C * nb * rho / (rho - 1.0) * rho ** (-ks))
+        assert np.array_equal(curve.values, np.min(per_rho, axis=0))
+
+    def test_rho_grid_entry_above_limit_rejected(self):
+        with pytest.raises(ArgumentError):
+            polynomial_bound_curve(builtin("sqrt"), 0.5, 2.0, 4, rho_grid=[1.2, 2.0])
+
 
 class TestShiftInvertBound:
     def test_branches_coincide_at_optimal_pole(self):
@@ -165,3 +187,15 @@ class TestQuasiOptimalRationalBound:
                 bound = quasi_optimal_rational_bound(f, poles, 0.1, 10.0, k,
                                                      norm_b=nb)
                 assert err * nr <= bound, (seed, k)
+
+    @pytest.mark.parametrize("name", ["rational_optpoles_narrow", "rational_optpoles_wide"])
+    def test_curve_equals_per_k_bound(self, name):
+        # the leading k columns of the basis built for k_max are the basis for k
+        config = load_config(CONFIGS / f"{name}.json")
+        f, poles = builtin(config.function), build_poles(config)
+        lo, hi = config.matrix.lo, config.matrix.hi
+        curve = rational_bound_curve(f, poles, lo, hi, config.k_max, norm_b=2.5)
+        per_k = [quasi_optimal_rational_bound(f, poles, lo, hi, k, norm_b=2.5)
+                 for k in range(1, config.k_max + 1)]
+        assert curve.ks.tolist() == list(range(1, config.k_max + 1))
+        assert np.array_equal(curve.values, per_k)

@@ -5,10 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmfkrylov import ConfigError, emit_dat, read_dat
+from gmfkrylov import (ConfigError, builtin, emit_dat, gmf_apply_factors, gmf_apply_reference,
+                       harness, read_dat)
 from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
 from gmfkrylov.operators import save_dense_matrix
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 BASE = {
@@ -312,6 +315,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gmf: numerical failure:"), err
 
+    @pytest.mark.parametrize("command,files", [
+        ("run", {"c.json": b"\xff{}"}),
+        ("run", {"c.json": json.dumps(cfg(method="rational_full", k_max=2,
+                                          poles={"kind": "user_file", "path": "p.txt"}))
+                 .encode(), "p.txt": b"-1.0\n\xff\n"}),
+        ("oracle", {"m.txt": b"2 2\n1 0\n0 \xff\n", "b.txt": b"1\n1\n"}),
+        ("oracle", {"m.txt": b"2 2\n1 x\n0 1\n", "b.txt": b"1\n1\n"}),
+        ("oracle", {"m.txt": b"2 2\n1 0\n0 1\n", "b.txt": b"1 x\n"}),
+    ], ids=["config_not_utf8", "pole_file_not_ascii", "matrix_not_ascii",
+            "matrix_non_number", "vector_non_number"])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, monkeypatch, command, files):
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        args = ["run", "c.json"] if command == "run" else ["oracle", "m.txt", "sqrt", "b.txt"]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gmf: invalid input:"), err
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 4
 
@@ -330,6 +353,31 @@ class TestCli:
             poles = build_poles(config)
             if config.method != "gk":
                 assert poles is not None and len(poles) >= config.k_max - 1, name
+
+
+class TestSynthesisReference:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_factor_reference_matches_dense_svd(self, name):
+        # the oracle run takes from the synthesis factors agrees with a dense
+        # SVD of the synthesized matrix to roundoff
+        config = load_config(CONFIGS / f"{name}.json")
+        op, b = synthesize(config)
+        f = builtin(config.function)
+        ref = gmf_apply_reference(f, op.dense, b)
+        y = gmf_apply_factors(f, *op.factors, b)
+        assert np.linalg.norm(y - ref) <= 2e-14 * np.linalg.norm(ref)
+
+    def test_pole_file_read_once(self, tmp_path, monkeypatch):
+        calls = []
+        load = harness.load_user_poles
+        monkeypatch.setattr(harness, "load_user_poles",
+                            lambda *a, **kw: calls.append(a) or load(*a, **kw))
+        config = load_config(CONFIGS / "rational_optpoles_narrow.json")
+        summary = run(config, output_dir=str(tmp_path))
+        assert len(calls) == 1
+        with open(summary["manifest"], encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert sorted(manifest["config"]) == sorted(vars(config).keys() - {"_poles"})
 
 
 class TestExperimentAnalogs:

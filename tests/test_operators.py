@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gmfkrylov import (ArgumentError, LinearOperator, SingularProfile, SolveFailure,
                        adjointness_defect, haar_orthogonal, load_dense_matrix,
@@ -83,6 +84,14 @@ class TestShiftedGramSolve:
         expected = np.linalg.solve(A.T @ A + 2.5 * np.eye(20), b)
         assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("xi", [-1.0, 0.0])
+    def test_dense_solve_bitwise_equals_shifted_lu(self, xi):
+        # the in-place shifted factor is the LU of G - xi I, bit for bit
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        G = op.dense.T @ op.dense
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(G - xi * np.eye(50)), b)
+        assert np.array_equal(solve_shifted_gram(op, xi, b), expected)
+
 
 class TestHaar:
     def test_one_by_one(self):
@@ -125,6 +134,18 @@ class TestSynthesize:
         op = synthesize_test_matrix(30, 30, prof, 1)
         s = np.linalg.svd(op.dense, compute_uv=False)
         assert s == pytest.approx(prof.values, rel=1e-10)
+
+    @pytest.mark.parametrize("m,n", [(7, 7), (11, 6), (6, 11)])
+    def test_factors_are_the_svd(self, m, n):
+        prof = singular_profile("logspace", min(m, n), 0.3, 9.0)
+        op = synthesize_test_matrix(m, n, prof, 5)
+        U, sigma, V = op.factors
+        r = min(m, n)
+        assert U.shape == (m, r) and V.shape == (n, r)
+        assert np.array_equal(sigma, prof.values)
+        assert np.array_equal(op.dense, (U * sigma) @ V.T)
+        assert np.linalg.norm(U.T @ U - np.eye(r)) <= 1e-13
+        assert np.linalg.norm(V.T @ V - np.eye(r)) <= 1e-13
 
     def test_profile_length_mismatch(self):
         with pytest.raises(ArgumentError):
