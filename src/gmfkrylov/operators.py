@@ -127,10 +127,13 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     """Solve (A^T A - xi I) x = v with a residual check on every return.
 
     Dense payloads use a cached LU factorization of the shifted Gram matrix;
-    matrix-free operators use CG for xi <= 0 and MINRES for xi > 0. Each return
-    costs one Gram product for its residual check; a residual above
-    ``rtol * ||v||`` raises :class:`SolveFailure` (the shift is singular or
-    too close to the spectrum of A^T A, or the iteration did not converge).
+    matrix-free operators use CG for xi <= 0 and MINRES for xi > 0, refined in
+    at most four passes on the true residual. Each pass asks the inner solver
+    for ``0.5 * rtol * ||v||`` and no smaller, and a pass that does not lower
+    the true residual ends the refinement. Each return costs one Gram product
+    for its residual check; a residual above ``rtol * ||v||`` raises
+    :class:`SolveFailure` (the shift is singular or too close to the spectrum
+    of A^T A, or the iteration did not converge).
     """
     xi = float(xi)
     v = np.asarray(v, dtype=float)
@@ -145,6 +148,7 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     if op.dense is not None:
         x = scipy.linalg.lu_solve(op._gram_factor(xi), v, check_finite=False)
         r = op.gram_apply(x) - xi * x - v
+        residual = np.linalg.norm(r)
     else:
         def shifted_mv(y):
             return op.gram_apply(y) - xi * y
@@ -152,17 +156,18 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
         lin = scipy.sparse.linalg.LinearOperator(
             (op.cols, op.cols), matvec=shifted_mv)
         solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
+        target = 0.5 * rtol * nv
         x = np.zeros(op.cols)
-        r = v
+        r, residual = v, nv
         # iterative refinement against the true residual
         for _ in range(4):
-            dx, _ = solver(lin, r, rtol=1e-13, atol=0.0, maxiter=20 * op.cols)
+            dx, _ = solver(lin, r, rtol=target / residual, maxiter=20 * op.cols)
             x = x + dx
             r = v - shifted_mv(x)
-            if np.linalg.norm(r) <= 0.1 * rtol * nv:
+            last, residual = residual, np.linalg.norm(r)
+            if residual <= target or not residual < last:
                 break
 
-    residual = np.linalg.norm(r)
     if not residual <= rtol * nv:
         raise SolveFailure(
             f"shifted Gram solve residual {residual:.3e} exceeds "

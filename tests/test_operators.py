@@ -6,8 +6,9 @@ from gmfkrylov import (ArgumentError, LinearOperator, SingularProfile, SolveFail
                        adjointness_defect, haar_orthogonal, load_dense_matrix,
                        save_dense_matrix, singular_profile, solve_shifted_gram,
                        synthesize_test_matrix)
+from gmfkrylov.operators import GRAM_SOLVE_RTOL
 
-from conftest import seeded_problem
+from conftest import explicit_profile_problem, seeded_problem
 
 
 class TestApply:
@@ -83,6 +84,49 @@ class TestShiftedGramSolve:
         x = solve_shifted_gram(mf, -2.5, b)
         expected = np.linalg.solve(A.T @ A + 2.5 * np.eye(20), b)
         assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_matrix_free_positive_shift(self):
+        # xi > 0 goes to MINRES: above sigma_max^2, in a spectral gap, and on
+        # a squared singular value, where the solve must fail
+        op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
+        A = op.dense
+        G = A.T @ A
+        mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
+        for xi in (150.0, 25.0):
+            expected = np.linalg.solve(G - xi * np.eye(200), b)
+            x = solve_shifted_gram(mf, xi, b)
+            assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+        sigma = op.factors[1]
+        with pytest.raises(SolveFailure):
+            solve_shifted_gram(mf, float(sigma[100] ** 2), b)
+
+    def test_matrix_free_rank_deficient_fails_cheaply(self):
+        # matrix-free twin of test_near_singular_shift_fails: a pass that does
+        # not lower the true residual ends the refinement
+        n = 200
+        values = np.concatenate([np.logspace(1.0, -1.0, n - 5), np.zeros(5)])
+        op, b = explicit_profile_problem(values, n, n, 3)
+        A = op.dense
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return A @ v
+
+        mf = LinearOperator.from_callables(n, n, matvec, lambda u: A.T @ u)
+        with pytest.raises(SolveFailure):
+            solve_shifted_gram(mf, 0.0, b)
+        assert len(calls) <= 21 * n
+
+    @pytest.mark.parametrize("xi", [-1.0, 150.0])
+    def test_matrix_free_does_not_over_solve(self, xi):
+        # the returned residual meets the check without digits to spare
+        op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
+        A = op.dense
+        mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
+        x = solve_shifted_gram(mf, xi, b)
+        ratio = np.linalg.norm(A.T @ (A @ x) - xi * x - b) / (GRAM_SOLVE_RTOL * np.linalg.norm(b))
+        assert 1e-2 <= ratio <= 1.0
 
     @pytest.mark.parametrize("xi", [-1.0, 0.0])
     def test_dense_solve_bitwise_equals_shifted_lu(self, xi):
