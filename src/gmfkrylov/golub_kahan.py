@@ -99,7 +99,7 @@ def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
     """
     state = gk_init(b)
 
-    def step(P):
+    def step(P, _z):
         k = P.shape[1] + 1
         if state.breakdown or gk_step(state, op, reorth=reorth).k < k:
             return None

@@ -209,8 +209,9 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
                        drift=False):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
 
-    ``step(P)`` is the engine's basis step: given the rows x (k-1) block of
-    the columns of P produced so far, it returns (p_k, column k of B_k), or
+    ``step(P, z)`` is the engine's basis step: given the rows x (k-1) block of
+    the columns of P produced so far and z = f◇(B_{k-1}) e_1 (None at k = 1 or
+    without evaluation), it returns (p_k, column k of B_k), or
     None once the engine stops (breakdown or invariance). With
     ``evaluate=False`` no y_k is formed; ``drift=True`` also records the
     orthogonality drift ||I - P_k^T P_k||_2. Returns (ys, trace).
@@ -223,9 +224,9 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None
     svd = BorderedSvd()
-    ys, drifts = [], []
+    ys, drifts, z = [], [], None
     for k in range(1, k_max + 1):
-        column = step(P[:, :k - 1])
+        column = step(P[:, :k - 1], z)
         if column is None:
             break
         P[:, k - 1], B[:k, k - 1] = column

@@ -129,12 +129,17 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     Dense payloads use a cached LU factorization of the shifted Gram matrix;
     matrix-free operators use CG for xi <= 0 and MINRES for xi > 0, refined in
     at most four passes on the true residual. Each pass asks the inner solver
-    for ``0.5 * rtol * ||v||`` and no smaller, and a pass that does not lower
-    the true residual ends the refinement. Each return costs one Gram product
-    for its residual check; a residual above ``rtol * ||v||`` raises
-    :class:`SolveFailure` (the shift is singular or too close to the spectrum
-    of A^T A, or the iteration did not converge).
+    for ``0.5 * rtol * ||v||`` and no smaller; a pass that does not lower the
+    true residual ends the refinement and the best iterate is kept. Each
+    return costs one Gram product for its residual check; a residual above
+    ``rtol * ||v||`` raises :class:`SolveFailure` (the shift is singular or
+    too close to the spectrum of A^T A, or the iteration did not converge).
+    ``rtol`` must lie in (0, 1). Only ``rational_gmf_approximate`` relaxes
+    it, on matrix-free operators, to min(1e-5, GRAM_SOLVE_RTOL ||z|| /
+    |z_last|); its docstring bounds the error this adds to each later y_k.
     """
+    if not 0.0 < rtol < 1.0:
+        raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
     xi = float(xi)
     v = np.asarray(v, dtype=float)
     if v.shape != (op.cols,):
@@ -157,15 +162,17 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
             (op.cols, op.cols), matvec=shifted_mv)
         solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
         target = 0.5 * rtol * nv
-        x = np.zeros(op.cols)
-        r, residual = v, nv
-        # iterative refinement against the true residual
+        x, r, residual = np.zeros(op.cols), v, nv
+        # iterative refinement against the true residual, keeping the best x
         for _ in range(4):
             dx, _ = solver(lin, r, rtol=target / residual, maxiter=20 * op.cols)
-            x = x + dx
-            r = v - shifted_mv(x)
-            last, residual = residual, np.linalg.norm(r)
-            if residual <= target or not residual < last:
+            x_new = x + dx
+            r_new = v - shifted_mv(x_new)
+            res_new = np.linalg.norm(r_new)
+            if not res_new < residual:
+                break
+            x, r, residual = x_new, r_new, res_new
+            if residual <= target:
                 break
 
     if not residual <= rtol * nv:

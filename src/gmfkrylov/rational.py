@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .krylov import Rows, approximation_loop, cgs2, normalize, start_vector
-from .operators import solve_shifted_gram
+from .operators import GRAM_SOLVE_RTOL, solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
 ZERO_POLE_WINDOW = 6
@@ -94,15 +94,15 @@ class GramLanczos:
             self._Aq = self.op.apply(self.q)
         return self._Aq
 
-    def _raw_candidate(self, xi):
+    def _raw_candidate(self, xi, rtol):
         """Windowed-mode candidate for the next direction."""
         if xi == 0.0:
-            return solve_shifted_gram(self.op, 0.0, self.q)
+            return solve_shifted_gram(self.op, 0.0, self.q, rtol)
         Mq = self.op.applyt(self.apply_q())
-        return Mq if xi == math.inf else solve_shifted_gram(self.op, xi, -xi * Mq)
+        return Mq if xi == math.inf else solve_shifted_gram(self.op, xi, -xi * Mq, rtol)
 
-    def advance(self):
-        """Produce the next basis vector; returns it, or None at invariance."""
+    def advance(self, rtol=GRAM_SOLVE_RTOL):
+        """Next basis vector, its shifted solves checked at ``rtol``; None at invariance."""
         if self.breakdown:
             return None
         j = self.count
@@ -116,7 +116,7 @@ class GramLanczos:
 
         if self.windowed:
             u[j - 1] = 1.0
-            w = self._raw_candidate(xi)
+            w = self._raw_candidate(xi, rtol)
             scale = np.linalg.norm(w)
         else:
             Mq = self.op.applyt(self.apply_q())
@@ -126,10 +126,10 @@ class GramLanczos:
             if d_new == 0.0:
                 y0, y1 = t0, t1
             else:
-                y0 = solve_shifted_gram(self.op, xi, -xi * t0)
+                y0 = solve_shifted_gram(self.op, xi, -xi * t0, rtol)
                 # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
                 y1 = (-self.q if d_new == self.d_cur
-                      else solve_shifted_gram(self.op, xi, -xi * t1))
+                      else solve_shifted_gram(self.op, xi, -xi * t1, rtol))
             denom = self.q @ y1
             if abs(denom) <= np.finfo(float).tiny:
                 self.breakdown = True
@@ -252,11 +252,26 @@ def project(op, Q, poles=None):
 
 
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
-    """Approximations y_k = ||b|| P_k f◇(B_k) e_1 from the rational subspace."""
+    """Approximations y_k = ||b|| P_k f◇(B_k) e_1 from the rational subspace.
+
+    On a matrix-free operator the solves of step k are relaxed (Simoncini &
+    Szyld 2003; van den Eshof & Sleijpen 2004) to the residual tolerance
+    tau_k = min(1e-5, GRAM_SOLVE_RTOL ||z|| / |z_last|), z = f◇(B_{k-1}) e_1.
+    y_k depends only on span(Q_k), so an inexact solve perturbs only the next
+    direction, which every later y_k weights by about |z_last| / ||z||: a
+    residual of tau_k ||v|| adds at most about kappa GRAM_SOLVE_RTOL to their
+    relative error, kappa = (sigma_max^2 - xi) / (sigma_min^2 - xi). Dense
+    payloads (whose LU result does not depend on rtol), ``rgk_run`` (its
+    recurrence needs the exact pencil) and ``rational_arnoldi`` keep
+    GRAM_SOLVE_RTOL.
+    """
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")
 
-    def step(P):
-        q = eng.q if P.shape[1] == 0 else eng.advance()
+    def step(P, z):
+        rtol = GRAM_SOLVE_RTOL
+        if z is not None and z[-1] and op.dense is None:
+            rtol = min(1e-5, GRAM_SOLVE_RTOL * np.linalg.norm(z / z[-1]))
+        q = eng.q if P.shape[1] == 0 else eng.advance(rtol)
         if q is None:
             return None
         Aq = eng.apply_q()

@@ -155,7 +155,7 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
     x_prev = np.zeros(op.rows)
     column = None
 
-    def step(P):
+    def step(P, _z):
         nonlocal x_prev, column
         k = P.shape[1] + 1
         q = eng.q if k == 1 else eng.advance()

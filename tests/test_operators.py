@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,19 +117,36 @@ class TestShiftedGramSolve:
             return A @ v
 
         mf = LinearOperator.from_callables(n, n, matvec, lambda u: A.T @ u)
-        with pytest.raises(SolveFailure):
+        with pytest.raises(SolveFailure) as failure:
             solve_shifted_gram(mf, 0.0, b)
         assert len(calls) <= 21 * n
+        # the message reports the best iterate (here x = 0), not the diverged one
+        reported = float(re.search(r"residual (\S+) exceeds", str(failure.value)).group(1))
+        assert reported <= np.linalg.norm(b) * (1 + 1e-3)
 
-    @pytest.mark.parametrize("xi", [-1.0, 150.0])
-    def test_matrix_free_does_not_over_solve(self, xi):
+    @pytest.mark.parametrize("xi, rtol", [
+        pytest.param(-1.0, GRAM_SOLVE_RTOL, id="-1.0"),
+        pytest.param(150.0, GRAM_SOLVE_RTOL, id="150.0"),
+        pytest.param(-1.0, 1e-6, id="-1.0-rtol1e-6"),
+        pytest.param(150.0, 1e-6, id="150.0-rtol1e-6")])
+    def test_matrix_free_does_not_over_solve(self, xi, rtol):
         # the returned residual meets the check without digits to spare
         op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
         A = op.dense
         mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
-        x = solve_shifted_gram(mf, xi, b)
-        ratio = np.linalg.norm(A.T @ (A @ x) - xi * x - b) / (GRAM_SOLVE_RTOL * np.linalg.norm(b))
+        x = solve_shifted_gram(mf, xi, b, rtol=rtol)
+        ratio = np.linalg.norm(A.T @ (A @ x) - xi * x - b) / (rtol * np.linalg.norm(b))
         assert 1e-2 <= ratio <= 1.0
+
+    @pytest.mark.parametrize("rtol", [0.0, -1.0, 1.0, 2.0, math.nan, math.inf])
+    def test_rtol_outside_unit_interval_rejected(self, rtol):
+        # with rtol >= 1 even x = 0 would pass the residual check
+        op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
+        A = op.dense
+        mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
+        for operator in (op, mf):
+            with pytest.raises(ArgumentError, match="rtol"):
+                solve_shifted_gram(operator, -1.0, b, rtol=rtol)
 
     @pytest.mark.parametrize("xi", [-1.0, 0.0])
     def test_dense_solve_bitwise_equals_shifted_lu(self, xi):

@@ -5,10 +5,11 @@ import pytest
 
 from gmfkrylov import (ArgumentError, GramLanczos, LinearOperator, PoleSequence,
                        ScalarFunction, builtin, extended_poles, gk_init, gk_step,
-                       gmf_apply_reference, polynomial_poles, project,
+                       gmf_apply_factors, gmf_apply_reference, polynomial_poles, project,
                        rational_arnoldi, rational_gmf_approximate, rgk_run,
                        si_optimal_pole, solve_shifted_gram)
 from gmfkrylov import rational
+from gmfkrylov.operators import GRAM_SOLVE_RTOL
 
 from conftest import seeded_problem
 
@@ -252,3 +253,52 @@ class TestOneSolvePerStep:
             q /= np.linalg.norm(q)
             y = solve_shifted_gram(op, xi, -xi * ((1.0 / xi) * op.gram_apply(q) - q))
             assert np.linalg.norm(y + q) <= 1e-13
+
+
+def _record_rtols(monkeypatch):
+    """The rtol of every shifted solve the rational engines make, in order."""
+    rtols, solve = [], rational.solve_shifted_gram
+
+    def recorded(op, xi, v, rtol=GRAM_SOLVE_RTOL):
+        rtols.append(rtol)
+        return solve(op, xi, v, rtol)
+
+    monkeypatch.setattr(rational, "solve_shifted_gram", recorded)
+    return rtols
+
+
+class TestMatrixFreeEngines:
+    """The engines on a from_callables twin of a dense problem: the full engine
+    relaxes its shifted solves as y_k converges, the other paths do not."""
+    K = 20
+
+    @pytest.fixture
+    def problem(self):
+        op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
+        A = op.dense
+        mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
+        f = builtin("sqrt")
+        return f, op, mf, b, si_optimal_pole(0.1, 10.0, self.K), gmf_apply_factors(
+            f, *op.factors, b)
+
+    def test_full_engine_relaxes_and_tracks_dense(self, monkeypatch, problem):
+        f, op, mf, b, poles, y = problem
+        rtols = _record_rtols(monkeypatch)
+        _, dense = rational_gmf_approximate(f, op, b, poles, self.K, reference=y)
+        assert len(rtols) == self.K and set(rtols) == {GRAM_SOLVE_RTOL}
+        rtols.clear()
+        _, free = rational_gmf_approximate(f, mf, b, poles, self.K, reference=y)
+        assert len(rtols) == self.K
+        assert rtols[0] == GRAM_SOLVE_RTOL
+        assert rtols[-1] >= 100 * GRAM_SOLVE_RTOL
+        assert max(rtols) <= 1e-5
+        e_dense, e_free = np.array(dense.errors), np.array(free.errors)
+        assert e_free.size == self.K
+        assert np.max(np.abs(e_free - e_dense) / e_dense) <= 1e-4
+
+    def test_short_engine_keeps_full_tolerance(self, monkeypatch, problem):
+        f, _, mf, b, poles, y = problem
+        rtols = _record_rtols(monkeypatch)
+        ys = rgk_run(f, mf, b, poles, self.K, reference=y)[0]
+        assert len(ys) == self.K
+        assert len(rtols) == self.K and set(rtols) == {GRAM_SOLVE_RTOL}
