@@ -116,6 +116,14 @@ def parse_config(raw, base_dir="."):
     _require(c["method"] in METHODS, f"method must be one of {METHODS}")
     _require(c["transpose_inner"] in ENGINES,
              f"transpose_inner must be one of {tuple(ENGINES)}")
+    # a key the method never reads is refused where the config gives it
+    transposed = c["method"] == "transpose_trick"
+    inner = c["transpose_inner"] if transposed else c["method"]
+    unread = [key for key, read in (("compare_full", c["method"] == "rational_short"),
+                                    ("reorthogonalize", not needs_poles(inner)),
+                                    ("transpose_inner", transposed)) if key in raw and not read]
+    _require(not unread, f"method {c['method']!r}" + f" with transpose_inner {inner!r}"
+             * transposed + f" does not read config keys {unread}")
     _require(c["k_max"] >= 1, "k_max must be >= 1")
     builtin(c["function"])   # raises on unknown names
     for tag in c["bounds"]:
@@ -124,8 +132,7 @@ def parse_config(raw, base_dir="."):
     # a pole spec is checked wherever it is given, and wherever the engine or
     # the rational bound needs one
     poles = c["poles"]
-    transposed = c["method"] == "transpose_trick"
-    solves = needs_poles(c["transpose_inner"] if transposed else c["method"])
+    solves = needs_poles(inner)
     if poles or solves or "rational" in c["bounds"]:
         _require(poles, f"method {c['method']!r} with bounds {list(c['bounds'])} "
                         "requires a pole spec")

@@ -13,10 +13,11 @@ singular values and the first row of V_k (all that f◇(B_k) e_1 needs). The
 middle factor of the update is a rank-one change of a diagonal, whose SVD
 comes from the secular equation (Bunch & Nielsen 1978; LAPACK ``dlasd4``) in
 O(k^2); deflation of tiny and close entries and the recomputed z of Gu &
-Eisenstat (1995) keep the singular vectors orthogonal. What is left per step
-is one gemm with U_k over the non-deflated columns. If ``dlasd4`` fails or a
-result is not finite, the dense SVD of B_k (``gmf_dense``) takes over for the
-rest of the run.
+Eisenstat (1995) keep the singular vectors orthogonal. A step costs one
+``dlasd4`` call per root, each writing one row, one gemm U_k L and O(k^2)
+numpy work; U is not copied, and only a step where something deflates sorts
+the vectors. If ``dlasd4`` fails or a result is not finite, the dense SVD of
+B_k (``gmf_dense``) takes over for the rest of the run.
 
 Orthogonalization against a stored block is classical Gram-Schmidt applied
 twice (``cgs2``): two block products per pass, as accurate as twice-applied
@@ -108,7 +109,10 @@ class BorderedSvd:
     z = (delta, U_k^T c), B_{k+1} = W N [e_{k+1}, (V_k; 0)]^T, where the left
     basis W = [e_{k+1}, (U_k; 0)] and N = diag(0, sigma) + z e_1^T, whose
     singular values are the roots of 1 + sum_j z_j^2 / (d_j^2 - s^2) with
-    d = (0, sigma). Index 0 is the new row and column throughout.
+    d = (0, sigma). Index 0 is the new row and column throughout. W is never
+    formed: with nothing deflated, U_{k+1} = [U_k L[1:]; L[0]] for the left
+    vectors L of N goes straight into a new array, after one dlasd4 call per
+    root and O(k^2) numpy work.
     """
 
     def __init__(self):
@@ -120,11 +124,9 @@ class BorderedSvd:
         z = np.concatenate(([column[k]], self.U.T @ column[:k]))
         d = np.concatenate(([0.0], self.sigma))
         v0 = np.concatenate(([float(k == 0)], self.v0))
-        W = np.zeros((k + 1, k + 1))
-        W[k, 0] = 1.0
-        W[:k, 1:] = self.U
         scale = max(np.abs(z).max(), d[-1])
         tol, zero = DEFLATION_RTOL * scale, ZERO_RTOL * scale
+        turns = []                  # (i, j, G): columns i, j of W become W[:, [i, j]] @ G
         # a sigma_j <= eps^2 scale is an exact 0 (far below its roundoff, and
         # its square stays clear of underflow), so row j of N is z_j e_1^T: a
         # rotation folds it into row 0. Any larger sigma stays, since f acts on
@@ -132,7 +134,7 @@ class BorderedSvd:
         for j in np.flatnonzero(d[1:] <= zero) + 1:
             d[j], r = 0.0, np.hypot(z[0], z[j])
             if r > 0.0:
-                W[:, [0, j]] = W[:, [0, j]] @ np.array([[z[0], -z[j]], [z[j], z[0]]]) / r
+                turns.append((0, j, np.array([[z[0], -z[j]], [z[j], z[0]]]) / r))
                 z[0], z[j] = r, 0.0
         # a tiny z_j leaves (d_j, W e_j, e_j) a singular triplet of N (dlasd2).
         # Of two d equal to working accuracy, a rotation on both sides zeroes
@@ -145,30 +147,33 @@ class BorderedSvd:
             i, j = live[t], live[t + 1]
             tau = np.hypot(z[i], z[j])
             G = np.array([[z[j], z[i]], [-z[i], z[j]]]) / tau
-            W[:, [i, j]] = W[:, [i, j]] @ G
+            turns.append((i, j, G))
             v0[[i, j]] = v0[[i, j]] @ G
             z[i], z[j], keep[i] = 0.0, tau, False
-        deflated = np.flatnonzero(~keep[1:]) + 1
         J = np.flatnonzero(keep)
         dj = d[J] / scale
         secular = _secular(dj, z[J] / scale)
         if secular is None:
             return None
-        roots, zh, L = secular
-        R = dj[:, None] * L         # the right vectors are (-1, d L)
-        L /= np.linalg.norm(L, axis=0)
-        sigma = [d[deflated], scale * roots]
-        U = [W[:, deflated], W[:, J] @ L]
-        v = [v0[deflated], (v0[J] @ R - v0[0]) / np.sqrt(1.0 + (R * R).sum(axis=0))]
-        if not keep[0]:             # sigma = 0, with left vector e_{k+1}
-            sigma.append([0.0])
-            U.append(W[:, :1])
-            v.append([0.0])
-        self.sigma = np.concatenate(sigma)
-        order = np.argsort(self.sigma, kind="stable")
-        self.sigma = self.sigma[order]
-        self.U = np.concatenate(U, axis=1)[:, order]
-        self.v0 = np.concatenate(v)[order]
+        roots, L = secular
+        L2 = L * L                  # the right vectors are (-1, d L)
+        v = ((v0[J] * dj) @ L - v0[0]) / np.sqrt(1.0 + (dj * dj) @ L2)
+        L /= np.sqrt(L2.sum(axis=0))
+        # U_{k+1} = W X = [U_k X[1:]; X[0]] for N's left vectors X: L, whose roots
+        # ascend, unless the deflated triplets and a zero row 0 of N (sigma = 0,
+        # vector e_1) join it, with W's rotations applied to X's rows
+        sigma, X = scale * roots, L
+        if not keep.all():
+            sigma, X = d, np.eye(k + 1)
+            sigma[J], X[np.ix_(J, J)], v0[0], v0[J] = scale * roots, L, 0.0, v
+            for i, j, G in reversed(turns):
+                X[[i, j]] = G @ X[[i, j]]
+            order = np.argsort(sigma, kind="stable")
+            sigma, X, v = sigma[order], X[:, order], v0[order]
+        U = np.empty((k + 1, k + 1))
+        np.matmul(self.U, X[1:], out=U[:k])
+        U[k] = X[0]
+        self.U, self.sigma, self.v0 = U, sigma, v
         # rtol=0: f acts on every positive singular value of B_k; truncating
         # would mask the small-singular-value pollution of wide matrices
         p = np.searchsorted(self.sigma, 0.0, side="right")
@@ -177,32 +182,33 @@ class BorderedSvd:
 
 
 def _secular(d, z):
-    """Roots of 1 + sum_j z_j^2 / (d_j^2 - s^2) for 0 <= d_1 < d_2 < ..., the z
-    for which they are exact (Gu & Eisenstat's, as in dlasd3) and the matrix
-    zhat_j / (d_j^2 - s_i^2) of unnormalized left vectors; None if dlasd4 fails.
+    """Roots of 1 + sum_j z_j^2 / (d_j^2 - s^2) for 0 <= d_1 < d_2 < ... and the
+    matrix zhat_j / (d_j^2 - s_i^2) of unnormalized left vectors (column i), with
+    zhat the z for which the roots are exact (Gu & Eisenstat's, as in dlasd3);
+    None if dlasd4 fails. Root i's differences fill row i of an array, and the
+    vectors are returned as its transposed view.
     """
     n = d.size
     if n == 0:
-        return np.zeros(0), np.zeros(0), np.zeros((0, 0))
+        return np.zeros(0), np.zeros((0, 0))
     if n == 1:                      # dlasd4 returns no differences for n = 1
         roots = np.hypot(d, z)
-        DS = ((d - roots) * (d + roots))[:, None]
+        DS = ((d - roots) * (d + roots))[None, :]
     else:
         rho = z @ z
         zn = z / np.sqrt(rho)
         roots, DS, work = np.empty(n), np.empty((n, n)), np.empty((n, n))
         for i in range(n):
-            DS[:, i], roots[i], work[:, i], info = dlasd4(i, d, zn, rho)
+            DS[i], roots[i], work[i], info = dlasd4(i, d, zn, rho)
             if info != 0:
                 return None
         DS *= work                  # d_j^2 - root_i^2, free of cancellation
-    # root i lies in (d_i, d_{i+1}): pair it with d_i below i and d_{i+1} from
-    # i on, so that every factor is a ratio in (0, 1]
-    other = np.arange(n - 1)[None, :]
-    other = d[other + (other >= np.arange(n)[:, None])]
-    zh = np.prod(DS[:, :-1] / ((d[:, None] - other) * (d[:, None] + other)), axis=1)
-    zh = np.copysign(np.sqrt(np.abs(zh * DS[:, -1])), z)
-    return roots, zh, zh[:, None] / DS
+    # root i lies in (d_i, d_{i+1}): pair it with d_{i+1} for j <= i and with
+    # d_i for j > i, so that every factor is a ratio in (0, 1]
+    E = (d - d[:, None]) * (d + d[:, None])     # E[m, j] = d_j^2 - d_m^2
+    zh = np.prod(DS[:-1] / np.where(np.tri(n - 1, n, dtype=bool), E[1:], E[:-1]), axis=0)
+    zh = np.copysign(np.sqrt(np.abs(zh * DS[-1])), z)
+    return roots, (zh / DS).T
 
 
 def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,

@@ -96,6 +96,24 @@ class TestConfigValidation:
                                   transpose_inner="golub_kahan"))
         assert build_poles(config) is None
 
+    @pytest.mark.parametrize("overrides", [
+        {"reorthogonalize": False},
+        {"method": "transpose_trick", "transpose_inner": "golub_kahan", "reorthogonalize": False},
+        {"method": "rational_short", "poles": {"kind": "shift_invert"}, "compare_full": True},
+    ], ids=["gk_reorthogonalize", "transpose_gk_reorthogonalize", "short_compare_full"])
+    def test_keys_accepted_where_read(self, overrides):
+        config = parse_config(cfg(**overrides))
+        for key in overrides.keys() - {"poles"}:
+            assert getattr(config, key) == overrides[key], key
+
+    def test_unread_keys_named(self):
+        raw = cfg(method="transpose_trick", poles={"kind": "shift_invert"},
+                  compare_full=False, reorthogonalize=True)
+        with pytest.raises(ConfigError, match=r"method 'transpose_trick' with transpose_inner "
+                           r"'rational_full' does not read config keys "
+                           r"\['compare_full', 'reorthogonalize'\]"):
+            parse_config(raw)
+
     @staticmethod
     def sized(m, n, **overrides):
         raw = cfg(**overrides)
@@ -124,8 +142,9 @@ class TestConfigValidation:
                                                   ("transpose_trick", 12, 20, "rational_short"),
                                                   ("transpose_trick", 20, 12, "golub_kahan")])
     def test_zero_pole_with_nonsingular_gram_accepted(self, method, m, n, inner):
-        parse_config(self.sized(m, n, method=method, poles={"kind": "extended"},
-                                transpose_inner=inner))
+        # transpose_inner is given only where the method reads it
+        given = {"transpose_inner": inner} if method == "transpose_trick" else {}
+        parse_config(self.sized(m, n, method=method, poles={"kind": "extended"}, **given))
 
 
 class TestEmitDat:
@@ -292,9 +311,25 @@ class TestCli:
         {"k_max": 5.9},
         {"reorthogonalize": "false"},
         {"name": "../escaped"},
+        # keys the method never reads
+        {"compare_full": True},
+        {"method": "rational_full", "poles": {"kind": "shift_invert"}, "compare_full": True},
+        {"method": "transpose_trick", "transpose_inner": "rational_short",
+         "poles": {"kind": "shift_invert"}, "compare_full": False},
+        {"method": "rational_full", "poles": {"kind": "shift_invert"}, "reorthogonalize": False},
+        {"method": "rational_short", "poles": {"kind": "shift_invert"}, "reorthogonalize": True},
+        {"method": "transpose_trick", "poles": {"kind": "shift_invert"},
+         "reorthogonalize": False},
+        {"transpose_inner": "gk"},
+        {"method": "rational_full", "poles": {"kind": "shift_invert"},
+         "transpose_inner": "rational_full"},
     ], ids=["k_max_string", "seed_list", "matrix_m_string", "function_number",
             "pole_path_number", "xi_string", "seed_negative", "k_max_float",
-            "reorthogonalize_string", "name_with_directory"])
+            "reorthogonalize_string", "name_with_directory", "compare_full_with_gk",
+            "compare_full_with_rational_full", "compare_full_with_transpose_trick",
+            "reorthogonalize_with_rational_full", "reorthogonalize_with_rational_short",
+            "reorthogonalize_with_rational_transpose_inner", "transpose_inner_with_gk",
+            "transpose_inner_with_rational_full"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
         # refused by the parser: no traceback, no silent truncation or
         # coercion, and nothing written inside or outside the output directory

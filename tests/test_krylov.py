@@ -256,6 +256,13 @@ class TestBorderedSvd:
         op, b = explicit_profile_problem(values[::-1], 400, 400, 2)
         self.check(gk_bidiagonal(op, b, 60))
 
+    def test_short_recurrence_columns(self):
+        # the dense quasiseparable B_k of the short recurrence at benchmark
+        # scale: every column is full, not one bidiagonal entry
+        op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
+        _, B, _ = rgk_run(F, op, b, si_optimal_pole(0.1, 10.0, 120), 120)
+        self.check(B.dense())
+
     def test_breakdown_column(self):
         # rank 4: GK breaks down at k = 5 with the final column (beta_4, 0)
         op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
