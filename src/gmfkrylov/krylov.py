@@ -219,8 +219,10 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     the columns of P produced so far and z = f◇(B_{k-1}) e_1 (None at k = 1 or
     without evaluation), it returns (p_k, column k of B_k), or
     None once the engine stops (breakdown or invariance). With
-    ``evaluate=False`` no y_k is formed; ``drift=True`` also records the
-    orthogonality drift ||I - P_k^T P_k||_2. Returns (ys, trace).
+    ``evaluate=False`` no y_k is formed; ``drift=True`` also builds P_k^T P_k,
+    one O(rows k) column per step, and hands it to the trace, whose
+    ``orthogonality_drift`` takes ||I - P_k^T P_k||_2 when first read.
+    Returns (ys, trace).
     """
     k_max = int(k_max)
     if k_max < 1:
@@ -230,30 +232,31 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None
     svd = BorderedSvd()
-    ys, drifts, z = [], [], None
-    for k in range(1, k_max + 1):
-        column = step(P[:, :k - 1], z)
+    ys, z, k = [], None, 0
+    while k < k_max:
+        column = step(P[:, :k], z)
         if column is None:
             break
+        k += 1
         P[:, k - 1], B[:k, k - 1] = column
         if drift:
             gram[:k, k - 1] = gram[k - 1, :k] = P[:, :k].T @ P[:, k - 1]
-            drifts.append(float(np.linalg.norm(np.eye(k) - gram[:k, :k], 2)))
         if evaluate:
             z = svd.update(B[:k, k - 1], f) if svd is not None else None
             if z is None:       # the dense SVD of B_k from here on
                 svd = None
                 z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
             ys.append(nb * (P[:, :k] @ z))
-    return ys, error_trace(ys, reference, drifts)
+    return ys, error_trace(ys, reference, None if gram is None else gram[:k, :k])
 
 
-def error_trace(ys, reference=None, drift=()):
-    """Trace over k = 1, 2, ...: the relative error of each y_k, and the drift."""
-    trace = ConvergenceTrace()
-    for k in range(1, max(len(ys), len(drift)) + 1):
+def error_trace(ys, reference=None, gram=None):
+    """Trace over k = 1, 2, ...: the relative error of each y_k, and the
+    basis Gram matrix ``gram`` (k by k after k steps) the drift is read from."""
+    trace = ConvergenceTrace(gram=gram)
+    for k in range(1, max(len(ys), 0 if gram is None else len(gram)) + 1):
         err = None
         if reference is not None and k <= len(ys):
             err = relative_error(ys[k - 1], reference)
-        trace.record(k, error=err, drift=drift[k - 1] if drift else None)
+        trace.record(k, error=err)
     return trace

@@ -112,15 +112,15 @@ class LinearOperator:
         return self._gram
 
     def _gram_factor(self, xi):
-        fac = self._gram_factors.get(xi)
-        if fac is None:
+        """LU of the formed A^T A - xi I, cached per xi; None if a pivot is 0."""
+        if xi not in self._gram_factors:
             # one Fortran-ordered copy, shifted on its diagonal and factored
             # in place: the LU is that of G - xi I without an n-by-n identity
             shifted = np.array(self.gram_matrix(), order="F")
             shifted.flat[::self.cols + 1] -= xi
-            fac = scipy.linalg.lu_factor(shifted, overwrite_a=True, check_finite=False)
-            self._gram_factors[xi] = fac
-        return fac
+            lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
+            self._gram_factors[xi] = None if info else (lu, piv)
+        return self._gram_factors[xi]
 
 
 def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
@@ -131,16 +131,20 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     at most four passes on the true residual. Each pass asks the inner solver
     for ``0.5 * rtol * ||v||`` and no smaller; a pass that does not lower the
     true residual ends the refinement and the best iterate is kept. Each
-    return costs one Gram product for its residual check; a residual above
-    ``rtol * ||v||`` raises :class:`SolveFailure` (the shift is singular or
-    too close to the spectrum of A^T A, or the iteration did not converge).
-    ``rtol`` must lie in (0, 1). Only ``rational_gmf_approximate`` relaxes
-    it, on matrix-free operators, to min(1e-5, GRAM_SOLVE_RTOL ||z|| /
-    |z_last|); its docstring bounds the error this adds to each later y_k.
+    return checks its residual: on a dense payload against the cached A^T A
+    that was factored (one n-by-n product, the LU's backward error), else
+    with two operator products. A residual above ``rtol * ||v||`` raises
+    :class:`SolveFailure` (the shift is singular or too close to the
+    spectrum of A^T A, or the iteration did not converge). ``xi`` must be
+    finite and ``rtol`` must lie in (0, 1). Only ``rational_gmf_approximate``
+    relaxes ``rtol``, on matrix-free operators, to min(1e-5, GRAM_SOLVE_RTOL
+    ||z|| / |z_last|); its docstring bounds the error this adds to each later y_k.
     """
     if not 0.0 < rtol < 1.0:
         raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
     xi = float(xi)
+    if not np.isfinite(xi):
+        raise ArgumentError(f"shift xi must be finite, got {xi}")
     v = np.asarray(v, dtype=float)
     if v.shape != (op.cols,):
         raise ArgumentError(f"expected vector of length {op.cols}")
@@ -151,9 +155,10 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
         return np.zeros(op.cols)
 
     if op.dense is not None:
-        x = scipy.linalg.lu_solve(op._gram_factor(xi), v, check_finite=False)
-        r = op.gram_apply(x) - xi * x - v
-        residual = np.linalg.norm(r)
+        fac, residual = op._gram_factor(xi), np.inf
+        if fac is not None:
+            x = scipy.linalg.lu_solve(fac, v, check_finite=False)
+            residual = np.linalg.norm(op.gram_matrix() @ x - xi * x - v)
     else:
         def shifted_mv(y):
             return op.gram_apply(y) - xi * y

@@ -16,8 +16,8 @@ so only two inner products are needed. The companion basis q_k comes from the
 short (two-column) rational Lanczos recurrence on A^T A with the same poles.
 ``rgk_run`` grows the dense B_k one column per step by the same rank-one
 recursion (``reconstruct_dense`` applies it to all columns at once) and hands
-p_k and that column to the shared approximation loop, which also records the
-orthogonality drift of P_k.
+p_k and that column to the shared approximation loop, which also builds
+P_k^T P_k for the orthogonality drift of P_k.
 """
 
 from dataclasses import dataclass, field
@@ -146,9 +146,10 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
     The recurrence itself keeps two p-columns, two q-columns and x_k; the
     produced P columns go to the shared loop's write-once output array because
     the approximation y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
-    re-orthogonalized). The trace records the orthogonality drift
-    ||I - P_k^T P_k|| per iteration, and relative errors when a reference is
-    supplied. Returns (ys, B, trace).
+    re-orthogonalized). The trace records relative errors when a reference is
+    supplied, and holds P_k^T P_k: its ``orthogonality_drift``
+    ||I - P_k^T P_k||_2 per iteration is computed when first read. Returns
+    (ys, B, trace).
     """
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="short")
     B = QuasiseparableUpper()

@@ -9,13 +9,20 @@ from .errors import ArgumentError
 
 @dataclass
 class ConvergenceTrace:
-    """Iteration indices with relative errors and optional diagnostics."""
+    """Iteration indices with relative errors and optional diagnostics.
+
+    ``gram`` is P^T P for the basis of an engine that does not keep it
+    orthonormal, else None. ``orthogonality_drift`` lists ||I - P_k^T P_k||_2
+    for every k from its leading blocks: one SVD per k, taken on the first
+    read and kept, so a caller who never reads it does not pay for it.
+    """
 
     ks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    orthogonality_drift: list = field(default_factory=list)
+    gram: np.ndarray = field(default=None, repr=False, compare=False)
+    _drift: list = field(default=None, init=False, repr=False, compare=False)
 
-    def record(self, k, error=None, drift=None):
+    def record(self, k, error=None):
         if self.ks and k <= self.ks[-1]:
             raise ArgumentError("iteration indices must be strictly increasing")
         self.ks.append(int(k))
@@ -23,8 +30,14 @@ class ConvergenceTrace:
             if error < 0:
                 raise ArgumentError("errors must be nonnegative")
             self.errors.append(float(error))
-        if drift is not None:
-            self.orthogonality_drift.append(float(drift))
+
+    @property
+    def orthogonality_drift(self):
+        if self._drift is None:
+            G = self.gram
+            self._drift = [] if G is None else [
+                float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)) for k in range(1, len(G) + 1)]
+        return self._drift
 
     def pairs(self, which="errors"):
         values = getattr(self, which if which != "drift" else "orthogonality_drift")

@@ -48,6 +48,10 @@ class TestApply:
         assert adjointness_defect(op) <= 1e-12
 
 
+SHAPES = [pytest.param(60, 40, id="tall"), pytest.param(40, 40, id="square"),
+          pytest.param(40, 60, id="wide")]
+
+
 class TestShiftedGramSolve:
     def test_identity_shift(self):
         op = LinearOperator.from_dense(np.eye(3))
@@ -155,6 +159,51 @@ class TestShiftedGramSolve:
         G = op.dense.T @ op.dense
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(G - xi * np.eye(50)), b)
         assert np.array_equal(solve_shifted_gram(op, xi, b), expected)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, xi):
+        # before any factor or iteration: a NaN key never hits the factor cache
+        op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
+        A = op.dense
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return A @ v
+
+        mf = LinearOperator.from_callables(20, 20, matvec, lambda u: A.T @ u)
+        for operator in (op, mf):
+            with pytest.raises(ArgumentError, match="xi"):
+                solve_shifted_gram(operator, xi, b)
+            assert operator._gram_factors == {}
+        assert not calls
+
+    # the dense check multiplies by the cached A^T A that was factored, so it
+    # measures the LU's backward error; these tests judge it with A itself
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_dense_check_fails_on_squared_singular_value(self, m, n):
+        op, b = seeded_problem(m, n, "logspace", 0.5, 4.0, 13)
+        sigma = op.factors[1]
+        for j in (0, sigma.size // 2, sigma.size - 1):
+            with pytest.raises(SolveFailure):
+                solve_shifted_gram(op, float(sigma[j] ** 2), b)
+
+    def test_dense_check_fails_on_rank_deficient_zero_shift(self):
+        values = np.concatenate([np.logspace(0.5, -0.5, 35), np.zeros(5)])
+        op, b = explicit_profile_problem(values, 40, 40, 13)
+        with pytest.raises(SolveFailure):
+            solve_shifted_gram(op, 0.0, b)
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_dense_check_passes_off_the_spectrum(self, m, n):
+        # a negative shift, and the middle of a gap between squared singular values
+        op, b = seeded_problem(m, n, "logspace", 0.5, 4.0, 13)
+        A, sigma = op.dense, op.factors[1]
+        j = sigma.size // 2
+        for xi in (-1.0, float(sigma[j] ** 2 + sigma[j + 1] ** 2) / 2):
+            x = solve_shifted_gram(op, xi, b)
+            residual = np.linalg.norm(A.T @ (A @ x) - xi * x - b)
+            assert residual <= GRAM_SOLVE_RTOL * np.linalg.norm(b)
 
 
 class TestHaar:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from gmfkrylov import (LinearOperator, PoleSequence, QuasiseparableUpper, builtin,
                        extended_poles, gk_init, gk_step, gmf_apply_reference,
                        polynomial_poles, project, rational_arnoldi,
                        rational_gmf_approximate, reconstruct_dense, rgk_run,
-                       rgk_step, si_optimal_pole)
+                       rgk_step, short_recurrence, si_optimal_pole)
 
 from conftest import seeded_problem
 
@@ -192,3 +194,97 @@ class TestFallback:
         from gmfkrylov import ArgumentError
         with pytest.raises(ArgumentError):
             rgk_step(op, q3, p2, p1, b1 * p1, 0.0)
+
+
+def _stored_columns(monkeypatch):
+    """The p_k of every short-recurrence step, in order."""
+    ps, step = [], short_recurrence.rgk_step
+
+    def recorded(*args, **kwargs):
+        out = step(*args, **kwargs)
+        ps.append(out[0])
+        return out
+
+    monkeypatch.setattr(short_recurrence, "rgk_step", recorded)
+    return ps
+
+
+def _count_svds(monkeypatch):
+    """Count every SVD and every 2-norm of a 2-d array the package takes."""
+    counts = {"svd": 0}
+    norm = np.linalg.norm
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["svd"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            counts["svd"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", counted(scipy.linalg.svd))
+    return counts
+
+
+class TestLazyDrift:
+    """The drift ||I - P_k^T P_k||_2 is taken when the trace is first read."""
+    K = 20
+
+    def run(self, monkeypatch, evaluate):
+        op, b = seeded_problem(60, 60, "logspace", 0.5, 4.0, 21)
+        ps = _stored_columns(monkeypatch)
+        counts = _count_svds(monkeypatch)
+        _, _, trace = rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K),
+                              self.K, evaluate=evaluate)
+        assert len(ps) == len(trace.ks) == self.K
+        return ps, counts, trace
+
+    @pytest.mark.parametrize("evaluate", [True, False])
+    def test_no_svd_until_read(self, monkeypatch, evaluate):
+        _, counts, trace = self.run(monkeypatch, evaluate)
+        assert counts["svd"] == 0
+        drift = trace.orthogonality_drift
+        assert counts["svd"] == self.K
+        assert trace.orthogonality_drift is drift and counts["svd"] == self.K
+
+    @pytest.mark.parametrize("evaluate", [True, False])
+    def test_values_are_the_two_norm_of_the_defect(self, monkeypatch, evaluate):
+        # P_k^T P_k grown one column P_k^T p_k per step from a Fortran-ordered
+        # P, as the loop grows it (one P_k^T P_k product rounds differently)
+        ps, _, trace = self.run(monkeypatch, evaluate)
+        P = np.array(ps).T
+        G = np.zeros((self.K, self.K))
+        expected = []
+        for k in range(1, self.K + 1):
+            G[:k, k - 1] = G[k - 1, :k] = P[:, :k].T @ P[:, k - 1]
+            expected.append(float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)))
+        assert trace.orthogonality_drift == expected
+        assert trace.pairs("drift") == list(zip(range(1, self.K + 1), expected))
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 30), tall=st.booleans(),
+       pole_kind=st.sampled_from(["si", "distinct_negative"]), k=st.integers(1, 5))
+def test_short_equals_full_for_small_k(seed, n, tall, pole_kind, k):
+    # the short recurrence loses orthogonality only gradually: over the first
+    # few steps both engines span the same space through the same dense solves
+    rng = np.random.default_rng(seed)
+    lo = 10.0 ** rng.uniform(-1.0, 0.0)
+    hi = lo * 10.0 ** rng.uniform(0.3, 2.0)
+    m = n + int(rng.integers(1, n + 1)) if tall else n
+    op, b = seeded_problem(m, n, "logspace", lo, hi, seed)
+    if pole_kind == "si":
+        poles = si_optimal_pole(lo, hi, k)
+    else:
+        poles = PoleSequence(tuple(-lo * hi * 10.0 ** rng.uniform(-2.0, 2.0, k)))
+    f = builtin("sqrt")
+    ys_s, _, _ = rgk_run(f, op, b, poles, k)
+    ys_f, _ = rational_gmf_approximate(f, op, b, poles, k)
+    assert len(ys_s) == len(ys_f) == k
+    for y_s, y_f in zip(ys_s, ys_f):
+        assert np.linalg.norm(y_s - y_f) <= 1e-10 * np.linalg.norm(y_f)
