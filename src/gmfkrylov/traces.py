@@ -1,26 +1,26 @@
 """Per-iteration convergence records shared by the methods and the harness."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvergenceTrace:
     """Iteration indices with relative errors and optional diagnostics.
 
-    ``gram`` is P^T P for the basis of an engine that does not keep it
-    orthonormal, else None. ``orthogonality_drift`` lists ||I - P_k^T P_k||_2
-    for every k from its leading blocks: one SVD per k, taken on the first
-    read and kept, so a caller who never reads it does not pay for it.
+    ``gram`` is P^T P for a basis that is not kept orthonormal, else None.
+    ``orthogonality_drift`` lists ||I - P_k^T P_k||_2 for every k, one SVD
+    per k taken on the first read and kept, so a caller who never reads it
+    pays nothing. Equality compares ks, errors and the drift.
     """
 
     ks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    gram: np.ndarray = field(default=None, repr=False, compare=False)
-    _drift: list = field(default=None, init=False, repr=False, compare=False)
+    gram: np.ndarray = field(default=None, repr=False)
 
     def record(self, k, error=None):
         if self.ks and k <= self.ks[-1]:
@@ -31,13 +31,16 @@ class ConvergenceTrace:
                 raise ArgumentError("errors must be nonnegative")
             self.errors.append(float(error))
 
-    @property
+    @cached_property
     def orthogonality_drift(self):
-        if self._drift is None:
-            G = self.gram
-            self._drift = [] if G is None else [
-                float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)) for k in range(1, len(G) + 1)]
-        return self._drift
+        G = self.gram
+        return [] if G is None else [
+            float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)) for k in range(1, len(G) + 1)]
+
+    def __eq__(self, other):
+        return isinstance(other, ConvergenceTrace) and (
+            (self.ks, self.errors, self.orthogonality_drift)
+            == (other.ks, other.errors, other.orthogonality_drift))
 
     def pairs(self, which="errors"):
         values = getattr(self, which if which != "drift" else "orthogonality_drift")

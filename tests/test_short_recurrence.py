@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from gmfkrylov import (LinearOperator, PoleSequence, QuasiseparableUpper, builtin,
-                       extended_poles, gk_init, gk_step, gmf_apply_reference,
+from gmfkrylov import (ConvergenceTrace, LinearOperator, PoleSequence,
+                       QuasiseparableUpper, builtin, extended_poles, gk_init,
+                       gk_step, gmf_apply_reference,
                        polynomial_poles, project, rational_arnoldi,
                        rational_gmf_approximate, reconstruct_dense, rgk_run,
                        rgk_step, short_recurrence, si_optimal_pole)
@@ -265,6 +266,15 @@ class TestLazyDrift:
             expected.append(float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)))
         assert trace.orthogonality_drift == expected
         assert trace.pairs("drift") == list(zip(range(1, self.K + 1), expected))
+
+    def test_equality_compares_the_drift(self, monkeypatch):
+        _, _, trace = self.run(monkeypatch, True)
+        same = ConvergenceTrace(list(trace.ks), list(trace.errors), trace.gram.copy())
+        assert same == trace
+        other = ConvergenceTrace(list(trace.ks), list(trace.errors), trace.gram.copy())
+        other.gram[0, 0] += 1e-3
+        assert other != trace
+        assert ConvergenceTrace(list(trace.ks), list(trace.errors)) != trace
 
 
 @settings(max_examples=200)
