@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import Rows, approximation_loop, cgs2, normalize, start_vector
+from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
+                     start_vector)
 
 
 @dataclass
@@ -97,6 +98,7 @@ def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
     run goes on past invariance. When a reference vector is supplied the trace
     records relative 2-norm errors.
     """
+    k_max = require_inputs(op, b, k_max, reference)
     state = gk_init(b)
 
     def step(P, _z):

@@ -92,6 +92,31 @@ def start_vector(b):
     return b / nb, nb
 
 
+def require_inputs(op, b, k_max, reference=None):
+    """k_max as an int, once b is a finite vector of length n, the reference
+    (if given) a finite vector of length m and k_max a positive integer: every
+    engine checks these before its first operator product."""
+    _require_vector("b", b, op.cols)
+    if reference is not None:
+        _require_vector("reference", reference, op.rows)
+    try:
+        k = int(k_max)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != k_max or k < 1:
+        raise ArgumentError(f"k_max must be a positive integer, got {k_max!r}")
+    return k
+
+
+def _require_vector(name, x, size):
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (size,) or not np.all(np.isfinite(x)):
+        raise ArgumentError(f"{name} must be a finite vector of length {size}")
+
+
 def normalize(w, scale):
     """(w/||w||, ||w||), or (0, 0.0) when ||w|| <= BREAKDOWN_RTOL * scale."""
     nw = float(np.linalg.norm(w))
@@ -224,9 +249,6 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
     ``orthogonality_drift`` takes ||I - P_k^T P_k||_2 when first read.
     Returns (ys, trace).
     """
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ArgumentError("k_max must be >= 1")
     _, nb = start_vector(b)
     P = np.zeros((rows, k_max), order="F")
     B = np.zeros((k_max, k_max), order="F")

@@ -133,7 +133,10 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
     true residual ends the refinement and the best iterate is kept. Each
     return checks its residual: on a dense payload against the cached A^T A
     that was factored (one n-by-n product, the LU's backward error), else
-    with two operator products. A residual above ``rtol * ||v||`` raises
+    with two operator products. Every solve of the package goes through here
+    except one: ``GramLanczos`` solves a short, dense, repeated-pole step
+    through the LU alone and checks it against A with the products of the
+    next basis vector. A residual above ``rtol * ||v||`` raises
     :class:`SolveFailure` (the shift is singular or too close to the
     spectrum of A^T A, or the iteration did not converge). ``xi`` must be
     finite and ``rtol`` must lie in (0, 1). Only ``rational_gmf_approximate``
@@ -155,10 +158,8 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
         return np.zeros(op.cols)
 
     if op.dense is not None:
-        fac, residual = op._gram_factor(xi), np.inf
-        if fac is not None:
-            x = scipy.linalg.lu_solve(fac, v, check_finite=False)
-            residual = np.linalg.norm(op.gram_matrix() @ x - xi * x - v)
+        x = _lu_solve_gram(op, xi, v, rtol)
+        residual = np.linalg.norm(op.gram_matrix() @ x - xi * x - v)
     else:
         def shifted_mv(y):
             return op.gram_apply(y) - xi * y
@@ -180,11 +181,25 @@ def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
             if residual <= target:
                 break
 
-    if not residual <= rtol * nv:
+    _require_residual(residual, nv, rtol, xi)
+    return x
+
+
+def _lu_solve_gram(op, xi, v, rtol):
+    """x with (A^T A - xi I) x = v from the cached dense LU, its residual left
+    to the caller; an exactly zero pivot fails as an infinite residual."""
+    fac = op._gram_factor(xi)
+    if fac is None:
+        _require_residual(np.inf, np.linalg.norm(v), rtol, xi)
+    return scipy.linalg.lu_solve(fac, v, check_finite=False)
+
+
+def _require_residual(residual, v_norm, rtol, xi):
+    """Raise SolveFailure unless a shifted solve's residual is <= rtol * ||v||."""
+    if not residual <= rtol * v_norm:
         raise SolveFailure(
             f"shifted Gram solve residual {residual:.3e} exceeds "
             f"{rtol:.1e}*||v||; xi={xi} may be too close to the spectrum of A^T A")
-    return x
 
 
 @dataclass(frozen=True)

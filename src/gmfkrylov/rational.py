@@ -35,8 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import Rows, approximation_loop, cgs2, normalize, start_vector
-from .operators import GRAM_SOLVE_RTOL, solve_shifted_gram
+from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
+                     start_vector)
+from .operators import (GRAM_SOLVE_RTOL, _lu_solve_gram, _require_residual,
+                        solve_shifted_gram)
 from .poles import PoleSequence, require_poles
 
 ZERO_POLE_WINDOW = 6
@@ -61,6 +63,13 @@ class GramLanczos:
     v = 0 in the windowed step and u, v read off the module's three-term step.
     Cleaning writes w = Q_{j+1} c, c = (coefficients, b_j), so k = u + delta c
     and h = v + c. A zero pole solves M w = q_j, so k = c and h = e_j.
+
+    Every shifted solve is checked by ``solve_shifted_gram`` except in a short,
+    unwindowed step on a dense payload whose pole repeats the previous one.
+    There y1 = -q_j and nothing is cleaned, so b_j q_{j+1} = y0 - a_j q_j: y0
+    is solved through the cached LU alone, and once q_{j+1} exists the step
+    forms A q_{j+1} and M q_{j+1}, which the P side and the next step reuse,
+    and checks ||b_j M q_{j+1} + a_j M q_j - xi y0 - rhs|| <= rtol ||rhs||.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -80,6 +89,7 @@ class GramLanczos:
         self.d_prev = 0.0          # delta_{j-1}
         self.count = 1             # basis vectors produced so far
         self._Aq = None            # A q_j, formed at most once
+        self._Mq = None            # M q_j = A^T (A q_j), when a check formed it
 
         # every column in full mode, else the window zero-pole steps clean against
         self.columns = Rows(None if self.full else ZERO_POLE_WINDOW)
@@ -113,23 +123,26 @@ class GramLanczos:
         xi = self.poles[j - 1]
         d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
         u, v = np.zeros(j + 1), np.zeros(j + 1)
+        # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
+        repeat = d_new != 0.0 and d_new == self.d_cur
+        deferred = repeat and not (self.full or self.windowed) and self.op.dense is not None
 
         if self.windowed:
             u[j - 1] = 1.0
             w = self._raw_candidate(xi, rtol)
             scale = np.linalg.norm(w)
         else:
-            Mq = self.op.applyt(self.apply_q())
+            Mq = self.op.applyt(self.apply_q()) if self._Mq is None else self._Mq
             t0 = Mq + (self.d_prev * self.b_prev) * self.Mq_prev \
                 - self.b_prev * self.q_prev
             t1 = self.d_cur * Mq - self.q
             if d_new == 0.0:
                 y0, y1 = t0, t1
             else:
-                y0 = solve_shifted_gram(self.op, xi, -xi * t0, rtol)
-                # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
-                y1 = (-self.q if d_new == self.d_cur
-                      else solve_shifted_gram(self.op, xi, -xi * t1, rtol))
+                rhs = -xi * t0
+                y0 = (_lu_solve_gram(self.op, xi, rhs, rtol) if deferred
+                      else solve_shifted_gram(self.op, xi, rhs, rtol))
+                y1 = -self.q if repeat else solve_shifted_gram(self.op, xi, -xi * t1, rtol)
             denom = self.q @ y1
             if abs(denom) <= np.finfo(float).tiny:
                 self.breakdown = True
@@ -146,6 +159,17 @@ class GramLanczos:
             w, coeffs = cgs2(self.columns.filled.T, w)
             c[j - coeffs.size:j] = coeffs
         q_new, b_new = normalize(w, scale)
+        Aq_new = Mq_new = None
+        if deferred:
+            # M y0 = b_j M q_{j+1} + a_j M q_j, from the products of q_{j+1} that
+            # the P side and the next step use (none at breakdown)
+            My0 = a_j * Mq
+            if b_new:
+                Aq_new = self.op.apply(q_new)
+                Mq_new = self.op.applyt(Aq_new)
+                My0 = b_new * Mq_new + My0
+            _require_residual(np.linalg.norm(My0 - xi * y0 - rhs),
+                              np.linalg.norm(rhs), rtol, xi)
         if b_new == 0.0:
             self.breakdown = True
             return None
@@ -159,7 +183,8 @@ class GramLanczos:
             self._h_cols.append(v + c)
         self.b_prev = b_new
         self.d_prev, self.d_cur = self.d_cur, d_new
-        self.q_prev, self.q, self._Aq = self.q, q_new, None
+        self.q_prev, self.q = self.q, q_new
+        self._Aq, self._Mq = Aq_new, Mq_new
         self.count += 1
         self.columns.append(q_new)
         return q_new
@@ -265,6 +290,7 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     recurrence needs the exact pencil) and ``rational_arnoldi`` keep
     GRAM_SOLVE_RTOL.
     """
+    k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")
 
     def step(P, z):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .golub_kahan import gk_approximate
-from .krylov import error_trace
+from .krylov import error_trace, require_inputs
 from .rational import rational_gmf_approximate
 from .short_recurrence import rgk_run
 
@@ -53,6 +53,7 @@ def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
         raise ArgumentError(f"method must be one of {tuple(ENGINES)}")
     if op.dense is None:
         raise ArgumentError("the transpose trick needs a dense payload at desk scale")
+    k_max = require_inputs(op, b, k_max, reference)
     b = np.asarray(b, dtype=float)
 
     op_t = op.transpose()

@@ -111,6 +111,39 @@ def test_engines_reject_bad_input_with_argument_error(engine, case):
         ENGINES[engine](op, b, *args)
 
 
+CHECKED_INPUTS = {
+    "b_of_length_m": lambda b, ref: (np.ones(30), ref, 4),
+    "b_as_a_column": lambda b, ref: (b[:, None], ref, 4),
+    "b_with_inf": lambda b, ref: (np.where(np.arange(20) == 3, np.inf, b), ref, 4),
+    "reference_of_length_7": lambda b, ref: (b, ref[:7], 4),
+    "reference_all_nan": lambda b, ref: (b, np.full(30, np.nan), 4),
+    "reference_as_a_row": lambda b, ref: (b, ref[None, :], 4),
+    "k_max=2.5": lambda b, ref: (b, ref, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", CHECKED_INPUTS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_check_inputs_before_any_product(engine, case):
+    # b must be a finite vector of length n, the reference one of length m and
+    # k_max an integer; each is refused before A or A^T is applied once
+    op, b = seeded_problem(30, 20, "logspace", 0.5, 3.0, 0)
+    ref = gmf_apply_reference(F, op.dense, b)
+    products = []
+    matvec, rmatvec = op._matvec, op._rmatvec
+    op._matvec = lambda v: products.append("A") or matvec(v)
+    op._rmatvec = lambda u: products.append("At") or rmatvec(u)
+    b, ref, k_max = CHECKED_INPUTS[case](b, ref)
+    poles = si_optimal_pole(0.5, 3.0, 6)
+    with pytest.raises(ArgumentError):
+        if engine.startswith("transpose_"):
+            gmf_via_transpose(F, op, b, engine.removeprefix("transpose_"), poles=poles,
+                              k_max=k_max, reference=ref)
+        else:
+            TABLE[engine](F, op, b, poles, k_max, reference=ref)
+    assert products == []
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engines_take_start_vectors_whose_norm_over_or_underflows(engine, scale):

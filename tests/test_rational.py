@@ -222,14 +222,23 @@ class TestOneSolvePerStep:
                              ids=["short", "full"])
     def test_repeated_pole_counts(self, monkeypatch, engine):
         # one solve per step (two at the first), A q_j formed once and shared
-        # with M q_j = A^T (A q_j); on a dense payload each solve's residual
-        # check multiplies by the cached A^T A and takes no operator product
+        # with M q_j = A^T (A q_j). On a dense payload a checked solve
+        # multiplies by the cached A^T A and takes no operator product. The
+        # short recurrence's repeated-pole steps solve through the LU alone and
+        # check with A q_{j+1} and M q_{j+1}, which the next step reuses, so
+        # that engine also forms M q_K
         op, b = seeded_problem(40, 40, "logspace", 0.5, 3.0, 11)
         counts = _count_operations(monkeypatch, op)
+        lu_solves, lu_solve = [], rational._lu_solve_gram
+        monkeypatch.setattr(rational, "_lu_solve_gram",
+                            lambda *args: lu_solves.append(1) or lu_solve(*args))
         ys = engine(builtin("sqrt"), op, b, si_optimal_pole(0.5, 3.0, self.K),
                     self.K)[0]
         assert len(ys) == self.K
-        assert counts == {"apply": self.K, "applyt": self.K - 1, "solve": self.K}
+        short = engine is rgk_run
+        assert counts == {"apply": self.K, "applyt": self.K if short else self.K - 1,
+                          "solve": 2 if short else self.K}
+        assert counts["solve"] + len(lu_solves) == self.K
 
     @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
                              ids=["short", "full"])

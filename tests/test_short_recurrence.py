@@ -4,11 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from gmfkrylov import (ConvergenceTrace, LinearOperator, PoleSequence,
-                       QuasiseparableUpper, builtin, extended_poles, gk_init,
-                       gk_step, gmf_apply_reference,
-                       polynomial_poles, project, rational_arnoldi,
+                       QuasiseparableUpper, ScalarFunction, SolveFailure, builtin,
+                       extended_poles, gk_init, gk_step, gmf_apply_reference,
+                       polynomial_poles, project, rational, rational_arnoldi,
                        rational_gmf_approximate, reconstruct_dense, rgk_run,
                        rgk_step, short_recurrence, si_optimal_pole)
+from gmfkrylov.operators import _lu_solve_gram
 
 from conftest import seeded_problem
 
@@ -298,3 +299,124 @@ def test_short_equals_full_for_small_k(seed, n, tall, pole_kind, k):
     assert len(ys_s) == len(ys_f) == k
     for y_s, y_f in zip(ys_s, ys_f):
         assert np.linalg.norm(y_s - y_f) <= 1e-10 * np.linalg.norm(y_f)
+
+
+SHAPES = [(60, 40), (40, 40), (40, 60)]
+
+
+def _record(monkeypatch, name, keep):
+    """Wrap rational.<name>; keep(args, result) is appended to the returned list
+    for every call the engines make through that name."""
+    calls, fn = [], getattr(rational, name)
+
+    def recorded(*args):
+        out = fn(*args)
+        calls.append(keep(args, out))
+        return out
+
+    monkeypatch.setattr(rational, name, recorded)
+    return calls
+
+
+class TestRepeatedPoleCheck:
+    """A short step on a dense payload whose pole repeats solves through the
+    LU alone and checks y0 with the products of q_{j+1} the next step uses."""
+    K = 12
+
+    @pytest.fixture(params=SHAPES, ids=["tall", "square", "wide"])
+    def problem(self, request):
+        m, n = request.param
+        return seeded_problem(m, n, "logspace", 0.5, 4.0, 31)
+
+    def test_checked_residuals_are_those_through_a(self, monkeypatch, problem):
+        op, b = problem
+        solves = _record(monkeypatch, "_lu_solve_gram", lambda a, x: (a[1], a[2], x))
+        checks = _record(monkeypatch, "_require_residual", lambda a, _: a[0] / a[1])
+        rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K), self.K)
+        assert len(solves) == len(checks) == self.K - 2
+        A = op.dense
+        for (xi, rhs, y0), checked in zip(solves, checks):
+            direct = np.linalg.norm(A.T @ (A @ y0) - xi * y0 - rhs) / np.linalg.norm(rhs)
+            assert abs(checked - direct) <= 1e-12
+
+    @pytest.mark.parametrize("j", ["first", "middle", "last"])
+    def test_pole_at_a_squared_singular_value_fails(self, problem, j):
+        op, b = problem
+        sigma = op.factors[1]
+        xi = sigma[{"first": 0, "middle": sigma.size // 2, "last": -1}[j]] ** 2
+        with pytest.raises(SolveFailure):
+            rgk_run(builtin("sqrt"), op, b, PoleSequence((xi,) * self.K), self.K)
+
+    def test_exactly_zero_pivot_fails(self):
+        # A^T A - 4 I is diagonal with an exact zero: the LU has a zero pivot
+        op = LinearOperator.from_dense(np.diag([3.0, 2.0, 1.0, 0.5]))
+        with pytest.raises(SolveFailure, match="residual inf"):
+            rgk_run(builtin("sqrt"), op, np.ones(4), PoleSequence((4.0,) * 4), 4)
+        with pytest.raises(SolveFailure, match="residual inf"):
+            _lu_solve_gram(op, 4.0, np.ones(4), 1e-10)
+
+    @pytest.mark.parametrize("error", [1e-12, 1e-8])
+    def test_a_perturbed_solve_is_caught(self, monkeypatch, problem, error):
+        # scaling y0 by 1 + e adds e ||rhs|| to its residual: the check, at
+        # 1e-10 ||rhs||, must pass the first and refuse the second
+        op, b = problem
+        solve = rational._lu_solve_gram
+        monkeypatch.setattr(rational, "_lu_solve_gram",
+                            lambda *args: (1.0 + error) * solve(*args))
+        run = lambda: rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K),
+                              self.K)
+        if error < 1e-10:
+            assert len(run()[0]) == self.K
+        else:
+            with pytest.raises(SolveFailure):
+                run()
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_gram_matrix_is_read_only_in_the_first_step(self, monkeypatch, problem, k):
+        # one read to factor A^T A - xi I and one per checked solve of the first
+        # step; every later step checks through A
+        op, b = problem
+        reads, gram_matrix = [], op.gram_matrix
+        monkeypatch.setattr(op, "gram_matrix", lambda: reads.append(1) or gram_matrix())
+        ys = rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, k), k)[0]
+        assert len(ys) == k
+        assert len(reads) == 3
+
+    @pytest.mark.parametrize("twin", ["matrix_free_short", "dense_full"])
+    def test_other_paths_check_through_solve_shifted_gram(self, monkeypatch, problem, twin):
+        op, b = problem
+        A = op.dense
+        solves = _record(monkeypatch, "solve_shifted_gram", lambda a, x: None)
+        lu_solves = _record(monkeypatch, "_lu_solve_gram", lambda a, x: None)
+        poles = si_optimal_pole(0.5, 4.0, self.K)
+        if twin == "dense_full":
+            ys = rational_gmf_approximate(builtin("sqrt"), op, b, poles, self.K)[0]
+        else:
+            free = LinearOperator.from_callables(*A.shape, lambda v: A @ v,
+                                                 lambda u: A.T @ u)
+            ys = rgk_run(builtin("sqrt"), free, b, poles, self.K)[0]
+        assert len(ys) == self.K
+        assert (len(solves), len(lu_solves)) == (self.K, 0)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 30), tall=st.booleans(),
+       p=st.sampled_from([1, 2]), extra=st.integers(0, 3))
+def test_rational_exactness_with_a_repeated_pole(seed, n, tall, p, extra):
+    # f(z) = z / (z^2 - xi)^p gives f◇(A) b = A (A^T A - xi I)^{-p} b, which lies
+    # in A Q_k once Q_k spans (A^T A - xi I)^{-i} b for i <= p, that is k >= p + 1
+    rng = np.random.default_rng(seed)
+    lo = 10.0 ** rng.uniform(-1.0, 0.0)
+    hi = lo * 10.0 ** rng.uniform(0.3, 2.0)
+    m = n + int(rng.integers(1, n + 1)) if tall else n
+    op, b = seeded_problem(m, n, "logspace", lo, hi, seed)
+    xi = -lo * hi * 10.0 ** rng.uniform(-2.0, 2.0)
+    f = ScalarFunction(f"z/(z^2-xi)^{p}", lambda z: z / (z * z - xi) ** p)
+    U, sigma, V = op.factors
+    exact = U @ (sigma / (sigma ** 2 - xi) ** p * (V.T @ b))
+    k = min(p + 2 + extra, n)
+    for engine in (rgk_run, rational_gmf_approximate):
+        ys = engine(f, op, b, PoleSequence((xi,) * k), k)[0]
+        assert len(ys) == k
+        for y in ys[p:]:
+            assert np.linalg.norm(y - exact) <= 1e-10 * np.linalg.norm(exact)
