@@ -1,4 +1,4 @@
-"""Classical Golub-Kahan bidiagonalization and its projection approximation.
+"""Classical Golub-Kahan bidiagonalization, the rational method with every pole at infinity.
 
 The two coupled recurrences
     r_k = A q_k - beta_{k-1} p_{k-1},   alpha_k = ||r_k||,  p_k = r_k/alpha_k,
@@ -6,17 +6,19 @@ The two coupled recurrences
 build orthonormal P_k, Q_k with P_k^T A Q_k upper bidiagonal (alpha on the
 diagonal, beta above it), with alpha_k, beta_k >= 0; ``krylov.normalize``
 sets a vanished one to zero, which marks the invariance index.
-``gk_step`` is the textbook step (with optional CGS2 reorthogonalization
-against the stored bases); ``gk_approximate`` hands p_k and the bidiagonal
-column (beta_{k-1}, alpha_k) to the shared approximation loop.
+``gk_step`` is that textbook step, the reference the engines are tested
+against. With every pole at infinity the rational Krylov space of (A^T A, b)
+is the polynomial one, so ``gk_approximate`` runs the rational engines.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
-                     start_vector)
+from .krylov import Rows, normalize, require_inputs, start_vector
+from .poles import polynomial_poles
+from .rational import rational_gmf_approximate
+from .short_recurrence import rgk_run
 
 
 @dataclass
@@ -58,7 +60,7 @@ def gk_init(b):
     return state
 
 
-def gk_step(state, op, reorth=False):
+def gk_step(state, op):
     """Advance the bidiagonalization by one step (mutates and returns state).
 
     ``krylov.normalize`` tests alpha against ||A q_k|| and beta against
@@ -71,16 +73,12 @@ def gk_step(state, op, reorth=False):
     r = Aq = op.apply(state.q)
     if state.p is not None:
         r = r - state.beta[-1] * state.p
-    if reorth and state.k:
-        r, _ = cgs2(state.P.T, r)
     state.p, alpha = normalize(r, np.linalg.norm(Aq))
     state.alpha.append(alpha)
     state.p_rows.append(state.p)
 
     Atp = op.applyt(state.p)
     s = Atp - alpha * state.q
-    if reorth:
-        s, _ = cgs2(state.Q.T, s)
     q, beta = normalize(s, np.linalg.norm(Atp))
     state.breakdown = beta == 0.0
     if not state.breakdown:
@@ -91,24 +89,14 @@ def gk_step(state, op, reorth=False):
 
 
 def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
-    """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max.
+    """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
 
-    Stops early at breakdown (the Krylov space became invariant). Both bases
-    are reorthogonalized by default: without it orthogonality is lost and the
-    run goes on past invariance. When a reference vector is supplied the trace
-    records relative 2-norm errors.
+    The rational engines with every pole at infinity: the fully orthogonalized
+    ``rational_gmf_approximate`` with ``reorth`` (the default), else the short
+    recurrence ``rgk_run``, whose trace also holds the drift of P_k. Both stop
+    early at breakdown (the Krylov space became invariant).
     """
-    k_max = require_inputs(op, b, k_max, reference)
-    state = gk_init(b)
-
-    def step(P, _z):
-        k = P.shape[1] + 1
-        if state.breakdown or gk_step(state, op, reorth=reorth).k < k:
-            return None
-        column = np.zeros(k)
-        column[-1] = state.alpha[-1]
-        if k > 1:
-            column[-2] = state.beta[k - 2]
-        return state.p, column
-
-    return approximation_loop(f, b, op.rows, k_max, step, reference)
+    poles = polynomial_poles(require_inputs(op, b, k_max, reference))
+    if reorth:
+        return rational_gmf_approximate(f, op, b, poles, k_max, reference=reference)
+    return rgk_run(f, op, b, poles, k_max, reference=reference)[::2]

@@ -1,8 +1,9 @@
-"""The part the three projection engines share: CGS2, breakdown and the loop.
+"""The part the projection engines share: CGS2, breakdown and the loop.
 
-Golub-Kahan, the fully orthogonalized rational method and the short
-recurrence differ only in how they produce the columns of P_k and B_k; each
-keeps its own basis step (``gk_step``, ``GramLanczos.advance``, ``rgk_step``).
+The fully orthogonalized rational method and the short recurrence differ only
+in how they produce the columns of P_k and B_k; each keeps its own basis step
+(``GramLanczos.advance`` with CGS2 of A q_k, and ``rgk_step``). Golub-Kahan is
+either of them with every pole at infinity.
 Everything after that step is written once here: ``approximation_loop`` stores
 p_k and column k of B_k in arrays allocated once, forms
 y_k = ||b|| P_k f◇(B_k) e_1 and records the convergence trace.

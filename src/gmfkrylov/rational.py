@@ -233,9 +233,7 @@ def rational_arnoldi(op, b, poles, k):
     Produces at most k basis vectors using poles xi_1..xi_{k-1}; stops early
     (returning a truncated factorization) when the space becomes invariant.
     """
-    k = int(k)
-    if k < 1:
-        raise ArgumentError("k must be >= 1")
+    k = require_inputs(op, b, k)
     eng = GramLanczos(op, b, require_poles(poles, k), orthogonalize="full")
     while eng.count < k and not eng.breakdown:
         eng.advance()

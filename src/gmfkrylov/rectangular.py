@@ -2,9 +2,11 @@
 
 ``ENGINES`` maps each engine name (``gk``, alias ``golub_kahan``;
 ``rational_full``; ``rational_short``) to one call shape, ``(f, op, b, poles,
-k_max, reference=None, reorth=True) -> (ys, trace)``: GK reads no poles, the
-rational engines ignore ``reorth``. Each entry looks its engine up by module
-name when called and stores no function object, so a profiler that rebinds
+k_max, reference=None, reorth=True) -> (ys, trace)``. GK reads no poles: it is
+the rational method with every pole at infinity, run by ``rational_full`` when
+``reorth`` is true and by ``rational_short`` when it is false. The rational
+engines ignore ``reorth``. Each entry looks its engine up by module name
+when called and stores no function object, so a profiler that rebinds
 ``gk_approximate`` and the others sees the calls made through the table.
 
 Directly projecting a wide A traps spurious near-zero singular values in the

@@ -44,7 +44,7 @@ def test_tracing_target_resolves(span, target):
 # a table that stored the engines' function objects would hide them from the
 # tracer, which rebinds module attributes
 @pytest.mark.parametrize("overrides,m,spans", [
-    ({"method": "gk"}, 12, {"golub_kahan.gk_approximate"}),
+    ({"method": "gk"}, 12, {"golub_kahan.gk_approximate", "rational.approximate"}),
     ({"method": "rational_short", "compare_full": True}, 12,
      {"short_recurrence.rgk_run", "rational.approximate"}),
     ({"method": "transpose_trick"}, 8,

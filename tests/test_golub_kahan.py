@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 
 from gmfkrylov import (LinearOperator, builtin, gk_approximate, gk_init, gk_step,
-                       gmf_apply_reference, odd_monomial)
+                       gmf_apply_reference, gmf_dense, odd_monomial, polynomial_poles,
+                       project, rational_arnoldi)
 
 from conftest import seeded_problem
 
 
-def run_steps(op, b, k, reorth=False):
+def run_steps(op, b, k):
     state = gk_init(b)
     for _ in range(k):
-        gk_step(state, op, reorth=reorth)
+        gk_step(state, op)
         if state.breakdown:
             break
     return state
+
+
+def gk_basis(op, b, k):
+    """The reorthogonalized GK bases: Q from the rational basis with every pole
+    at infinity, P and B from the QR of A Q."""
+    fac = rational_arnoldi(op, b, polynomial_poles(k), k)
+    return fac, project(op, fac.Q)
 
 
 class TestStep:
@@ -86,16 +94,17 @@ class TestApproximate:
 
     def test_interlacing(self):
         op, b = seeded_problem(25, 25, "logspace", 0.4, 6.0, 3)
-        state = run_steps(op, b, 10, reorth=True)
-        sv = np.linalg.svd(state.bidiagonal(), compute_uv=False)
+        _, proj = gk_basis(op, b, 10)
+        sv = np.linalg.svd(proj.B, compute_uv=False)
+        assert sv.size == 10
         assert sv.max() <= 6.0 + 1e-10
         assert sv.min() >= 0.4 - 1e-10
 
     def test_q_spans_gram_krylov_space(self):
         op, b = seeded_problem(12, 9, "logspace", 0.5, 3.0, 5)
         k = 5
-        state = run_steps(op, b, k, reorth=True)
-        Q = np.column_stack(state.Q[:k])
+        fac, _ = gk_basis(op, b, k)
+        assert fac.k == k
         # explicit Krylov basis of (A^T A, b)
         V = np.zeros((9, k))
         v = b.copy()
@@ -103,11 +112,31 @@ class TestApproximate:
             V[:, j] = v
             v = op.gram_apply(v)
         Vq, _ = np.linalg.qr(V)
-        angles = np.linalg.svd(Q.T @ Vq, compute_uv=False)
+        angles = np.linalg.svd(fac.Q.T @ Vq, compute_uv=False)
         assert np.all(angles >= 1.0 - 1e-8)
 
     def test_reorth_keeps_bases_clean(self):
+        # Q stays orthonormal, so P^T A Q stays bidiagonal to roundoff
         op, b = seeded_problem(60, 60, "logspace", 0.01, 10.0, 8)
-        state = run_steps(op, b, 40, reorth=True)
-        P = np.column_stack(state.P)
-        assert np.linalg.norm(P.T @ P - np.eye(P.shape[1])) <= 1e-11
+        fac, proj = gk_basis(op, b, 40)
+        assert fac.k == 40
+        assert np.linalg.norm(fac.Q.T @ fac.Q - np.eye(40)) <= 1e-11
+        assert np.linalg.norm(proj.P.T @ proj.P - np.eye(40)) <= 1e-11
+        assert np.abs(np.triu(proj.B, 2)).max() <= 1e-12 * op.norm_estimate()
+
+    @pytest.mark.parametrize("shape", [(30, 20), (20, 20), (20, 30)], ids=str)
+    @pytest.mark.parametrize("name", ["sqrt", "sinh"])
+    @pytest.mark.parametrize("reorth", [True, False])
+    def test_rational_engines_reproduce_the_textbook_step(self, shape, name, reorth):
+        # every pole at infinity: y_k = ||b|| P_k f◇(B_k) e_1 from gk_step's
+        # P, alpha and beta, for k = 1..8
+        f, k_max = builtin(name), 8
+        op, b = seeded_problem(*shape, "logspace", 0.5, 3.0, 6)
+        state = run_steps(op, b, k_max)
+        assert state.k == k_max
+        ys, _ = gk_approximate(f, op, b, k_max, reorth=reorth)
+        assert len(ys) == k_max
+        for k, y in enumerate(ys, 1):
+            y_ref = np.linalg.norm(b) * (state.P[:k].T @ gmf_dense(f, state.bidiagonal(k),
+                                                                   rtol=0.0)[:, 0])
+            assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref), k

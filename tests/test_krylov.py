@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
                        gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
-                       rational_gmf_approximate, relative_error, rgk_run, si_optimal_pole)
+                       rational_arnoldi, rational_gmf_approximate, relative_error, rgk_run,
+                       si_optimal_pole)
 from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
 from gmfkrylov.rectangular import ENGINES as TABLE, needs_poles
 
@@ -89,10 +90,13 @@ def _transposed(name):
 # transpose trick, whose callers spell GK by its alias "golub_kahan"
 ENGINES = {**{name: _direct(name) for name in TABLE if name != "golub_kahan"},
            **{f"transpose_{name}": _transposed(name) for name in TABLE if name != "gk"}}
-BAD_INPUTS = ([(name, "k_max=0") for name in ENGINES]
-              + [(name, "poles=None") for name in ENGINES
-                 if needs_poles(name.removeprefix("transpose_"))]
-              + [(name, "b=nan") for name in ENGINES])
+# the entry checks also hold for the rational basis alone, which takes no reference
+BASIS = {"rational_arnoldi": rational_arnoldi}
+CALLS = {**ENGINES, **BASIS}
+BAD_INPUTS = ([(name, "k_max=0") for name in CALLS]
+              + [(name, "poles=None") for name in CALLS
+                 if name in BASIS or needs_poles(name.removeprefix("transpose_"))]
+              + [(name, "b=nan") for name in CALLS])
 
 
 @pytest.mark.parametrize("engine,case", BAD_INPUTS)
@@ -108,7 +112,7 @@ def test_engines_reject_bad_input_with_argument_error(engine, case):
     else:
         args = (poles, 3)
     with pytest.raises(ArgumentError):
-        ENGINES[engine](op, b, *args)
+        CALLS[engine](op, b, *args)
 
 
 CHECKED_INPUTS = {
@@ -122,8 +126,10 @@ CHECKED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", CHECKED_INPUTS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine,case", [
+    *[(engine, case) for engine in ENGINES for case in CHECKED_INPUTS],
+    *[(engine, case) for engine in BASIS for case in CHECKED_INPUTS
+      if not case.startswith("reference")]])
 def test_engines_check_inputs_before_any_product(engine, case):
     # b must be a finite vector of length n, the reference one of length m and
     # k_max an integer; each is refused before A or A^T is applied once
@@ -136,7 +142,9 @@ def test_engines_check_inputs_before_any_product(engine, case):
     b, ref, k_max = CHECKED_INPUTS[case](b, ref)
     poles = si_optimal_pole(0.5, 3.0, 6)
     with pytest.raises(ArgumentError):
-        if engine.startswith("transpose_"):
+        if engine in BASIS:
+            BASIS[engine](op, b, poles, k_max)
+        elif engine.startswith("transpose_"):
             gmf_via_transpose(F, op, b, engine.removeprefix("transpose_"), poles=poles,
                               k_max=k_max, reference=ref)
         else:
@@ -260,12 +268,17 @@ def update_defects(B, f):
     return np.array(out).T
 
 
-def gk_bidiagonal(op, b, k):
-    state = gk_init(b)
-    for _ in range(k):
-        if gk_step(state, op, reorth=True).breakdown:
-            break
-    return state.bidiagonal()
+def gk_bidiagonal(op, b, k, monkeypatch):
+    """B_k as a reorthogonalized GK run hands it to the bordered update."""
+    columns, update = [], BorderedSvd.update
+    monkeypatch.setattr(BorderedSvd, "update",
+                        lambda self, c, f: columns.append(c.copy()) or update(self, c, f))
+    gk_approximate(F, op, b, k, reorth=True)
+    monkeypatch.undo()
+    B = np.zeros((len(columns), len(columns)))
+    for j, column in enumerate(columns):
+        B[:j + 1, j] = column
+    return B
 
 
 class TestBorderedSvd:
@@ -276,18 +289,21 @@ class TestBorderedSvd:
         assert np.max(err / ref) <= 1e-12
         assert np.max(orth) <= 1e-12
 
-    def test_golub_kahan_bidiagonal(self):
+    def test_golub_kahan_bidiagonal(self, monkeypatch):
         # the gk_reorth benchmark problem at seed 1, k = 1..300
-        self.check(gk_bidiagonal(*seeded_problem(400, 400, "chebyshev2", 0.1, 10.0, 1), 300))
+        B = gk_bidiagonal(*seeded_problem(400, 400, "chebyshev2", 0.1, 10.0, 1), 300,
+                          monkeypatch)
+        assert B.shape == (300, 300)
+        self.check(B)
 
-    def test_clustered_singular_values(self):
+    def test_clustered_singular_values(self, monkeypatch):
         # 8 clusters of 50 singular values, relative spread 1e-10: the Ritz
         # values cluster, and without the recomputed z the update loses U's
         # orthogonality (4.4e-6) and the agreement (6.7e-7)
         centers = np.geomspace(0.1, 10.0, 8)
         values = np.sort(np.outer(centers, 1.0 + 1e-10 * np.linspace(-1, 1, 50)).ravel())
         op, b = explicit_profile_problem(values[::-1], 400, 400, 2)
-        self.check(gk_bidiagonal(op, b, 60))
+        self.check(gk_bidiagonal(op, b, 60, monkeypatch))
 
     def test_short_recurrence_columns(self):
         # the dense quasiseparable B_k of the short recurrence at benchmark
@@ -299,8 +315,13 @@ class TestBorderedSvd:
     def test_breakdown_column(self):
         # rank 4: GK breaks down at k = 5 with the final column (beta_4, 0)
         op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
-        B = gk_bidiagonal(op, b, 8)
-        assert B.shape == (5, 5) and B[4, 4] == 0.0
+        state = gk_init(b)
+        for _ in range(4):
+            gk_step(state, op)
+        B = np.zeros((5, 5))
+        B[:4, :4] = state.bidiagonal()
+        B[3, 4] = state.beta[3]
+        assert B[3, 4] > 0.0
         self.check(B)
 
 
