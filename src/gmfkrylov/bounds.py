@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .functions import companion_g
-from .krylov import cgs2
+from .krylov import cgs2, normalize
 from .poles import require_poles
 
 ELLIPSE_SAMPLES = 4096
@@ -213,11 +213,11 @@ def _grid_rational_basis(w, poles, k):
             cand = v / w
         else:
             cand = (w * v) / (w - xi)
-        cand, _ = cgs2(V[:, :j + 1], cand)
-        nrm = np.linalg.norm(cand)
-        if nrm <= 1e-14:
+        # the engines' breakdown test, at the unit scale of the grid columns
+        q, nrm = normalize(cgs2(V[:, :j + 1], cand)[0], 1.0)
+        if nrm == 0.0:
             return V[:, :j + 1]
-        V[:, j + 1] = cand / nrm
+        V[:, j + 1] = q
     return V
 
 

@@ -8,7 +8,9 @@ diagonal, beta above it), with alpha_k, beta_k >= 0; ``krylov.normalize``
 sets a vanished one to zero, which marks the invariance index.
 ``gk_step`` is that textbook step, the reference the engines are tested
 against. With every pole at infinity the rational Krylov space of (A^T A, b)
-is the polynomial one, so ``gk_approximate`` runs the rational engines.
+is the polynomial one, so ``gk_approximate``, the library's Golub-Kahan entry,
+runs the rational engines. Config files do not reach it: they write
+Golub-Kahan as either engine with ``{"kind": "polynomial"}`` poles.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +96,10 @@ def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
     The rational engines with every pole at infinity: the fully orthogonalized
     ``rational_gmf_approximate`` with ``reorth`` (the default), else the short
     recurrence ``rgk_run``, whose trace also holds the drift of P_k. Both stop
-    early at breakdown (the Krylov space became invariant).
+    early at breakdown (the Krylov space became invariant). Without ``reorth``
+    the run shares the short recurrence's known invariance failure: on a
+    rank-deficient A it can step past the invariance index and end far from
+    the exact answer (the strict xfail ``test_rgk_run_rank_deficient_square``).
     """
     poles = polynomial_poles(require_inputs(op, b, k_max, reference))
     if reorth:

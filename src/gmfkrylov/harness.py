@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,12 +22,14 @@ from .functions import builtin
 from .operators import singular_profile, synthesize_test_matrix
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
-from .rectangular import ENGINES, gmf_via_transpose, needs_poles
+from .rectangular import ENGINES, gmf_via_transpose
 from .reference import gmf_apply_factors
 from .traces import emit_dat
 
 METHODS = (*ENGINES, "transpose_trick")
-POLE_KINDS = ("polynomial", "extended", "shift_invert", "user_file")
+# the keys each pole kind reads
+POLE_KINDS = {"polynomial": {"kind"}, "extended": {"kind"},
+              "shift_invert": {"kind", "xi"}, "user_file": {"kind", "path"}}
 BOUND_TAGS = ("polynomial", "rational", "shift_invert")
 
 
@@ -48,9 +50,8 @@ class ExperimentConfig:
     function: str
     method: str
     k_max: int
-    poles: dict = field(default_factory=dict)
+    poles: dict
     bounds: tuple = ()
-    reorthogonalize: bool = True
     compare_full: bool = False
     transpose_inner: str = "rational_full"
     output_dir: str = "out"
@@ -77,9 +78,8 @@ def _read(obj, f, where=""):
     """
     _require(type(obj) is dict, f"{where.rstrip('.') or 'config'} must be a JSON object")
     if f.name not in obj:
-        _require(f.default is not MISSING or f.default_factory is not MISSING,
-                 f"missing config key {where + f.name!r}")
-        return f.default if f.default_factory is MISSING else f.default_factory()
+        _require(f.default is not MISSING, f"missing config key {where + f.name!r}")
+        return f.default
     value = obj[f.name]
     accepted, what = _JSON_TYPES[f.type]
     # a float field refuses nan, inf and an integer too large for a float
@@ -118,28 +118,25 @@ def parse_config(raw, base_dir="."):
              f"transpose_inner must be one of {tuple(ENGINES)}")
     # a key the method never reads is refused where the config gives it
     transposed = c["method"] == "transpose_trick"
-    inner = c["transpose_inner"] if transposed else c["method"]
     unread = [key for key, read in (("compare_full", c["method"] == "rational_short"),
-                                    ("reorthogonalize", not needs_poles(inner)),
                                     ("transpose_inner", transposed)) if key in raw and not read]
-    _require(not unread, f"method {c['method']!r}" + f" with transpose_inner {inner!r}"
-             * transposed + f" does not read config keys {unread}")
+    _require(not unread, f"method {c['method']!r}" + f" with transpose_inner "
+             f"{c['transpose_inner']!r}" * transposed + f" does not read config keys {unread}")
     _require(c["k_max"] >= 1, "k_max must be >= 1")
     builtin(c["function"])   # raises on unknown names
     for tag in c["bounds"]:
         _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
 
-    # a pole spec is checked wherever it is given, and wherever the engine or
-    # the rational bound needs one
+    # every engine reads a pole spec; Golub-Kahan is {"kind": "polynomial"}
     poles = c["poles"]
-    solves = needs_poles(inner)
-    if poles or solves or "rational" in c["bounds"]:
-        _require(poles, f"method {c['method']!r} with bounds {list(c['bounds'])} "
-                        "requires a pole spec")
-        _require(poles.get("kind") in POLE_KINDS, f"pole kind must be one of {POLE_KINDS}")
-        if poles["kind"] == "user_file":
-            _require(type(poles.get("path")) is str, "user_file poles need a 'path' string")
-            poles["path"] = os.path.join(base_dir, poles["path"])   # kept if absolute
+    kind = poles.get("kind")
+    _require(type(kind) is str and kind in POLE_KINDS,
+             f"pole kind must be one of {tuple(POLE_KINDS)}")
+    unread = sorted(set(poles) - POLE_KINDS[kind])
+    _require(not unread, f"pole kind {kind!r} does not read keys {unread}")
+    if kind == "user_file":
+        _require(type(poles.get("path")) is str, "user_file poles need a 'path' string")
+        poles["path"] = os.path.join(base_dir, poles["path"])   # kept if absolute
     config = ExperimentConfig(**c)
 
     # xi, the pole file and its interval are checked here, once. A zero pole
@@ -147,9 +144,9 @@ def parse_config(raw, base_dir="."):
     # (A^T A) or, under the transpose trick's inner method, for a tall one
     # (A A^T): refuse it before the matrix and the oracle are built
     built = build_poles(config)
-    if solves and built.has_zero:
+    if built.has_zero:
         gram, singular = ("A A^T", spec.m > spec.n) if transposed else ("A^T A", spec.m < spec.n)
-        _require(not singular, f"{poles['kind']} poles include 0, but {gram} of a "
+        _require(not singular, f"{kind} poles include 0, but {gram} of a "
                                f"{spec.m}x{spec.n} matrix is singular")
     # run and evaluate_bounds take this checked sequence, so a pole file is
     # read once; it is no field, so neither the manifest nor replace() sees it
@@ -164,8 +161,6 @@ def _checked_poles(config):
 
 def build_poles(config):
     spec = config.poles
-    if not spec:
-        return None
     kind = spec["kind"]
     count = config.k_max
     smin, smax = config.matrix.lo, config.matrix.hi
@@ -210,7 +205,7 @@ def _bound_overlays(config, b, poles):
             overlays["bound_poly"] = curve.pairs()
         elif tag == "shift_invert":
             xi = -smin * smax
-            if poles is not None and poles.kind == "shift_invert" and len(poles):
+            if poles.kind == "shift_invert" and len(poles):
                 xi = poles[0]
             M = sample_h_sup(f, xi)
             # the closed form holds only at its own pole; an override takes
@@ -239,10 +234,9 @@ def run(config, output_dir=None):
     if config.method == "transpose_trick":
         ys, trace = gmf_via_transpose(
             f, op, b, config.transpose_inner, poles=poles, k_max=config.k_max,
-            reference=y_ref, reorth=config.reorthogonalize)
+            reference=y_ref)
     else:
-        ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref,
-                                           reorth=config.reorthogonalize)
+        ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
     files = {"err": trace.pairs()}
     if trace.orthogonality_drift:
         files["drift"] = trace.pairs("drift")
@@ -261,8 +255,7 @@ def run(config, output_dir=None):
     manifest = {
         "config": asdict(config),
         "library_version": __version__,
-        "pole_values": None if poles is None else
-            [("inf" if math.isinf(x) else x) for x in poles],
+        "pole_values": [("inf" if math.isinf(x) else x) for x in poles],
         "traces": {tag: os.path.basename(p) for tag, p in paths.items()},
     }
     manifest_path = os.path.join(out, f"{config.name}_manifest.json")

@@ -1,13 +1,13 @@
 """The engine table, and the transpose trick for wide matrices (m < n).
 
-``ENGINES`` maps each engine name (``gk``, alias ``golub_kahan``;
-``rational_full``; ``rational_short``) to one call shape, ``(f, op, b, poles,
-k_max, reference=None, reorth=True) -> (ys, trace)``. GK reads no poles: it is
-the rational method with every pole at infinity, run by ``rational_full`` when
-``reorth`` is true and by ``rational_short`` when it is false. The rational
-engines ignore ``reorth``. Each entry looks its engine up by module name
-when called and stores no function object, so a profiler that rebinds
-``gk_approximate`` and the others sees the calls made through the table.
+``ENGINES`` maps each engine name (``rational_full``; ``rational_short``) to
+one call shape, ``(f, op, b, poles, k_max, reference=None) -> (ys, trace)``.
+Golub-Kahan is either engine with every pole at infinity
+(``polynomial_poles``): ``rational_full`` reorthogonalizes, ``rational_short``
+does not. Each entry looks its engine up by module name when called and
+stores no function object, so a profiler that rebinds
+``rational_gmf_approximate`` and ``rgk_run`` sees the calls made through the
+table.
 
 Directly projecting a wide A traps spurious near-zero singular values in the
 projected matrix, which functions with large derivative at 0 amplify. Writing
@@ -19,37 +19,27 @@ y from the least squares problem min ||A^T y - w||.
 import numpy as np
 
 from .errors import ArgumentError
-from .golub_kahan import gk_approximate
 from .krylov import error_trace, require_inputs
 from .rational import rational_gmf_approximate
 from .short_recurrence import rgk_run
 
 
 ENGINES = {
-    "gk": lambda f, op, b, poles, k_max, reference=None, reorth=True: gk_approximate(
-        f, op, b, k_max, reorth=reorth, reference=reference),
-    "rational_full": lambda f, op, b, poles, k_max, reference=None, reorth=True:
+    "rational_full": lambda f, op, b, poles, k_max, reference=None:
         rational_gmf_approximate(f, op, b, poles, k_max, reference=reference),
     # rgk_run returns (ys, B, trace)
-    "rational_short": lambda f, op, b, poles, k_max, reference=None, reorth=True:
+    "rational_short": lambda f, op, b, poles, k_max, reference=None:
         rgk_run(f, op, b, poles, k_max, reference=reference)[::2],
 }
-ENGINES["golub_kahan"] = ENGINES["gk"]
 
 
-def needs_poles(name):
-    """Whether the engine of that name reads a pole sequence (GK does not)."""
-    return ENGINES[name] is not ENGINES["gk"]
-
-
-def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
-                      reorth=True):
+def gmf_via_transpose(f, op, b, method, poles, k_max=20, reference=None):
     """Approximate f◇(A) b through f◇(A^T) (A b) and a least squares solve.
 
-    ``method`` names the inner engine in ``ENGINES``. The least squares factor
-    (a pseudoinverse of A^T) is formed once from the dense payload and reused
-    across all iterations; rank deficiency is handled by the minimum-norm
-    solution. Returns (ys, trace).
+    ``method`` names the inner engine in ``ENGINES``, run on ``poles``. The
+    least squares factor (a pseudoinverse of A^T) is formed once from the
+    dense payload and reused across all iterations; rank deficiency is
+    handled by the minimum-norm solution. Returns (ys, trace).
     """
     if not isinstance(method, str) or method not in ENGINES:
         raise ArgumentError(f"method must be one of {tuple(ENGINES)}")
@@ -63,7 +53,7 @@ def gmf_via_transpose(f, op, b, method, poles=None, k_max=20, reference=None,
     if not np.any(c):
         raise ArgumentError("A b = 0: nothing to approximate")
 
-    ws, _ = ENGINES[method](f, op_t, c, poles, k_max, reorth=reorth)
+    ws, _ = ENGINES[method](f, op_t, c, poles, k_max)
 
     lsq = np.linalg.pinv(op.dense.T)   # min-norm solve of A^T y = w, reused per k
     ys = [lsq @ w for w in ws]

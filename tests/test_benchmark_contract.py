@@ -44,12 +44,13 @@ def test_tracing_target_resolves(span, target):
 # a table that stored the engines' function objects would hide them from the
 # tracer, which rebinds module attributes
 @pytest.mark.parametrize("overrides,m,spans", [
-    ({"method": "gk"}, 12, {"golub_kahan.gk_approximate", "rational.approximate"}),
+    ({"method": "rational_full", "poles": {"kind": "polynomial"}}, 12,
+     {"rational.approximate"}),
     ({"method": "rational_short", "compare_full": True}, 12,
      {"short_recurrence.rgk_run", "rational.approximate"}),
     ({"method": "transpose_trick"}, 8,
      {"rectangular.gmf_via_transpose", "rational.approximate"}),
-], ids=["gk", "rational_short_compare_full", "transpose_trick"])
+], ids=["golub_kahan", "rational_short_compare_full", "transpose_trick"])
 def test_harness_run_records_engine_spans(tmp_path, overrides, m, spans):
     raw = {"name": "t", "seed": 3, "function": "sqrt", "k_max": 5,
            "poles": {"kind": "shift_invert"}, **overrides,

@@ -19,21 +19,25 @@ BASE = {
     "seed": 3,
     "matrix": {"m": 12, "n": 12, "profile": {"kind": "logspace", "lo": 0.5, "hi": 4.0}},
     "function": "sqrt",
-    "method": "gk",
+    "method": "rational_full",
+    "poles": {"kind": "polynomial"},
     "k_max": 6,
 }
+DROP = object()
 
 
 def cfg(**overrides):
+    """A copy of the Golub-Kahan config BASE with overrides; a key given DROP is left out."""
     raw = json.loads(json.dumps(BASE))
     raw.update(overrides)
-    return raw
+    return {key: value for key, value in raw.items() if value is not DROP}
 
 
 class TestConfigValidation:
     def test_minimal_config_parses(self):
         config = parse_config(cfg())
-        assert config.method == "gk" and config.k_max == 6
+        assert config.method == "rational_full" and config.k_max == 6
+        assert set(build_poles(config)) == {float("inf")}
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -45,9 +49,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(raw)
 
-    def test_rational_requires_poles(self):
-        with pytest.raises(ConfigError, match="pole spec"):
-            parse_config(cfg(method="rational_full"))
+    @pytest.mark.parametrize("method", ["rational_full", "rational_short", "transpose_trick"])
+    def test_every_method_requires_poles(self, method):
+        with pytest.raises(ConfigError, match="missing config key 'poles'"):
+            parse_config(cfg(method=method, poles=DROP))
 
     def test_bad_pole_kind(self):
         with pytest.raises(ConfigError, match="pole kind"):
@@ -70,7 +75,7 @@ class TestConfigValidation:
         ({}, {"kind": "shift_invert", "xi": -10 ** 400}),
     ], ids=["hi_inf", "hi_huge_int", "xi_inf", "xi_huge_int"])
     def test_nonfinite_number_rejected(self, profile, poles):
-        raw = cfg(method="rational_full", poles=poles or {"kind": "polynomial"})
+        raw = cfg(poles=poles or BASE["poles"])
         raw["matrix"]["profile"].update(profile)
         with pytest.raises(ConfigError, match="finite"):
             parse_config(raw)
@@ -91,27 +96,29 @@ class TestConfigValidation:
         assert poles[0] == pytest.approx(-0.5 * 4.0)
         assert len(poles) == config.k_max
 
-    def test_transpose_with_gk_inner_needs_no_poles(self):
-        config = parse_config(cfg(method="transpose_trick",
-                                  transpose_inner="golub_kahan"))
-        assert build_poles(config) is None
+    @pytest.mark.parametrize("inner", ["rational_full", "rational_short"])
+    def test_transpose_with_golub_kahan_inner(self, inner):
+        config = parse_config(cfg(method="transpose_trick", transpose_inner=inner))
+        assert set(build_poles(config)) == {float("inf")}
 
     @pytest.mark.parametrize("overrides", [
-        {"reorthogonalize": False},
-        {"method": "transpose_trick", "transpose_inner": "golub_kahan", "reorthogonalize": False},
+        {"method": "transpose_trick", "transpose_inner": "rational_short"},
         {"method": "rational_short", "poles": {"kind": "shift_invert"}, "compare_full": True},
-    ], ids=["gk_reorthogonalize", "transpose_gk_reorthogonalize", "short_compare_full"])
+    ], ids=["transpose_inner", "short_compare_full"])
     def test_keys_accepted_where_read(self, overrides):
         config = parse_config(cfg(**overrides))
         for key in overrides.keys() - {"poles"}:
             assert getattr(config, key) == overrides[key], key
 
     def test_unread_keys_named(self):
-        raw = cfg(method="transpose_trick", poles={"kind": "shift_invert"},
-                  compare_full=False, reorthogonalize=True)
+        raw = cfg(method="transpose_trick", transpose_inner="rational_short",
+                  poles={"kind": "shift_invert"}, compare_full=False)
         with pytest.raises(ConfigError, match=r"method 'transpose_trick' with transpose_inner "
-                           r"'rational_full' does not read config keys "
-                           r"\['compare_full', 'reorthogonalize'\]"):
+                           r"'rational_short' does not read config keys \['compare_full'\]"):
+            parse_config(raw)
+        raw = cfg(compare_full=True, transpose_inner="rational_full")
+        with pytest.raises(ConfigError, match=r"method 'rational_full' does not read config "
+                           r"keys \['compare_full', 'transpose_inner'\]"):
             parse_config(raw)
 
     @staticmethod
@@ -140,7 +147,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("method,m,n,inner", [("rational_full", 20, 12, "rational_full"),
                                                   ("transpose_trick", 12, 20, "rational_short"),
-                                                  ("transpose_trick", 20, 12, "golub_kahan")])
+                                                  ("transpose_trick", 12, 12, "rational_full")])
     def test_zero_pole_with_nonsingular_gram_accepted(self, method, m, n, inner):
         # transpose_inner is given only where the method reads it
         given = {"transpose_inner": inner} if method == "transpose_trick" else {}
@@ -166,7 +173,7 @@ class TestEmitDat:
 
 
 class TestRun:
-    def test_gk_run_produces_traces(self, tmp_path):
+    def test_golub_kahan_run_produces_traces(self, tmp_path):
         config = parse_config(cfg(output_dir=str(tmp_path)))
         summary = run(config)
         assert os.path.exists(summary["traces"]["err"])
@@ -174,6 +181,7 @@ class TestRun:
         assert [k for k, _ in pairs] == list(range(1, len(pairs) + 1))
         manifest = json.loads(Path(summary["manifest"]).read_text())
         assert manifest["config"]["seed"] == 3
+        assert manifest["pole_values"] == ["inf"] * 6
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = parse_config(cfg(method="rational_full",
@@ -280,18 +288,27 @@ class TestCli:
     @pytest.mark.parametrize("overrides,message", [
         ({"poles": {"kind": "bogus"}}, "pole kind"),
         ({"poles": {"kind": "user_file"}}, "'path'"),
-        ({"method": "transpose_trick", "transpose_inner": "golub_kahan",
+        ({"method": "transpose_trick", "transpose_inner": "rational_short",
           "poles": {"kind": "user_file"}}, "'path'"),
         ({"poles": 5}, "pole spec"),
-        ({"bounds": ["rational"]}, "pole spec"),
+        ({"poles": DROP}, "missing config key 'poles'"),
+        ({"poles": {}}, "pole kind"),
+        ({"poles": {"kind": ["polynomial"]}}, "pole kind"),
+        # keys the pole kind never reads
+        ({"poles": {"kind": "polynomial", "xi": -1.0}}, "does not read keys ['xi']"),
+        ({"poles": {"kind": "extended", "path": "x.txt"}}, "does not read keys ['path']"),
+        ({"poles": {"kind": "shift_invert", "xi": -2.0, "count": 3}},
+         "does not read keys ['count']"),
+        ({"poles": {"kind": "user_file", "path": "p.txt", "xi": -1.0}},
+         "does not read keys ['xi']"),
         ({"bounds": "polynomial"}, "bounds must be a list"),
     ], ids=["unknown_pole_kind", "user_file_without_path",
-            "transpose_user_file_without_path", "poles_not_an_object",
-            "rational_bound_without_poles", "bounds_not_a_list"])
+            "transpose_user_file_without_path", "poles_not_an_object", "poles_missing",
+            "poles_empty", "pole_kind_a_list", "xi_with_polynomial", "path_with_extended",
+            "count_with_shift_invert", "xi_with_user_file", "bounds_not_a_list"])
     def test_malformed_pole_or_bound_spec_exit_code(self, tmp_path, capsys, overrides,
                                                     message):
-        # the GK config reads no poles, yet a malformed spec is refused
-        # before anything is built or written
+        # a malformed spec is refused before anything is built or written
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg(output_dir=str(tmp_path / "out"), **overrides)))
         assert main(["run", str(path)]) == 2
@@ -309,27 +326,29 @@ class TestCli:
         {"method": "rational_full", "poles": {"kind": "shift_invert", "xi": "abc"}},
         {"seed": -1},
         {"k_max": 5.9},
-        {"reorthogonalize": "false"},
         {"name": "../escaped"},
         # keys the method never reads
         {"compare_full": True},
         {"method": "rational_full", "poles": {"kind": "shift_invert"}, "compare_full": True},
         {"method": "transpose_trick", "transpose_inner": "rational_short",
          "poles": {"kind": "shift_invert"}, "compare_full": False},
-        {"method": "rational_full", "poles": {"kind": "shift_invert"}, "reorthogonalize": False},
-        {"method": "rational_short", "poles": {"kind": "shift_invert"}, "reorthogonalize": True},
-        {"method": "transpose_trick", "poles": {"kind": "shift_invert"},
-         "reorthogonalize": False},
-        {"transpose_inner": "gk"},
         {"method": "rational_full", "poles": {"kind": "shift_invert"},
          "transpose_inner": "rational_full"},
+        # Golub-Kahan is a pole spec: no engine name, alias or option of its own
+        {"method": "gk"},
+        {"method": "golub_kahan"},
+        {"method": "transpose_trick", "transpose_inner": "gk"},
+        {"method": "transpose_trick", "transpose_inner": "golub_kahan"},
+        {"reorthogonalize": True},
+        {"method": "rational_short", "reorthogonalize": False},
+        {"method": "transpose_trick", "reorthogonalize": "false"},
     ], ids=["k_max_string", "seed_list", "matrix_m_string", "function_number",
             "pole_path_number", "xi_string", "seed_negative", "k_max_float",
-            "reorthogonalize_string", "name_with_directory", "compare_full_with_gk",
+            "name_with_directory", "compare_full_with_polynomial_poles",
             "compare_full_with_rational_full", "compare_full_with_transpose_trick",
-            "reorthogonalize_with_rational_full", "reorthogonalize_with_rational_short",
-            "reorthogonalize_with_rational_transpose_inner", "transpose_inner_with_gk",
-            "transpose_inner_with_rational_full"])
+            "transpose_inner_with_rational_full", "method_gk", "method_golub_kahan",
+            "transpose_inner_gk", "transpose_inner_golub_kahan", "reorthogonalize_true",
+            "reorthogonalize_with_rational_short", "reorthogonalize_with_transpose_trick"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
         # refused by the parser: no traceback, no silent truncation or
         # coercion, and nothing written inside or outside the output directory
@@ -385,9 +404,7 @@ class TestCli:
         assert len(names) >= 10
         for name in names:
             config = load_config(os.path.join(configs, name))
-            poles = build_poles(config)
-            if config.method != "gk":
-                assert poles is not None and len(poles) >= config.k_max - 1, name
+            assert len(build_poles(config)) >= config.k_max - 1, name
 
 
 class TestSynthesisReference:

@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
                        gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
-                       rational_arnoldi, rational_gmf_approximate, relative_error, rgk_run,
-                       si_optimal_pole)
+                       polynomial_poles, rational_arnoldi, rational_gmf_approximate,
+                       relative_error, rgk_run, si_optimal_pole)
 from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
-from gmfkrylov.rectangular import ENGINES as TABLE, needs_poles
+from gmfkrylov.rectangular import ENGINES as TABLE
 
 from conftest import explicit_profile_problem, seeded_problem
 
@@ -79,24 +79,30 @@ F = builtin("sqrt")
 
 
 def _direct(name):
-    return lambda op, b, poles, k: TABLE[name](F, op, b, poles, k)
+    return lambda op, b, poles, k, reference=None: TABLE[name](F, op, b, poles, k,
+                                                               reference=reference)
 
 
 def _transposed(name):
-    return lambda op, b, poles, k: gmf_via_transpose(F, op, b, name, poles=poles, k_max=k)
+    return lambda op, b, poles, k, reference=None: gmf_via_transpose(
+        F, op, b, name, poles=poles, k_max=k, reference=reference)
 
 
-# every engine of the package table under one name, and again inside the
-# transpose trick, whose callers spell GK by its alias "golub_kahan"
-ENGINES = {**{name: _direct(name) for name in TABLE if name != "golub_kahan"},
-           **{f"transpose_{name}": _transposed(name) for name in TABLE if name != "gk"}}
+def _golub_kahan(reorth):
+    return lambda op, b, poles, k, reference=None: gk_approximate(
+        F, op, b, k, reorth=reorth, reference=reference)
+
+
+# every engine of the package table under one name, again inside the
+# transpose trick, and the library's Golub-Kahan entry, which takes no poles
+ENGINES = {**{name: _direct(name) for name in TABLE},
+           **{f"transpose_{name}": _transposed(name) for name in TABLE},
+           "gk_reorth": _golub_kahan(True), "gk_short": _golub_kahan(False)}
 # the entry checks also hold for the rational basis alone, which takes no reference
 BASIS = {"rational_arnoldi": rational_arnoldi}
 CALLS = {**ENGINES, **BASIS}
-BAD_INPUTS = ([(name, "k_max=0") for name in CALLS]
-              + [(name, "poles=None") for name in CALLS
-                 if name in BASIS or needs_poles(name.removeprefix("transpose_"))]
-              + [(name, "b=nan") for name in CALLS])
+BAD_INPUTS = [(name, case) for case in ("k_max=0", "poles=None", "b=nan") for name in CALLS
+              if case != "poles=None" or not name.startswith("gk_")]
 
 
 @pytest.mark.parametrize("engine,case", BAD_INPUTS)
@@ -144,11 +150,8 @@ def test_engines_check_inputs_before_any_product(engine, case):
     with pytest.raises(ArgumentError):
         if engine in BASIS:
             BASIS[engine](op, b, poles, k_max)
-        elif engine.startswith("transpose_"):
-            gmf_via_transpose(F, op, b, engine.removeprefix("transpose_"), poles=poles,
-                              k_max=k_max, reference=ref)
         else:
-            TABLE[engine](F, op, b, poles, k_max, reference=ref)
+            ENGINES[engine](op, b, poles, k_max, reference=ref)
     assert products == []
 
 
@@ -165,44 +168,50 @@ def test_engines_take_start_vectors_whose_norm_over_or_underflows(engine, scale)
         assert np.linalg.norm(y_scaled / scale - y) <= 1e-12 * np.linalg.norm(y)
 
 
-@pytest.mark.parametrize("engine", [*ENGINES, "gk_reorth"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_engines_never_call_norm_estimate(engine, monkeypatch):
     def refuse(self):
         raise AssertionError("an engine called LinearOperator.norm_estimate")
 
     monkeypatch.setattr(LinearOperator, "norm_estimate", refuse)
     op, b = seeded_problem(6, 9, "logspace", 0.5, 3.0, 0)
-    poles = si_optimal_pole(0.5, 3.0, 10)
-    if engine == "gk_reorth":
-        ys, _ = gk_approximate(F, op, b, 10, reorth=True)
-    else:
-        ys = ENGINES[engine](op, b, poles, 10)[0]
+    ys = ENGINES[engine](op, b, si_optimal_pole(0.5, 3.0, 10), 10)[0]
     assert ys and all(np.all(np.isfinite(y)) for y in ys)
 
 
 PUBLIC_CALLS = {
-    "gk": lambda op, b, poles, k, ref, reorth: gk_approximate(
-        F, op, b, k, reorth=reorth, reference=ref),
-    "golub_kahan": lambda op, b, poles, k, ref, reorth: gk_approximate(
-        F, op, b, k, reorth=reorth, reference=ref),
-    "rational_full": lambda op, b, poles, k, ref, reorth: rational_gmf_approximate(
+    "rational_full": lambda op, b, poles, k, ref: rational_gmf_approximate(
         F, op, b, poles, k, reference=ref),
-    "rational_short": lambda op, b, poles, k, ref, reorth: rgk_run(
+    "rational_short": lambda op, b, poles, k, ref: rgk_run(
         F, op, b, poles, k, reference=ref)[::2],
 }
+POLES = {"shift_invert": si_optimal_pole(0.5, 3.0, 8), "polynomial": polynomial_poles(8)}
 
 
-@pytest.mark.parametrize("reorth", [True, False])
+def assert_same_run(run, other):
+    (ys, trace), (ys_other, trace_other) = run, other
+    assert len(ys) == len(ys_other) == 8
+    assert all(np.array_equal(y, y_other) for y, y_other in zip(ys, ys_other))
+    assert trace == trace_other
+
+
+@pytest.mark.parametrize("kind", POLES)
 @pytest.mark.parametrize("name", PUBLIC_CALLS)
-def test_table_entry_is_its_public_call(name, reorth):
+def test_table_entry_is_its_public_call(name, kind):
     assert set(TABLE) == set(PUBLIC_CALLS)
     op, b = seeded_problem(14, 11, "logspace", 0.5, 3.0, 2)
-    poles, ref = si_optimal_pole(0.5, 3.0, 8), gmf_apply_reference(F, op.dense, b)
-    ys, trace = TABLE[name](F, op, b, poles, 8, reference=ref, reorth=reorth)
-    ys_public, trace_public = PUBLIC_CALLS[name](op, b, poles, 8, ref, reorth)
-    assert len(ys) == len(ys_public) == 8
-    assert all(np.array_equal(y, y_public) for y, y_public in zip(ys, ys_public))
-    assert trace == trace_public
+    ref = gmf_apply_reference(F, op.dense, b)
+    assert_same_run(TABLE[name](F, op, b, POLES[kind], 8, reference=ref),
+                    PUBLIC_CALLS[name](op, b, POLES[kind], 8, ref))
+
+
+@pytest.mark.parametrize("reorth,name", [(True, "rational_full"), (False, "rational_short")])
+def test_golub_kahan_is_the_table_with_every_pole_at_infinity(reorth, name):
+    # what a config with {"kind": "polynomial"} poles runs, and gk_approximate
+    op, b = seeded_problem(14, 11, "logspace", 0.5, 3.0, 2)
+    ref = gmf_apply_reference(F, op.dense, b)
+    assert_same_run(TABLE[name](F, op, b, POLES["polynomial"], 8, reference=ref),
+                    gk_approximate(F, op, b, 8, reorth=reorth, reference=ref))
 
 
 def converged_errors(ys, reference, tol=1e-12):
@@ -237,14 +246,19 @@ class TestBreakdownAtInvariance:
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
 
     # ROADMAP item 4: the Q side's b_5 is roundoff amplified by the shifted
-    # solve and passes the breakdown test. With lo = 0.5, rgk_run reaches
-    # 2.7e-8 at k = 5 and ends at 6.3e-5; with lo = 1.0 it stops at k = 4 with
-    # 1.4e-1, where rational_full reaches 4.2e-16 and GK 7.8e-16
+    # solve and passes the breakdown test. With the SI pole of [0.5, 4],
+    # rgk_run reaches 2.7e-8 at k = 5 and ends at 6.3e-5; with that of [1, 4]
+    # it stops at k = 4 with 1.4e-1, where rational_full reaches 4.2e-16 and
+    # GK 7.8e-16. With every pole at infinity (rational_short's Golub-Kahan,
+    # and gk_approximate(reorth=False)) it takes no solve, yet reaches 9.5e-8
+    # at k = 5 and ends at 4.4e-4, where rational_full stops at k = 5 with 4.0e-16
     @pytest.mark.xfail(strict=True, reason="rgk_run misjudges invariance (ROADMAP item 4)")
-    @pytest.mark.parametrize("lo", [0.5, 1.0])
-    def test_rgk_run_rank_deficient_square(self, lo):
+    @pytest.mark.parametrize("poles", [si_optimal_pole(0.5, 4.0, 8), si_optimal_pole(1.0, 4.0, 8),
+                                       polynomial_poles(8)],
+                             ids=["shift_invert_lo_0.5", "shift_invert_lo_1.0", "polynomial"])
+    def test_rgk_run_rank_deficient_square(self, poles):
         op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
-        ys, _, _ = rgk_run(F, op, b, si_optimal_pole(lo, 4.0, 8), 8)
+        ys, _, _ = rgk_run(F, op, b, poles, 8)
         assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-12
 
     def test_rational_full_wide(self):

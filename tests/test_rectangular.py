@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gmfkrylov import (ArgumentError, builtin, gmf_apply_reference, gmf_dense,
-                       gmf_via_transpose, si_optimal_pole)
+                       gmf_via_transpose, polynomial_poles, si_optimal_pole)
+from gmfkrylov.rectangular import ENGINES
 
 from conftest import seeded_problem
 
@@ -19,10 +20,11 @@ def test_square_orthogonal_agrees_with_direct():
     assert tr.errors[-1] <= 1e-12
 
 
-def test_identity_function_exact_every_k():
+@pytest.mark.parametrize("method", ENGINES)
+def test_identity_function_exact_every_k(method):
     op, b = seeded_problem(6, 9, "logspace", 0.5, 3.0, 2)
     f = builtin("identity")
-    ys, _ = gmf_via_transpose(f, op, b, "golub_kahan", k_max=4)
+    ys, _ = gmf_via_transpose(f, op, b, method, poles=polynomial_poles(4), k_max=4)
     for y in ys:
         assert y == pytest.approx(op.dense @ b, rel=1e-11)
 
@@ -43,16 +45,17 @@ def test_all_inner_methods_agree():
     f = builtin("sqrt")
     ref = gmf_apply_reference(f, op.dense, b)
     results = {}
-    for method in ("golub_kahan", "rational_full", "rational_short"):
-        ys, tr = gmf_via_transpose(f, op, b, method,
-                                   poles=si_optimal_pole(0.5, 4.0, 10),
-                                   k_max=10, reference=ref)
-        results[method] = tr.errors[-1]
-    for method, err in results.items():
-        assert err <= 1e-8, (method, err)
+    # Golub-Kahan (every pole at infinity) and shift-and-invert in each engine
+    for poles in (polynomial_poles(10), si_optimal_pole(0.5, 4.0, 10)):
+        for method in ENGINES:
+            ys, tr = gmf_via_transpose(f, op, b, method, poles=poles, k_max=10,
+                                       reference=ref)
+            results[method, poles.kind] = tr.errors[-1]
+    for case, err in results.items():
+        assert err <= 1e-8, (case, err)
 
 
 def test_unknown_method_rejected():
     op, b = seeded_problem(4, 6, "logspace", 0.5, 2.0, 0)
     with pytest.raises(ArgumentError):
-        gmf_via_transpose(builtin("sqrt"), op, b, "nope", k_max=2)
+        gmf_via_transpose(builtin("sqrt"), op, b, "nope", polynomial_poles(2), k_max=2)

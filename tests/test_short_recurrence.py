@@ -420,3 +420,27 @@ def test_rational_exactness_with_a_repeated_pole(seed, n, tall, p, extra):
         assert len(ys) == k
         for y in ys[p:]:
             assert np.linalg.norm(y - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 30), tall=st.booleans(),
+       extra=st.integers(0, 3))
+def test_rational_exactness_with_distinct_poles(seed, n, tall, extra):
+    # f(z) = z / ((z^2 - xi_1)(z^2 - xi_2)) gives f◇(A) b =
+    # A (A^T A - xi_1 I)^{-1} (A^T A - xi_2 I)^{-1} b, which lies in A Q_k once
+    # the poles xi_1, xi_2 have entered Q_k, that is k >= 3
+    rng = np.random.default_rng(seed)
+    lo = 10.0 ** rng.uniform(-1.0, 0.0)
+    hi = lo * 10.0 ** rng.uniform(0.3, 2.0)
+    m = n + int(rng.integers(1, n + 1)) if tall else n
+    op, b = seeded_problem(m, n, "logspace", lo, hi, seed)
+    xi1, xi2, *rest = -lo * hi * 10.0 ** rng.uniform(-2.0, 2.0, 2 + extra)
+    f = ScalarFunction("z/((z^2-xi1)(z^2-xi2))", lambda z: z / ((z * z - xi1) * (z * z - xi2)))
+    U, sigma, V = op.factors
+    exact = U @ (sigma / ((sigma ** 2 - xi1) * (sigma ** 2 - xi2)) * (V.T @ b))
+    k = 3 + extra
+    for engine in (rgk_run, rational_gmf_approximate):
+        ys = engine(f, op, b, PoleSequence((xi1, xi2, *rest)), k)[0]
+        assert len(ys) == k
+        for y in ys[2:]:
+            assert np.linalg.norm(y - exact) <= 1e-10 * np.linalg.norm(exact)
