@@ -13,13 +13,14 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import (polynomial_bound_curve, rational_bound_curve, sample_h_sup,
                      si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
-from .operators import singular_profile, synthesize_test_matrix
+from .operators import blas_thread_counts, singular_profile, synthesize_test_matrix
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
 from .rectangular import ENGINES, gmf_via_transpose
@@ -252,8 +253,12 @@ def run(config, output_dir=None):
     out = output_dir or config.output_dir
     paths = _write_dat(out, config.name, files)
 
+    threads = blas_thread_counts()
     manifest = {
         "config": asdict(config),
+        # what decides the run's bits besides the config
+        "environment": {lib: {"version": module.__version__, "blas_threads": threads[lib]}
+                        for lib, module in (("numpy", np), ("scipy", scipy))},
         "library_version": __version__,
         "pole_values": [("inf" if math.isinf(x) else x) for x in poles],
         "traces": {tag: os.path.basename(p) for tag, p in paths.items()},

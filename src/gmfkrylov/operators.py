@@ -5,6 +5,11 @@ payload is kept for desk-scale instances so that shifted systems with the
 Gram matrix A^T A can be solved by a cached dense factorization.
 """
 
+import contextlib
+import ctypes
+import functools
+import importlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +19,11 @@ import scipy.sparse.linalg
 from .errors import ArgumentError, SolveFailure
 
 GRAM_SOLVE_RTOL = 1e-10
+
+# the extensions through whose handles each library's OpenBLAS is found
+_BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg",
+                    "scipy": "scipy.linalg._flapack"}
+_SCIPY_BLAS_LOCK = threading.Lock()
 
 
 class LinearOperator:
@@ -118,9 +128,80 @@ class LinearOperator:
             # in place: the LU is that of G - xi I without an n-by-n identity
             shifted = np.array(self.gram_matrix(), order="F")
             shifted.flat[::self.cols + 1] -= xi
-            lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
+            with _one_scipy_blas_thread():
+                lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
             self._gram_factors[xi] = None if info else (lu, piv)
         return self._gram_factors[xi]
+
+
+@functools.cache
+def _blas_threads_api(module):
+    """(get, set) of the OpenBLAS thread count that dlsym finds through the
+    handle of the extension ``module``, so in the BLAS that it links, or None
+    (MKL, Accelerate, Windows). The unsuffixed names come first; ``64_`` is
+    an ILP64 build's suffix."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    except (ImportError, OSError):
+        return None
+    for suffix in ("", "64_"):
+        for prefix in ("scipy_openblas", "openblas"):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _scipy_blas_pool():
+    """scipy's OpenBLAS (get, set) when its thread pool is apart from
+    numpy's; None when there is no OpenBLAS or numpy resolves the same one."""
+    scipy_api = _blas_threads_api(_BLAS_EXTENSIONS["scipy"])
+    numpy_api = _blas_threads_api(_BLAS_EXTENSIONS["numpy"])
+    if scipy_api is None or numpy_api is None:
+        return scipy_api
+    shared = (ctypes.cast(numpy_api[1], ctypes.c_void_p).value
+              == ctypes.cast(scipy_api[1], ctypes.c_void_p).value)
+    return None if shared else scipy_api
+
+
+@contextlib.contextmanager
+def _one_scipy_blas_thread():
+    """Run the block with scipy's own OpenBLAS pool at one thread.
+
+    pip's numpy and scipy each ship an OpenBLAS with its own pool, and after
+    a call a pool's idle workers spin for more work, taking the CPU that the
+    other pool's parallel region needs. The package's only threaded call
+    into scipy is the Gram LU, so it runs on one thread and scipy's workers
+    never wake. The previous count is restored under a lock, so concurrent
+    callers cannot leave the pool at one thread.
+    """
+    pool = _scipy_blas_pool()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    with _SCIPY_BLAS_LOCK:
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
+
+
+def blas_thread_counts():
+    """Thread count of numpy's and of scipy's OpenBLAS pool, None where the
+    lookup finds none."""
+    counts = {}
+    for lib, module in _BLAS_EXTENSIONS.items():
+        api = _blas_threads_api(module)
+        counts[lib] = None if api is None else api[0]()
+    return counts
 
 
 def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):

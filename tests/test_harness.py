@@ -4,12 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gmfkrylov import (ConfigError, builtin, emit_dat, gmf_apply_factors, gmf_apply_reference,
-                       harness, read_dat)
+                       harness, operators, read_dat)
 from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
-from gmfkrylov.operators import save_dense_matrix
+from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -182,6 +183,19 @@ class TestRun:
         manifest = json.loads(Path(summary["manifest"]).read_text())
         assert manifest["config"]["seed"] == 3
         assert manifest["pole_values"] == ["inf"] * 6
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        config = parse_config(cfg(output_dir=str(tmp_path)))
+        threads = blas_thread_counts()
+        manifest = json.loads(Path(run(config)["manifest"]).read_text())
+        assert manifest["environment"] == {
+            "numpy": {"version": np.__version__, "blas_threads": threads["numpy"]},
+            "scipy": {"version": scipy.__version__, "blas_threads": threads["scipy"]}}
+        # a BLAS without the OpenBLAS thread functions is recorded as null
+        monkeypatch.setattr(operators, "_blas_threads_api", lambda module: None)
+        manifest = json.loads(Path(run(config)["manifest"]).read_text())
+        assert [manifest["environment"][lib]["blas_threads"] for lib in ("numpy", "scipy")] \
+            == [None, None]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = parse_config(cfg(method="rational_full",

@@ -1,5 +1,9 @@
+import ctypes
 import math
 import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from gmfkrylov import (ArgumentError, LinearOperator, SingularProfile, SolveFail
                        adjointness_defect, haar_orthogonal, load_dense_matrix,
                        save_dense_matrix, singular_profile, solve_shifted_gram,
                        synthesize_test_matrix)
+from gmfkrylov import operators
 from gmfkrylov.operators import GRAM_SOLVE_RTOL
 
 from conftest import explicit_profile_problem, seeded_problem
@@ -204,6 +209,112 @@ class TestShiftedGramSolve:
             x = solve_shifted_gram(op, xi, b)
             residual = np.linalg.norm(A.T @ (A @ x) - xi * x - b)
             assert residual <= GRAM_SOLVE_RTOL * np.linalg.norm(b)
+
+
+class TestScipyBlasPool:
+    """The Gram LU runs with scipy's own OpenBLAS pool at one thread."""
+
+    @pytest.fixture
+    def pool(self):
+        # a count of 2 before the factor, so a restore to it is seen
+        pool = operators._scipy_blas_pool()
+        if pool is None:
+            pytest.skip("scipy has no OpenBLAS pool of its own here")
+        get, set_ = pool
+        previous = get()
+        set_(2)
+        yield get
+        set_(previous)
+
+    def record_dgetrf(self, monkeypatch, get, fail=False):
+        """Record scipy's thread count inside each dgetrf call; the pause
+        lets other threads run inside the capped block."""
+        seen, dgetrf = [], scipy.linalg.lapack.dgetrf
+
+        def wrapped(*args, **kwargs):
+            seen.append(get())
+            time.sleep(1e-3)
+            if fail:
+                raise RuntimeError("dgetrf failed")
+            return dgetrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", wrapped)
+        return seen
+
+    def test_factor_runs_at_one_thread_and_restores(self, pool, monkeypatch):
+        seen = self.record_dgetrf(monkeypatch, pool)
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        solve_shifted_gram(op, -1.0, b)
+        assert seen == [1] and pool() == 2
+
+    def test_zero_pivot_restores(self, pool, monkeypatch):
+        seen = self.record_dgetrf(monkeypatch, pool)
+        op = LinearOperator.from_dense(np.zeros((3, 3)))
+        assert op._gram_factor(0.0) is None
+        assert seen == [1] and pool() == 2
+
+    def test_raising_factor_restores(self, pool, monkeypatch):
+        self.record_dgetrf(monkeypatch, pool, fail=True)
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        with pytest.raises(RuntimeError, match="dgetrf failed"):
+            solve_shifted_gram(op, -1.0, b)
+        assert pool() == 2
+
+    def test_concurrent_factors_restore(self, pool, monkeypatch):
+        # more threads than cores, switching often: a save and restore that
+        # interleaved would leave the pool at one thread
+        seen = self.record_dgetrf(monkeypatch, pool)
+        op, b = seeded_problem(100, 100, "logspace", 0.5, 4.0, 11)
+        shifts = [-1.0 - j for j in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as executor:
+                futures = [executor.submit(solve_shifted_gram, op, xi, b) for xi in shifts]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [1] * len(shifts) and pool() == 2
+
+    def test_factor_without_lookup(self, monkeypatch):
+        # no OpenBLAS thread functions found (MKL, Accelerate, Windows)
+        monkeypatch.setattr(operators, "_blas_threads_api", lambda module: None)
+        assert operators._scipy_blas_pool() is None
+        assert operators.blas_thread_counts() == {"numpy": None, "scipy": None}
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        G = op.dense.T @ op.dense
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(G + np.eye(50)), b)
+        assert np.array_equal(solve_shifted_gram(op, -1.0, b), expected)
+
+    def test_same_library_leaves_count(self, monkeypatch):
+        # numpy and scipy resolving one symbol to one address share one pool
+        calls = []
+        get = ctypes.CFUNCTYPE(ctypes.c_int)(lambda: 2)
+        set_ = ctypes.CFUNCTYPE(None, ctypes.c_int)(calls.append)
+        monkeypatch.setattr(operators, "_blas_threads_api", lambda module: (get, set_))
+        assert operators._scipy_blas_pool() is None
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        solve_shifted_gram(op, -1.0, b)
+        assert calls == []
+
+    def test_separate_libraries_are_capped(self, monkeypatch):
+        # the same lookup with two addresses: scipy's count is set and restored
+        calls = []
+        count = ctypes.CFUNCTYPE(ctypes.c_int)(lambda: 2)
+        apis = {module: (count, ctypes.CFUNCTYPE(None, ctypes.c_int)(
+                    lambda n, lib=lib: calls.append((lib, n))))
+                for lib, module in operators._BLAS_EXTENSIONS.items()}
+        monkeypatch.setattr(operators, "_blas_threads_api", apis.get)
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        solve_shifted_gram(op, -1.0, b)
+        solve_shifted_gram(op, -1.0, b)
+        assert calls == [("scipy", 1), ("scipy", 2)]
+
+    def test_thread_counts(self):
+        counts = operators.blas_thread_counts()
+        assert sorted(counts) == ["numpy", "scipy"]
+        assert all(c is None or (isinstance(c, int) and c >= 1) for c in counts.values())
 
 
 class TestHaar:
