@@ -16,9 +16,9 @@ from .bounds import (BoundCurve, EllipseSampler, chui_hasson_constant,
 from .errors import (ArgumentError, ConfigError, EvaluationError, SolveFailure)
 from .functions import ScalarFunction, builtin, builtin_names, companion_g, odd_monomial
 from .golub_kahan import BidiagonalState, gk_approximate, gk_init, gk_step
-from .operators import (LinearOperator, SingularProfile, adjointness_defect,
-                        haar_orthogonal, load_dense_matrix, save_dense_matrix,
-                        singular_profile, solve_shifted_gram,
+from .operators import (LinearOperator, ShiftedGram, SingularProfile,
+                        adjointness_defect, haar_orthogonal, load_dense_matrix,
+                        save_dense_matrix, singular_profile, solve_shifted_gram,
                         synthesize_test_matrix)
 from .poles import (INF, PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)

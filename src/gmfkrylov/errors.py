@@ -10,11 +10,7 @@ class ConfigError(ValueError):
 
 
 class SolveFailure(RuntimeError):
-    """Raised when a shifted Gram solve does not meet its residual tolerance.
-
-    Typically means the shift is too close to the spectrum of A^T A, or the
-    iterative inner solver did not converge.
-    """
+    """Raised when a shifted Gram solve fails its check (see ``ShiftedGram``)."""
 
 
 class EvaluationError(RuntimeError):

@@ -1,8 +1,7 @@
 """Matrix-free linear operators, shifted Gram solves and seeded test matrices.
 
-An operator exposes ``apply`` (v -> A v) and ``applyt`` (u -> A^T u); a dense
-payload is kept for desk-scale instances so that shifted systems with the
-Gram matrix A^T A can be solved by a cached dense factorization.
+An operator exposes ``apply`` (v -> A v), ``applyt`` (u -> A^T u) and, at
+desk scale, a dense payload, which ``ShiftedGram`` factors once per shift.
 """
 
 import contextlib
@@ -10,6 +9,7 @@ import ctypes
 import functools
 import importlib
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +42,7 @@ class LinearOperator:
         self._rmatvec = rmatvec
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
         self._gram = None
-        self._gram_factors = {}
+        self.shifted_grams = {}    # xi -> ShiftedGram, see ShiftedGram.of
         self._norm_est = None
         self.factors = None
 
@@ -121,18 +121,6 @@ class LinearOperator:
             self._gram = self.dense.T @ self.dense
         return self._gram
 
-    def _gram_factor(self, xi):
-        """LU of the formed A^T A - xi I, cached per xi; None if a pivot is 0."""
-        if xi not in self._gram_factors:
-            # one Fortran-ordered copy, shifted on its diagonal and factored
-            # in place: the LU is that of G - xi I without an n-by-n identity
-            shifted = np.array(self.gram_matrix(), order="F")
-            shifted.flat[::self.cols + 1] -= xi
-            with _one_scipy_blas_thread():
-                lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
-            self._gram_factors[xi] = None if info else (lu, piv)
-        return self._gram_factors[xi]
-
 
 @functools.cache
 def _blas_threads_api(module):
@@ -204,83 +192,104 @@ def blas_thread_counts():
     return counts
 
 
-def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
-    """Solve (A^T A - xi I) x = v with a residual check on every return.
+class ShiftedGram:
+    """Solver of (A^T A - xi I) x = v for one operator and one finite shift xi.
 
-    Dense payloads use a cached LU factorization of the shifted Gram matrix;
-    matrix-free operators use CG for xi <= 0 and MINRES for xi > 0, refined in
-    at most four passes on the true residual. Each pass asks the inner solver
-    for ``0.5 * rtol * ||v||`` and no smaller; a pass that does not lower the
-    true residual ends the refinement and the best iterate is kept. Each
-    return checks its residual: on a dense payload against the cached A^T A
-    that was factored (one n-by-n product, the LU's backward error), else
-    with two operator products. Every solve of the package goes through here
-    except one: ``GramLanczos`` solves a short, dense, repeated-pole step
-    through the LU alone and checks it against A with the products of the
-    next basis vector. A residual above ``rtol * ||v||`` raises
-    :class:`SolveFailure` (the shift is singular or too close to the
-    spectrum of A^T A, or the iteration did not converge). ``xi`` must be
-    finite and ``rtol`` must lie in (0, 1). Only ``rational_gmf_approximate``
-    relaxes ``rtol``, on matrix-free operators, to min(1e-5, GRAM_SOLVE_RTOL
-    ||z|| / |z_last|); its docstring bounds the error this adds to each later y_k.
+    On a dense payload the first solve factors the formed A^T A - xi I by LU
+    (scipy's BLAS at one thread) and keeps the factor. A matrix-free operator
+    runs CG for xi <= 0 and MINRES for xi > 0, refined in at most four passes
+    on the true residual; each pass asks for ``0.5 * rtol * ||v||`` and no
+    smaller, and one that does not lower the residual ends the refinement with
+    the best iterate. ``solve`` checks every return: against the factored
+    A^T A on a dense payload (one n-by-n product, the LU's backward error),
+    else with two operator products. ``lu_solve`` skips the check, for a caller
+    that checks with ``require``. A residual above ``rtol * ||v||``, or an
+    exactly zero pivot, raises SolveFailure: xi is singular or too close to
+    the spectrum of A^T A, or the iteration did not converge.
     """
-    if not 0.0 < rtol < 1.0:
-        raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
-    xi = float(xi)
-    if not np.isfinite(xi):
-        raise ArgumentError(f"shift xi must be finite, got {xi}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.cols,):
-        raise ArgumentError(f"expected vector of length {op.cols}")
-    if not np.all(np.isfinite(v)):
-        raise ArgumentError("right-hand side contains non-finite entries")
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros(op.cols)
 
-    if op.dense is not None:
-        x = _lu_solve_gram(op, xi, v, rtol)
-        residual = np.linalg.norm(op.gram_matrix() @ x - xi * x - v)
-    else:
-        def shifted_mv(y):
-            return op.gram_apply(y) - xi * y
+    def __init__(self, op, xi):
+        self.xi = float(xi)
+        if not np.isfinite(self.xi):
+            raise ArgumentError(f"shift xi must be finite, got {self.xi}")
+        self.op = weakref.proxy(op)  # op holds self: a cycle would delay freeing op
+        self._lu = None            # (lu, piv) once factored; False at a zero pivot
 
-        lin = scipy.sparse.linalg.LinearOperator(
-            (op.cols, op.cols), matvec=shifted_mv)
-        solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
-        target = 0.5 * rtol * nv
-        x, r, residual = np.zeros(op.cols), v, nv
-        # iterative refinement against the true residual, keeping the best x
-        for _ in range(4):
-            dx, _ = solver(lin, r, rtol=target / residual, maxiter=20 * op.cols)
-            x_new = x + dx
-            r_new = v - shifted_mv(x_new)
-            res_new = np.linalg.norm(r_new)
-            if not res_new < residual:
-                break
-            x, r, residual = x_new, r_new, res_new
-            if residual <= target:
-                break
+    @classmethod
+    def of(cls, op, xi):
+        """The solver ``op`` keeps for xi, made at its first use."""
+        solver = op.shifted_grams.get(xi)
+        if solver is None:
+            solver = op.shifted_grams[xi] = cls(op, xi)
+        return solver
 
-    _require_residual(residual, nv, rtol, xi)
-    return x
+    def lu_solve(self, v):
+        """x from the dense LU alone, its residual left to the caller."""
+        if self._lu is None:
+            # one Fortran-ordered copy, shifted on its diagonal and factored
+            # in place: the LU is that of G - xi I without an n-by-n identity
+            shifted = np.array(self.op.gram_matrix(), order="F")
+            shifted.flat[::self.op.cols + 1] -= self.xi
+            with _one_scipy_blas_thread():
+                lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
+            self._lu = False if info else (lu, piv)
+        if not self._lu:
+            raise SolveFailure(f"shifted Gram solve residual inf: zero pivot, xi={self.xi}")
+        return scipy.linalg.lu_solve(self._lu, v, check_finite=False)
+
+    def solve(self, v, rtol=GRAM_SOLVE_RTOL):
+        """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1)."""
+        if not 0.0 < rtol < 1.0:
+            raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
+        op, xi = self.op, self.xi
+        v = np.asarray(v, dtype=float)
+        if v.shape != (op.cols,):
+            raise ArgumentError(f"expected vector of length {op.cols}")
+        if not np.all(np.isfinite(v)):
+            raise ArgumentError("right-hand side contains non-finite entries")
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            return np.zeros(op.cols)
+
+        if op.dense is not None:
+            x = self.lu_solve(v)
+            r = op.gram_matrix() @ x - xi * x - v
+        else:
+            def shifted_mv(y):
+                return op.gram_apply(y) - xi * y
+
+            lin = scipy.sparse.linalg.LinearOperator(
+                (op.cols, op.cols), matvec=shifted_mv)
+            solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
+            target = 0.5 * rtol * nv
+            x, r, residual = np.zeros(op.cols), v, nv
+            # iterative refinement against the true residual, keeping the best x
+            for _ in range(4):
+                dx, _ = solver(lin, r, rtol=target / residual, maxiter=20 * op.cols)
+                x_new = x + dx
+                r_new = v - shifted_mv(x_new)
+                res_new = np.linalg.norm(r_new)
+                if not res_new < residual:
+                    break
+                x, r, residual = x_new, r_new, res_new
+                if residual <= target:
+                    break
+
+        self.require(r, v, rtol)
+        return x
+
+    def require(self, r, v, rtol):
+        """Raise SolveFailure unless a solve's residual r has ||r|| <= rtol ||v||."""
+        residual = np.linalg.norm(r)
+        if not residual <= rtol * np.linalg.norm(v):
+            raise SolveFailure(
+                f"shifted Gram solve residual {residual:.3e} exceeds "
+                f"{rtol:.1e}*||v||; xi={self.xi} may be too close to the spectrum of A^T A")
 
 
-def _lu_solve_gram(op, xi, v, rtol):
-    """x with (A^T A - xi I) x = v from the cached dense LU, its residual left
-    to the caller; an exactly zero pivot fails as an infinite residual."""
-    fac = op._gram_factor(xi)
-    if fac is None:
-        _require_residual(np.inf, np.linalg.norm(v), rtol, xi)
-    return scipy.linalg.lu_solve(fac, v, check_finite=False)
-
-
-def _require_residual(residual, v_norm, rtol, xi):
-    """Raise SolveFailure unless a shifted solve's residual is <= rtol * ||v||."""
-    if not residual <= rtol * v_norm:
-        raise SolveFailure(
-            f"shifted Gram solve residual {residual:.3e} exceeds "
-            f"{rtol:.1e}*||v||; xi={xi} may be too close to the spectrum of A^T A")
+def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
+    """x with (A^T A - xi I) x = v, solved and checked by op's ShiftedGram for xi."""
+    return ShiftedGram.of(op, xi).solve(v, rtol)
 
 
 @dataclass(frozen=True)

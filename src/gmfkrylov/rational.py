@@ -37,8 +37,7 @@ import numpy as np
 from .errors import ArgumentError
 from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
                      start_vector)
-from .operators import (GRAM_SOLVE_RTOL, _lu_solve_gram, _require_residual,
-                        solve_shifted_gram)
+from .operators import GRAM_SOLVE_RTOL, ShiftedGram, solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
 ZERO_POLE_WINDOW = 6
@@ -64,12 +63,10 @@ class GramLanczos:
     Cleaning writes w = Q_{j+1} c, c = (coefficients, b_j), so k = u + delta c
     and h = v + c. A zero pole solves M w = q_j, so k = c and h = e_j.
 
-    Every shifted solve is checked by ``solve_shifted_gram`` except in a short,
-    unwindowed step on a dense payload whose pole repeats the previous one.
-    There y1 = -q_j and nothing is cleaned, so b_j q_{j+1} = y0 - a_j q_j: y0
-    is solved through the cached LU alone, and once q_{j+1} exists the step
-    forms A q_{j+1} and M q_{j+1}, which the P side and the next step reuse,
-    and checks ||b_j M q_{j+1} + a_j M q_j - xi y0 - rhs|| <= rtol ||rhs||.
+    Shifted solves go through ``solve_shifted_gram`` (see ``ShiftedGram``),
+    except in a short, unwindowed, dense step whose pole repeats the previous
+    one: y0 comes from ``lu_solve`` and is checked once q_{j+1} exists. A pole
+    with no solver yet first drops the operator's solvers no remaining pole uses.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -121,6 +118,9 @@ class GramLanczos:
                 f"pole sequence exhausted: {len(self.poles)} poles support at most "
                 f"{len(self.poles) + 1} basis vectors")
         xi = self.poles[j - 1]
+        if xi != math.inf and xi not in self.op.shifted_grams:
+            for shift in set(self.op.shifted_grams) - set(self.poles[j - 1:]):
+                self.op.shifted_grams.pop(shift, None)
         d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
         u, v = np.zeros(j + 1), np.zeros(j + 1)
         # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
@@ -140,7 +140,7 @@ class GramLanczos:
                 y0, y1 = t0, t1
             else:
                 rhs = -xi * t0
-                y0 = (_lu_solve_gram(self.op, xi, rhs, rtol) if deferred
+                y0 = (ShiftedGram.of(self.op, xi).lu_solve(rhs) if deferred
                       else solve_shifted_gram(self.op, xi, rhs, rtol))
                 y1 = -self.q if repeat else solve_shifted_gram(self.op, xi, -xi * t1, rtol)
             denom = self.q @ y1
@@ -168,8 +168,7 @@ class GramLanczos:
                 Aq_new = self.op.apply(q_new)
                 Mq_new = self.op.applyt(Aq_new)
                 My0 = b_new * Mq_new + My0
-            _require_residual(np.linalg.norm(My0 - xi * y0 - rhs),
-                              np.linalg.norm(rhs), rtol, xi)
+            ShiftedGram.of(self.op, xi).require(My0 - xi * y0 - rhs, rhs, rtol)
         if b_new == 0.0:
             self.breakdown = True
             return None
@@ -277,16 +276,15 @@ def project(op, Q, poles=None):
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 from the rational subspace.
 
-    On a matrix-free operator the solves of step k are relaxed (Simoncini &
-    Szyld 2003; van den Eshof & Sleijpen 2004) to the residual tolerance
-    tau_k = min(1e-5, GRAM_SOLVE_RTOL ||z|| / |z_last|), z = f◇(B_{k-1}) e_1.
-    y_k depends only on span(Q_k), so an inexact solve perturbs only the next
-    direction, which every later y_k weights by about |z_last| / ||z||: a
-    residual of tau_k ||v|| adds at most about kappa GRAM_SOLVE_RTOL to their
-    relative error, kappa = (sigma_max^2 - xi) / (sigma_min^2 - xi). Dense
-    payloads (whose LU result does not depend on rtol), ``rgk_run`` (its
-    recurrence needs the exact pencil) and ``rational_arnoldi`` keep
-    GRAM_SOLVE_RTOL.
+    On a matrix-free operator the ``ShiftedGram`` solves of step k are
+    relaxed (Simoncini & Szyld 2003; van den Eshof & Sleijpen 2004) to the
+    residual tolerance tau_k = min(1e-5, GRAM_SOLVE_RTOL ||z|| / |z_last|),
+    z = f◇(B_{k-1}) e_1. y_k depends only on span(Q_k), so an inexact solve
+    perturbs only the next direction, which every later y_k weights by about
+    |z_last| / ||z||: a residual of tau_k ||v|| adds at most about
+    kappa GRAM_SOLVE_RTOL to their relative error, kappa = (sigma_max^2 - xi)
+    / (sigma_min^2 - xi). Dense payloads, ``rgk_run`` and ``rational_arnoldi``
+    keep GRAM_SOLVE_RTOL.
     """
     k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")

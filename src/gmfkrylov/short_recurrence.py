@@ -148,11 +148,8 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
     the approximation y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
     re-orthogonalized). The trace records relative errors when a reference is
     supplied, and holds P_k^T P_k: its ``orthogonality_drift``
-    ||I - P_k^T P_k||_2 per iteration is computed when first read. On a dense
-    payload a step whose pole repeats the previous one checks its LU solve
-    against A with A q_{k+1} and A^T A q_{k+1}, which the next step uses (see
-    ``GramLanczos``); its first step and every new pole check through
-    ``solve_shifted_gram``. Returns (ys, B, trace).
+    ||I - P_k^T P_k||_2 per iteration is computed when first read. The shifted
+    solves are ``GramLanczos``'s. Returns (ys, B, trace).
     """
     k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="short")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from gmfkrylov import SingularProfile, singular_profile, synthesize_test_matrix
@@ -26,6 +27,19 @@ def explicit_profile_problem(values, m, n, seed):
     op = synthesize_test_matrix(m, n, SingularProfile(np.asarray(values, float)), mat_seed)
     b = np.random.default_rng(b_seed).standard_normal(n)
     return op, b
+
+
+def record_factors(monkeypatch, mark=lambda: None):
+    """List that gets mark() appended at each LAPACK dgetrf call, that is at
+    each LU of a shifted Gram matrix."""
+    calls, dgetrf = [], scipy.linalg.lapack.dgetrf
+
+    def recorded(*args, **kwargs):
+        calls.append(mark())
+        return dgetrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", recorded)
+    return calls
 
 
 @pytest.fixture

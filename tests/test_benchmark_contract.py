@@ -4,18 +4,24 @@
 listed in its ``TARGETS``; a renamed or deleted one would only fail when a
 traced benchmark run installs the tracer. The file is loaded by path and
 left as it is. A traced ``harness.run`` must also show each engine it reaches
-through the engine table as a span of its own.
+through the engine table as a span of its own, and each shift's LU factor must
+run inside the span of that shift's first checked solve.
 """
 
 import importlib
 import importlib.util
 import inspect
 import os
+import time
 
+import numpy as np
 import pytest
 
 import gmfkrylov
-from gmfkrylov import harness
+from gmfkrylov import (PoleSequence, builtin, harness, rational_gmf_approximate, rgk_run,
+                       si_optimal_pole)
+
+from conftest import record_factors, seeded_problem
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -59,3 +65,30 @@ def test_harness_run_records_engine_spans(tmp_path, overrides, m, spans):
     with tracer.installed():
         harness.run(harness.parse_config(raw), output_dir=str(tmp_path))
     assert spans <= {span[0] for span in tracer.spans}
+
+
+K = 8
+
+
+# operators.first_solve_s sums the first solve span of each (operator, shift):
+# it holds the factor only while the factor is made inside that
+# solve_shifted_gram call, not when a solver is fetched before it
+@pytest.mark.parametrize("engine,poles,solves", [
+    (rgk_run, si_optimal_pole(0.5, 4.0, K), 2),
+    (rational_gmf_approximate, PoleSequence(tuple(-np.geomspace(0.3, 9.0, K - 1))),
+     2 * (K - 1)),
+], ids=["short_si", "full_distinct"])
+def test_each_factor_runs_in_its_first_solve_span(monkeypatch, engine, poles, solves):
+    factored = record_factors(monkeypatch, time.perf_counter)
+    op, b = seeded_problem(40, 40, "logspace", 0.5, 4.0, 11)
+    tracer = _tracing().Tracer(gmfkrylov)
+    with tracer.installed():
+        assert len(engine(builtin("sqrt"), op, b, poles, K)[0]) == K
+    spans = [span for span in tracer.spans if span[0] == "operators.solve"]
+    assert len(spans) == solves
+    first = {}
+    for span in spans:
+        first.setdefault(span[4], span)
+    assert len(first) == len(set(poles)) == len(factored)
+    for (_, start, end, _, _), t in zip(first.values(), factored):
+        assert start <= t <= end

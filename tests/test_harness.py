@@ -12,6 +12,8 @@ from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
 from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
 
+from conftest import record_factors
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -214,6 +216,19 @@ class TestRun:
         summary = run(config)
         for tag in ("err", "err_full", "diff_short_full", "drift"):
             assert tag in summary["traces"], tag
+
+    # LU factors per shipped config: one per distinct pole, none made twice,
+    # although each new pole drops the factors that no later pole uses.
+    # short_vs_full's two engines share one operator and its 20 factors
+    FACTORS = {"rational_optpoles_narrow": 13, "rational_optpoles_wide": 15,
+               "short_vs_full": 20}
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+    def test_factors_per_shipped_config(self, tmp_path, monkeypatch, name):
+        calls = record_factors(monkeypatch)
+        run(load_config(str(CONFIGS / f"{name}.json")), output_dir=str(tmp_path))
+        polynomial = name.startswith("polynomial_")
+        assert len(calls) == (0 if polynomial else self.FACTORS.get(name, 1))
 
     def test_synthesize_deterministic(self):
         config = parse_config(cfg())

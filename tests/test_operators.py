@@ -1,22 +1,25 @@
 import ctypes
+import gc
 import math
 import re
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gmfkrylov import (ArgumentError, LinearOperator, SingularProfile, SolveFailure,
-                       adjointness_defect, haar_orthogonal, load_dense_matrix,
-                       save_dense_matrix, singular_profile, solve_shifted_gram,
+from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, ShiftedGram,
+                       SingularProfile, SolveFailure, adjointness_defect, builtin,
+                       haar_orthogonal, load_dense_matrix, rational_gmf_approximate,
+                       rgk_run, save_dense_matrix, singular_profile, solve_shifted_gram,
                        synthesize_test_matrix)
 from gmfkrylov import operators
 from gmfkrylov.operators import GRAM_SOLVE_RTOL
 
-from conftest import explicit_profile_problem, seeded_problem
+from conftest import explicit_profile_problem, record_factors, seeded_problem
 
 
 class TestApply:
@@ -165,9 +168,38 @@ class TestShiftedGramSolve:
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(G - xi * np.eye(50)), b)
         assert np.array_equal(solve_shifted_gram(op, xi, b), expected)
 
+    def test_one_solver_per_shift_factored_at_its_first_solve(self, monkeypatch):
+        calls = record_factors(monkeypatch)
+        op, b = seeded_problem(30, 30, "logspace", 0.5, 4.0, 11)
+        solver = ShiftedGram.of(op, -1)
+        assert ShiftedGram.of(op, -1.0) is solver and op.shifted_grams == {-1.0: solver}
+        assert len(calls) == 0
+        x = solve_shifted_gram(op, -1.0, b)
+        assert len(calls) == 1
+        assert np.array_equal(solver.lu_solve(b), x) and len(calls) == 1
+
+    @pytest.mark.parametrize("engine", [None, rgk_run, rational_gmf_approximate])
+    def test_operator_freed_without_the_cycle_collector(self, engine):
+        # the operator holds its solvers and they hold it weakly, so its arrays
+        # and factors go with its last reference, not at some later full gc
+        op, b = seeded_problem(30, 30, "logspace", 0.5, 4.0, 11)
+        poles = PoleSequence((-1.0, -2.0) * 3)
+        if engine is None:
+            solve_shifted_gram(op, -1.0, b)
+        else:
+            engine(builtin("sqrt"), op, b, poles, 6)
+        assert len(op.shifted_grams) == (2 if engine else 1)
+        freed = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert freed() is None
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     def test_non_finite_shift_rejected(self, xi):
-        # before any factor or iteration: a NaN key never hits the factor cache
+        # before any factor or iteration: no solver is kept for a NaN or inf
         op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
         A = op.dense
         calls = []
@@ -180,7 +212,9 @@ class TestShiftedGramSolve:
         for operator in (op, mf):
             with pytest.raises(ArgumentError, match="xi"):
                 solve_shifted_gram(operator, xi, b)
-            assert operator._gram_factors == {}
+            with pytest.raises(ArgumentError, match="xi"):
+                ShiftedGram(operator, xi)
+            assert operator.shifted_grams == {}
         assert not calls
 
     # the dense check multiplies by the cached A^T A that was factored, so it
@@ -250,7 +284,10 @@ class TestScipyBlasPool:
     def test_zero_pivot_restores(self, pool, monkeypatch):
         seen = self.record_dgetrf(monkeypatch, pool)
         op = LinearOperator.from_dense(np.zeros((3, 3)))
-        assert op._gram_factor(0.0) is None
+        solver = ShiftedGram(op, 0.0)
+        for _ in range(2):
+            with pytest.raises(SolveFailure, match="residual inf"):
+                solver.lu_solve(np.ones(3))
         assert seen == [1] and pool() == 2
 
     def test_raising_factor_restores(self, pool, monkeypatch):

@@ -9,7 +9,7 @@ from gmfkrylov import (ConvergenceTrace, LinearOperator, PoleSequence,
                        polynomial_poles, project, rational, rational_arnoldi,
                        rational_gmf_approximate, reconstruct_dense, rgk_run,
                        rgk_step, short_recurrence, si_optimal_pole)
-from gmfkrylov.operators import _lu_solve_gram
+from gmfkrylov.operators import ShiftedGram
 
 from conftest import seeded_problem
 
@@ -318,6 +318,39 @@ def _record(monkeypatch, name, keep):
     return calls
 
 
+def _record_deferred(monkeypatch, error=0.0):
+    """The (xi, rhs, y0) of every ShiftedGram.lu_solve and the checked
+    residual / ||rhs|| of every ShiftedGram.require that the engines call
+    themselves, not inside the checked ShiftedGram.solve; each such y0 is
+    scaled by 1 + error."""
+    solves, checks, inside = [], [], []
+    solve, lu_solve, require = ShiftedGram.solve, ShiftedGram.lu_solve, ShiftedGram.require
+
+    def checked(self, *args):
+        inside.append(self)
+        try:
+            return solve(self, *args)
+        finally:
+            inside.pop()
+
+    def unchecked(self, v):
+        x = lu_solve(self, v)
+        if not inside:
+            x = (1.0 + error) * x
+            solves.append((self.xi, v, x))
+        return x
+
+    def check(self, r, v, rtol):
+        if not inside:
+            checks.append(np.linalg.norm(r) / np.linalg.norm(v))
+        return require(self, r, v, rtol)
+
+    monkeypatch.setattr(ShiftedGram, "solve", checked)
+    monkeypatch.setattr(ShiftedGram, "lu_solve", unchecked)
+    monkeypatch.setattr(ShiftedGram, "require", check)
+    return solves, checks
+
+
 class TestRepeatedPoleCheck:
     """A short step on a dense payload whose pole repeats solves through the
     LU alone and checks y0 with the products of q_{j+1} the next step uses."""
@@ -330,8 +363,7 @@ class TestRepeatedPoleCheck:
 
     def test_checked_residuals_are_those_through_a(self, monkeypatch, problem):
         op, b = problem
-        solves = _record(monkeypatch, "_lu_solve_gram", lambda a, x: (a[1], a[2], x))
-        checks = _record(monkeypatch, "_require_residual", lambda a, _: a[0] / a[1])
+        solves, checks = _record_deferred(monkeypatch)
         rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K), self.K)
         assert len(solves) == len(checks) == self.K - 2
         A = op.dense
@@ -353,16 +385,14 @@ class TestRepeatedPoleCheck:
         with pytest.raises(SolveFailure, match="residual inf"):
             rgk_run(builtin("sqrt"), op, np.ones(4), PoleSequence((4.0,) * 4), 4)
         with pytest.raises(SolveFailure, match="residual inf"):
-            _lu_solve_gram(op, 4.0, np.ones(4), 1e-10)
+            ShiftedGram(op, 4.0).lu_solve(np.ones(4))
 
     @pytest.mark.parametrize("error", [1e-12, 1e-8])
     def test_a_perturbed_solve_is_caught(self, monkeypatch, problem, error):
         # scaling y0 by 1 + e adds e ||rhs|| to its residual: the check, at
         # 1e-10 ||rhs||, must pass the first and refuse the second
         op, b = problem
-        solve = rational._lu_solve_gram
-        monkeypatch.setattr(rational, "_lu_solve_gram",
-                            lambda *args: (1.0 + error) * solve(*args))
+        solves, _ = _record_deferred(monkeypatch, error)
         run = lambda: rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K),
                               self.K)
         if error < 1e-10:
@@ -370,6 +400,8 @@ class TestRepeatedPoleCheck:
         else:
             with pytest.raises(SolveFailure):
                 run()
+        # the first deferred solve passes or fails in its own step, before the next
+        assert len(solves) == (self.K - 2 if error < 1e-10 else 1)
 
     @pytest.mark.parametrize("k", [8, 16])
     def test_gram_matrix_is_read_only_in_the_first_step(self, monkeypatch, problem, k):
@@ -387,7 +419,7 @@ class TestRepeatedPoleCheck:
         op, b = problem
         A = op.dense
         solves = _record(monkeypatch, "solve_shifted_gram", lambda a, x: None)
-        lu_solves = _record(monkeypatch, "_lu_solve_gram", lambda a, x: None)
+        lu_solves, _ = _record_deferred(monkeypatch)
         poles = si_optimal_pole(0.5, 4.0, self.K)
         if twin == "dense_full":
             ys = rational_gmf_approximate(builtin("sqrt"), op, b, poles, self.K)[0]
