@@ -53,28 +53,22 @@ def cgs2(V, w):
 
 
 class Rows:
-    """Vectors of one length kept as the rows of a block that doubles when full;
-    with ``window`` set, only the last ``window`` of them, which a full block
-    then moves to its front instead of growing."""
+    """Vectors of one length kept as the rows of a block that doubles when full."""
 
-    def __init__(self, window=None):
-        self.block, self.start, self.size, self.window = np.empty((0, 0)), 0, 0, window
+    def __init__(self):
+        self.block, self.size = np.empty((0, 0)), 0
 
     @property
     def filled(self):
         """The kept vectors as the rows of a view."""
-        return self.block[self.start:self.size]
+        return self.block[:self.size]
 
     def append(self, v):
-        if self.size == len(self.block) and self.start:
-            self.block[:self.size - self.start] = self.filled
-            self.size, self.start = self.size - self.start, 0
-        elif self.size == len(self.block):
+        if self.size == len(self.block):
             self.block = np.vstack((self.block.reshape(-1, v.size),
                                     np.empty((max(self.size, 16), v.size))))
         self.block[self.size] = v
         self.size += 1
-        self.start = max(self.size - (self.window or self.size), 0)
 
 
 def start_vector(b):
@@ -237,16 +231,14 @@ def _secular(d, z):
     return roots, (zh / DS).T
 
 
-def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
-                       drift=False):
+def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
 
     ``step(P, z)`` is the engine's basis step: given the rows x (k-1) block of
-    the columns of P produced so far and z = f◇(B_{k-1}) e_1 (None at k = 1 or
-    without evaluation), it returns (p_k, column k of B_k), or
-    None once the engine stops (breakdown or invariance). With
-    ``evaluate=False`` no y_k is formed; ``drift=True`` also builds P_k^T P_k,
-    one O(rows k) column per step, and hands it to the trace, whose
+    the columns of P produced so far and z = f◇(B_{k-1}) e_1 (None at k = 1),
+    it returns (p_k, column k of B_k), or None once the engine stops
+    (breakdown or invariance). ``drift=True`` also builds P_k^T P_k, one
+    O(rows k) column per step, and hands it to the trace, whose
     ``orthogonality_drift`` takes ||I - P_k^T P_k||_2 when first read.
     Returns (ys, trace).
     """
@@ -264,22 +256,18 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, evaluate=True,
         P[:, k - 1], B[:k, k - 1] = column
         if drift:
             gram[:k, k - 1] = gram[k - 1, :k] = P[:, :k].T @ P[:, k - 1]
-        if evaluate:
-            z = svd.update(B[:k, k - 1], f) if svd is not None else None
-            if z is None:       # the dense SVD of B_k from here on
-                svd = None
-                z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
-            ys.append(nb * (P[:, :k] @ z))
+        z = svd.update(B[:k, k - 1], f) if svd is not None else None
+        if z is None:           # the dense SVD of B_k from here on
+            svd = None
+            z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
+        ys.append(nb * (P[:, :k] @ z))
     return ys, error_trace(ys, reference, None if gram is None else gram[:k, :k])
 
 
 def error_trace(ys, reference=None, gram=None):
-    """Trace over k = 1, 2, ...: the relative error of each y_k, and the
+    """Trace over k = 1..len(ys): the relative error of each y_k, and the
     basis Gram matrix ``gram`` (k by k after k steps) the drift is read from."""
     trace = ConvergenceTrace(gram=gram)
-    for k in range(1, max(len(ys), 0 if gram is None else len(gram)) + 1):
-        err = None
-        if reference is not None and k <= len(ys):
-            err = relative_error(ys[k - 1], reference)
-        trace.record(k, error=err)
+    for k, y in enumerate(ys, 1):
+        trace.record(k, error=None if reference is None else relative_error(y, reference))
     return trace

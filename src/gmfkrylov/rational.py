@@ -40,33 +40,31 @@ from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
 from .operators import GRAM_SOLVE_RTOL, ShiftedGram, solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
-ZERO_POLE_WINDOW = 6
-
 
 class GramLanczos:
     """Orthonormal basis of the rational Krylov space of (A^T A, b).
 
     ``orthogonalize="full"`` keeps every column and cleans each candidate
-    against all of them (reference quality); ``"short"`` keeps only the
-    trailing columns required by the recurrence, so orthogonality is exact
+    against all of them (reference quality); ``"short"`` keeps only the two
+    trailing columns the three-term step reads, so orthogonality is exact
     only in exact arithmetic and drift can be measured.
 
-    Pole sequences containing zeros switch to windowed candidate steps
-    (multiply for inf, Gram solve for 0, shifted solve otherwise) because the
-    tridiagonal pencil normalization breaks down at a zero pole; alternating
-    inf/0 sequences have a short recurrence of bounded width, which the
-    window covers.
+    A zero pole breaks the tridiagonal pencil normalization, so a sequence
+    that holds one takes rational Arnoldi candidates instead (multiply for
+    inf, Gram solve for 0, shifted solve otherwise) and, in either mode,
+    keeps every column and cleans each candidate against all of them.
 
     Each step appends a column (k, h) to the pencil M Q K = Q H. A non-zero
     pole's candidate solves (I - delta M) w = M Q_j u - Q_j v, with u = e_j,
-    v = 0 in the windowed step and u, v read off the module's three-term step.
+    v = 0 in the Arnoldi step and u, v read off the module's three-term step.
     Cleaning writes w = Q_{j+1} c, c = (coefficients, b_j), so k = u + delta c
     and h = v + c. A zero pole solves M w = q_j, so k = c and h = e_j.
 
     Shifted solves go through ``solve_shifted_gram`` (see ``ShiftedGram``),
-    except in a short, unwindowed, dense step whose pole repeats the previous
-    one: y0 comes from ``lu_solve`` and is checked once q_{j+1} exists. A pole
-    with no solver yet first drops the operator's solvers no remaining pole uses.
+    except in a dense step that stores no columns and whose pole repeats the
+    previous one: y0 comes from ``lu_solve`` and is checked once q_{j+1}
+    exists. A pole with no solver yet first drops the operator's solvers no
+    remaining pole uses.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -75,8 +73,7 @@ class GramLanczos:
         self.q, _ = start_vector(b)
         self.op = op
         self.poles = require_poles(poles)
-        self.full = orthogonalize == "full"
-        self.windowed = self.poles.has_zero
+        self.arnoldi = self.poles.has_zero
         self.breakdown = False
 
         self.q_prev = np.zeros_like(self.q)
@@ -88,9 +85,11 @@ class GramLanczos:
         self._Aq = None            # A q_j, formed at most once
         self._Mq = None            # M q_j = A^T (A q_j), when a check formed it
 
-        # every column in full mode, else the window zero-pole steps clean against
-        self.columns = Rows(None if self.full else ZERO_POLE_WINDOW)
-        self.columns.append(self.q)
+        # every column, cleaned against, in full mode and on zero-pole sequences
+        self.columns = None
+        if orthogonalize == "full" or self.arnoldi:
+            self.columns = Rows()
+            self.columns.append(self.q)
         # pencil bookkeeping (H and K columns)
         self._h_cols = []
         self._k_cols = []
@@ -102,7 +101,7 @@ class GramLanczos:
         return self._Aq
 
     def _raw_candidate(self, xi, rtol):
-        """Windowed-mode candidate for the next direction."""
+        """Rational Arnoldi candidate for the next direction."""
         if xi == 0.0:
             return solve_shifted_gram(self.op, 0.0, self.q, rtol)
         Mq = self.op.applyt(self.apply_q())
@@ -125,9 +124,9 @@ class GramLanczos:
         u, v = np.zeros(j + 1), np.zeros(j + 1)
         # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
         repeat = d_new != 0.0 and d_new == self.d_cur
-        deferred = repeat and not (self.full or self.windowed) and self.op.dense is not None
+        deferred = repeat and self.columns is None and self.op.dense is not None
 
-        if self.windowed:
+        if self.arnoldi:
             u[j - 1] = 1.0
             w = self._raw_candidate(xi, rtol)
             scale = np.linalg.norm(w)
@@ -155,9 +154,8 @@ class GramLanczos:
                 u[j - 2], v[j - 2] = self.d_prev * self.b_prev, self.b_prev
             self.Mq_prev = Mq
         c = np.zeros(j + 1)        # cleaning coefficients, then b_j
-        if self.full or self.windowed:
-            w, coeffs = cgs2(self.columns.filled.T, w)
-            c[j - coeffs.size:j] = coeffs
+        if self.columns is not None:
+            w, c[:j] = cgs2(self.columns.filled.T, w)
         q_new, b_new = normalize(w, scale)
         Aq_new = Mq_new = None
         if deferred:
@@ -185,7 +183,8 @@ class GramLanczos:
         self.q_prev, self.q = self.q, q_new
         self._Aq, self._Mq = Aq_new, Mq_new
         self.count += 1
-        self.columns.append(q_new)
+        if self.columns is not None:
+            self.columns.append(q_new)
         return q_new
 
     def pencil(self):
@@ -248,7 +247,6 @@ class GmfProjection:
     Q: np.ndarray
     B: np.ndarray
     structure: str = "dense-upper"
-    rank_deficient: bool = False
 
 
 def _structure_tag(poles):
@@ -268,9 +266,8 @@ def project(op, Q, poles=None):
     signs[signs == 0] = 1.0
     W = W * signs
     R = R * signs[:, None]
-    deficient = bool(np.any(np.abs(np.diag(R)) <= 1e-13 * op.norm_estimate()))
     tag = "dense-upper" if poles is None else _structure_tag(poles)
-    return GmfProjection(W, Q, R, structure=tag, rank_deficient=deficient)
+    return GmfProjection(W, Q, R, structure=tag)
 
 
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):

@@ -13,7 +13,9 @@ and the second superdiagonal gamma. One step updates
 
 where x_k carries the whole above-diagonal part of column k in the P basis,
 so only two inner products are needed. The companion basis q_k comes from the
-short (two-column) rational Lanczos recurrence on A^T A with the same poles.
+short (two-column) rational Lanczos recurrence on A^T A with the same poles;
+a sequence that holds a zero pole has no such recurrence, and its q_k are
+cleaned against every stored column instead (``GramLanczos``).
 ``rgk_run`` grows the dense B_k one column per step by the same rank-one
 recursion (``reconstruct_dense`` applies it to all columns at once) and hands
 p_k and that column to the shared approximation loop, which also builds
@@ -140,12 +142,13 @@ def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None, Aq
     return p_k, d_k, beta_km1, gamma_km2, x_k, used_fallback
 
 
-def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
+def rgk_run(f, op, b, poles, k_max, reference=None):
     """Run the short-recurrence rational Golub-Kahan method.
 
-    The recurrence itself keeps two p-columns, two q-columns and x_k; the
-    produced P columns go to the shared loop's write-once output array because
-    the approximation y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
+    The recurrence itself keeps two p-columns, two q-columns and x_k (every
+    q-column when a pole is zero, see ``GramLanczos``); the produced P columns
+    go to the shared loop's write-once output array because the approximation
+    y_k = ||b|| P_k f◇(B_k) e_1 needs them (they are never
     re-orthogonalized). The trace records relative errors when a reference is
     supplied, and holds P_k^T P_k: its ``orthogonality_drift``
     ||I - P_k^T P_k||_2 per iteration is computed when first read. The shifted
@@ -179,6 +182,5 @@ def rgk_run(f, op, b, poles, k_max, reference=None, evaluate=True):
         column = _dense_column(B, k - 1, column)
         return p_k, column
 
-    ys, trace = approximation_loop(f, b, op.rows, k_max, step, reference,
-                                   evaluate=evaluate, drift=True)
+    ys, trace = approximation_loop(f, b, op.rows, k_max, step, reference, drift=True)
     return ys, B, trace

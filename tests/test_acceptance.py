@@ -110,7 +110,7 @@ def test_criterion_04_interlacing():
 def test_criterion_05_quasiseparable_structure():
     op, b = seeded_problem(40, 40, "logspace", 0.5, 8.0, 5)
     poles = PoleSequence(tuple(np.linspace(-1.0, -9.0, 15)))
-    _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 15, evaluate=False)
+    _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 15)
     Bd = B.dense()
     nB = np.linalg.norm(Bd, 2)
     worst_second = 0.0
@@ -144,8 +144,7 @@ def test_criterion_06_short_recurrence_fidelity():
 
 def test_criterion_07_golub_kahan_reduction():
     op, b = seeded_problem(30, 20, "chebyshev2", 1.0, 6.0, 9)
-    _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(10), 10,
-                      evaluate=False)
+    _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(10), 10)
     state = gk_init(b)
     for _ in range(10):
         gk_step(state, op)

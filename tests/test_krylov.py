@@ -37,16 +37,13 @@ class TestCgs2:
         assert c.size == 0
 
 
-@pytest.mark.parametrize("window", [None, 6])
-def test_rows_keep_every_vector_or_the_last_window(window):
-    # 40 appends pass the first allocation of 16 rows: the block grows, or
-    # moves its window to the front
+def test_rows_keep_every_vector():
+    # 40 appends pass the first allocation of 16 rows and the doubled 32
     vs = np.random.default_rng(4).standard_normal((40, 7))
-    rows = Rows(window)
+    rows = Rows()
     for i, v in enumerate(vs):
         rows.append(v)
-        kept = vs[:i + 1] if window is None else vs[max(i + 1 - window, 0):i + 1]
-        assert np.array_equal(rows.filled, kept)
+        assert np.array_equal(rows.filled, vs[:i + 1])
 
 
 class TestNormalize:

@@ -195,6 +195,20 @@ class TestShortMode:
             Q = np.column_stack(cols)
             defect = np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q)
             assert defect <= 1e-10, poles.kind
+            assert eng.columns is None
+
+    def test_zero_pole_mix_keeps_every_column_orthonormal(self):
+        # a zero pole leaves no short Q recurrence: each candidate is cleaned
+        # against every stored column, so Q is as orthonormal as the full one
+        op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 1)
+        choice = np.random.default_rng(0).choice([0.0, math.inf, -0.5, -2.0, -7.0], 39)
+        eng = GramLanczos(op, b, PoleSequence(tuple(choice)), orthogonalize="short")
+        cols = [eng.q]
+        while eng.count < 40:
+            cols.append(eng.advance())
+        Q = np.column_stack(cols)
+        assert np.array_equal(eng.columns.filled.T, Q)
+        assert np.linalg.norm(np.eye(40) - Q.T @ Q, 2) <= 1e-13
 
 
 def _count_operations(monkeypatch, op):
@@ -275,8 +289,9 @@ class TestSolverCache:
 
     @pytest.mark.parametrize("engine,lead", [(rgk_run, ()),
                                              (rational_gmf_approximate, ()),
+                                             (rgk_run, (0.0,)),
                                              (rational_gmf_approximate, (0.0,))],
-                             ids=["short", "full", "windowed"])
+                             ids=["short", "full", "short_zero", "full_zero"])
     def test_distinct_poles_keep_one_factor(self, factors, engine, lead):
         op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
         poles = PoleSequence(lead + tuple(-np.geomspace(0.05, 20.0, 59)))

@@ -25,8 +25,7 @@ class TestStep:
 
     def test_infinite_poles_reduce_to_golub_kahan(self):
         op, b = seeded_problem(30, 20, "chebyshev2", 1.0, 6.0, 9)
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(10), 10,
-                          evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(10), 10)
         state = gk_init(b)
         for _ in range(10):
             gk_step(state, op)
@@ -39,7 +38,7 @@ class TestAgainstFullOrthogonalization:
     def test_si_pole_entries_match(self):
         op, b = seeded_problem(20, 20, "logspace", 1.0, 5.0, 5)
         poles = si_optimal_pole(1.0, 5.0, 6)
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 4, evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 4)
         fac = rational_arnoldi(op, b, poles, 4)
         Bf = project(op, fac.Q, poles).B
         assert np.abs(B.dense() - Bf).max() <= 1e-9
@@ -47,7 +46,7 @@ class TestAgainstFullOrthogonalization:
     def test_reconstruction_matches_at_k5(self):
         op, b = seeded_problem(20, 20, "logspace", 1.0, 5.0, 5)
         poles = si_optimal_pole(1.0, 5.0, 6)
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 5, evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 5)
         fac = rational_arnoldi(op, b, poles, 5)
         Bf = project(op, fac.Q, poles).B
         assert np.abs(reconstruct_dense(B) - Bf).max() <= 1e-9
@@ -55,7 +54,7 @@ class TestAgainstFullOrthogonalization:
     def test_btb_is_projected_gram(self):
         op, b = seeded_problem(18, 18, "logspace", 0.5, 4.0, 3)
         poles = PoleSequence((-1.0, -2.5, -4.0, -7.0, -1.7, -3.1, -5.9))
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 8, evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 8)
         fac = rational_arnoldi(op, b, poles, 8)
         J = fac.Q.T @ (op.dense.T @ op.dense) @ fac.Q
         Bd = B.dense()
@@ -65,8 +64,7 @@ class TestAgainstFullOrthogonalization:
         # below the invariance index every column beyond the first carries
         # at least one significant off-diagonal entry
         op, b = seeded_problem(18, 18, "logspace", 0.5, 4.0, 3)
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, 10),
-                          10, evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, 10), 10)
         Bd = B.dense()
         tol = 1e-12 * op.norm_estimate()
         for j in range(1, 10):
@@ -100,15 +98,14 @@ class TestReconstruction:
 
     def test_infinite_poles_give_bidiagonal(self):
         op, b = seeded_problem(12, 9, "logspace", 0.5, 3.0, 1)
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(6), 6,
-                          evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, polynomial_poles(6), 6)
         Bd = B.dense()
         assert np.abs(np.triu(Bd, 2)).max() <= 1e-12 * op.norm_estimate()
 
     def test_generators_reproduce_strict_upper(self):
         op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 6)
         poles = PoleSequence(tuple(np.linspace(-1.0, -8.0, 9)))
-        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 10, evaluate=False)
+        _, B, _ = rgk_run(builtin("sqrt"), op, b, poles, 10)
         u, v = B.generators()
         Bd = B.dense()
         assert np.abs(np.triu(np.outer(u, v), 1) - np.triu(Bd, 1)).max() <= 1e-9
@@ -127,12 +124,17 @@ class TestRun:
         _, _, tr = rgk_run(f, op, b, polynomial_poles(3), 3, reference=ref)
         assert tr.errors[-1] <= 1e-11
 
-    def test_extended_poles_match_full_orthogonalization(self):
-        # zero poles take the windowed companion path
+    @pytest.mark.parametrize("poles", [
+        extended_poles(12),
+        PoleSequence((-3.0,) * 6 + (0.0,) + (-3.0,) * 6),
+        PoleSequence((-0.3, 0.0) + tuple(-np.geomspace(0.125, 7.2, 12)))],
+        ids=["extended", "zero_after_repeats", "zero_before_distinct"])
+    def test_extended_poles_match_full_orthogonalization(self, poles):
+        # a sequence that holds a zero pole has no short Q recurrence: its
+        # q_k are cleaned against every stored column, as in the full engine
         op, b = seeded_problem(24, 24, "logspace", 0.5, 6.0, 2)
         f = builtin("sqrt")
         ref = gmf_apply_reference(f, op.dense, b)
-        poles = extended_poles(12)
         ys_s, _, tr_s = rgk_run(f, op, b, poles, 12, reference=ref)
         ys_f, tr_f = rational_gmf_approximate(f, op, b, poles, 12, reference=ref)
         diffs = [np.linalg.norm(a - c) / np.linalg.norm(ref)
@@ -237,28 +239,26 @@ class TestLazyDrift:
     """The drift ||I - P_k^T P_k||_2 is taken when the trace is first read."""
     K = 20
 
-    def run(self, monkeypatch, evaluate):
+    def run(self, monkeypatch):
         op, b = seeded_problem(60, 60, "logspace", 0.5, 4.0, 21)
         ps = _stored_columns(monkeypatch)
         counts = _count_svds(monkeypatch)
         _, _, trace = rgk_run(builtin("sqrt"), op, b, si_optimal_pole(0.5, 4.0, self.K),
-                              self.K, evaluate=evaluate)
+                              self.K)
         assert len(ps) == len(trace.ks) == self.K
         return ps, counts, trace
 
-    @pytest.mark.parametrize("evaluate", [True, False])
-    def test_no_svd_until_read(self, monkeypatch, evaluate):
-        _, counts, trace = self.run(monkeypatch, evaluate)
+    def test_no_svd_until_read(self, monkeypatch):
+        _, counts, trace = self.run(monkeypatch)
         assert counts["svd"] == 0
         drift = trace.orthogonality_drift
         assert counts["svd"] == self.K
         assert trace.orthogonality_drift is drift and counts["svd"] == self.K
 
-    @pytest.mark.parametrize("evaluate", [True, False])
-    def test_values_are_the_two_norm_of_the_defect(self, monkeypatch, evaluate):
+    def test_values_are_the_two_norm_of_the_defect(self, monkeypatch):
         # P_k^T P_k grown one column P_k^T p_k per step from a Fortran-ordered
         # P, as the loop grows it (one P_k^T P_k product rounds differently)
-        ps, _, trace = self.run(monkeypatch, evaluate)
+        ps, _, trace = self.run(monkeypatch)
         P = np.array(ps).T
         G = np.zeros((self.K, self.K))
         expected = []
@@ -269,7 +269,7 @@ class TestLazyDrift:
         assert trace.pairs("drift") == list(zip(range(1, self.K + 1), expected))
 
     def test_equality_compares_the_drift(self, monkeypatch):
-        _, _, trace = self.run(monkeypatch, True)
+        _, _, trace = self.run(monkeypatch)
         same = ConvergenceTrace(list(trace.ks), list(trace.errors), trace.gram.copy())
         assert same == trace
         other = ConvergenceTrace(list(trace.ks), list(trace.errors), trace.gram.copy())
