@@ -9,6 +9,7 @@ import ctypes
 import functools
 import importlib
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ArgumentError, SolveFailure
+from .krylov import Rows, cgs2, normalize
 
 GRAM_SOLVE_RTOL = 1e-10
 
@@ -43,6 +45,7 @@ class LinearOperator:
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
         self._gram = None
         self.shifted_grams = {}    # xi -> ShiftedGram, see ShiftedGram.of
+        self.krylov_basis = None   # weakref to the running engine's KrylovBasis
         self._norm_est = None
         self.factors = None
 
@@ -192,13 +195,64 @@ def blas_thread_counts():
     return counts
 
 
+class KrylovBasis:
+    """Lanczos basis Q of K(A^T A, q) shared by a matrix-free engine run's solves.
+
+    K(A^T A - xi I, q) = K(A^T A, q) for every xi. A step is one ``gram_apply``
+    and CGS2 against all of Q, whose last coefficient and norm extend the
+    tridiagonal T_m of A^T A Q_m = Q_m T_m + beta_m q_{m+1} e_m^T. Q stops growing
+    at a vanished beta (``normalize``), at n columns, and once its m CGS2 steps,
+    O(n m) each, cost more than its m products: from there CG or MINRES costs
+    less. Both are costed at the fastest rate seen, so a stall does not stop Q.
+    """
+
+    def __init__(self, op, q):
+        self.op = op
+        self.columns = Rows()
+        self.columns.append(q)
+        self.alpha, self.beta = [], []
+        self.product_s = self.cgs2_col_s = np.inf   # fastest product, CGS2 per column
+
+    def solve(self, xi, v, target):
+        """Q_m y, (T_m - xi I) y = Q_m^T v, Q grown while it may until |beta_m y_m -
+        q_{m+1}^T v| is at most ``target``; a singular T_m - xi I grows Q."""
+        c, y = self.columns.filled @ v, np.zeros(0)
+        while True:
+            m, estimate = len(self.alpha), np.inf
+            if m:
+                off = np.array(self.beta[:-1] or [0.0])     # dgtsv takes no empty array
+                *_, y_m, info = scipy.linalg.lapack.dgtsv(off, np.subtract(self.alpha, xi),
+                                                          off, c[:m])
+                if info == 0 and np.all(np.isfinite(y_m)):
+                    y = y_m
+                    estimate = abs(self.beta[-1] * y[-1] - c[m]) if c.size > m else 0.0
+            # c.size == m: Q is invariant; else compare m steps of CGS2 (1 + ... + m
+            # columns) with m products, each at the fastest rate seen
+            if estimate <= target or c.size == m or (m + 1) * self.cgs2_col_s > 2 * self.product_s:
+                return y @ self.columns.filled[:y.size]
+            start = time.perf_counter()
+            Mq = self.op.gram_apply(self.columns.filled[-1])
+            mid = time.perf_counter()
+            w, coeffs = cgs2(self.columns.filled.T, Mq)
+            self.product_s = min(self.product_s, mid - start)
+            self.cgs2_col_s = min(self.cgs2_col_s, (time.perf_counter() - mid) / self.columns.size)
+            q, beta = normalize(w, np.linalg.norm(Mq))
+            self.alpha.append(coeffs[-1])
+            self.beta.append(beta)
+            if beta and self.columns.size < self.op.cols:   # n columns span R^n
+                self.columns.append(q)
+                c = np.append(c, q @ v)
+
+
 class ShiftedGram:
     """Solver of (A^T A - xi I) x = v for one operator and one finite shift xi.
 
     On a dense payload the first solve factors the formed A^T A - xi I by LU
-    (scipy's BLAS at one thread) and keeps the factor. A matrix-free operator
-    runs CG for xi <= 0 and MINRES for xi > 0, refined in at most four passes
-    on the true residual; each pass asks for ``0.5 * rtol * ||v||`` and no
+    (scipy's BLAS at one thread) and keeps the factor. On a matrix-free operator
+    the first pass is a Galerkin solve in the running engine's ``KrylovBasis``,
+    if the operator refers to one and that lowers the residual; CG for xi <= 0
+    and MINRES for xi > 0 then refine what lies outside it in at most four
+    passes on the true residual. Each asks for ``0.5 * rtol * ||v||`` and no
     smaller, and one that does not lower the residual ends the refinement with
     the best iterate. ``solve`` checks every return: against the factored
     A^T A on a dense payload (one n-by-n product, the LU's backward error),
@@ -263,8 +317,17 @@ class ShiftedGram:
             solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
             target = 0.5 * rtol * nv
             x, r, residual = np.zeros(op.cols), v, nv
+            basis = op.krylov_basis and op.krylov_basis()
+            if basis is not None:
+                x0 = basis.solve(xi, v, target)
+                r0 = v - shifted_mv(x0)
+                res0 = np.linalg.norm(r0)
+                if res0 < residual:
+                    x, r, residual = x0, r0, res0
             # iterative refinement against the true residual, keeping the best x
             for _ in range(4):
+                if residual <= target:
+                    break
                 dx, _ = solver(lin, r, rtol=target / residual, maxiter=20 * op.cols)
                 x_new = x + dx
                 r_new = v - shifted_mv(x_new)
@@ -272,8 +335,6 @@ class ShiftedGram:
                 if not res_new < residual:
                     break
                 x, r, residual = x_new, r_new, res_new
-                if residual <= target:
-                    break
 
         self.require(r, v, rtol)
         return x

@@ -30,6 +30,7 @@ cleaning is the CGS2 kernel and breakdown is ``krylov.normalize``.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ArgumentError
 from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
                      start_vector)
-from .operators import GRAM_SOLVE_RTOL, ShiftedGram, solve_shifted_gram
+from .operators import GRAM_SOLVE_RTOL, KrylovBasis, ShiftedGram, solve_shifted_gram
 from .poles import PoleSequence, require_poles
 
 
@@ -64,7 +65,8 @@ class GramLanczos:
     except in a dense step that stores no columns and whose pole repeats the
     previous one: y0 comes from ``lu_solve`` and is checked once q_{j+1}
     exists. A pole with no solver yet first drops the operator's solvers no
-    remaining pole uses.
+    remaining pole uses. In full mode on a matrix-free operator the engine owns
+    a ``KrylovBasis`` from q_1, which every shifted solve projects onto.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -72,6 +74,10 @@ class GramLanczos:
             raise ArgumentError("orthogonalize must be 'full' or 'short'")
         self.q, _ = start_vector(b)
         self.op = op
+        # held here, found by the solves through op; rgk_run keeps O(1) vectors
+        self.basis = (KrylovBasis(op, self.q) if op.dense is None and orthogonalize == "full"
+                      else None)
+        op.krylov_basis = self.basis and weakref.ref(self.basis)
         self.poles = require_poles(poles)
         self.arnoldi = self.poles.has_zero
         self.breakdown = False
@@ -280,8 +286,9 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     perturbs only the next direction, which every later y_k weights by about
     |z_last| / ||z||: a residual of tau_k ||v|| adds at most about
     kappa GRAM_SOLVE_RTOL to their relative error, kappa = (sigma_max^2 - xi)
-    / (sigma_min^2 - xi). Dense payloads, ``rgk_run`` and ``rational_arnoldi``
-    keep GRAM_SOLVE_RTOL.
+    / (sigma_min^2 - xi). tau_k also bounds how far the engine's shared
+    ``KrylovBasis`` grows for a solve. Dense payloads, ``rgk_run`` and
+    ``rational_arnoldi`` keep GRAM_SOLVE_RTOL.
     """
     k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")

@@ -17,7 +17,7 @@ from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, ShiftedGram,
                        rgk_run, save_dense_matrix, singular_profile, solve_shifted_gram,
                        synthesize_test_matrix)
 from gmfkrylov import operators
-from gmfkrylov.operators import GRAM_SOLVE_RTOL
+from gmfkrylov.operators import GRAM_SOLVE_RTOL, KrylovBasis
 
 from conftest import explicit_profile_problem, record_factors, seeded_problem
 
@@ -178,11 +178,20 @@ class TestShiftedGramSolve:
         assert len(calls) == 1
         assert np.array_equal(solver.lu_solve(b), x) and len(calls) == 1
 
-    @pytest.mark.parametrize("engine", [None, rgk_run, rational_gmf_approximate])
-    def test_operator_freed_without_the_cycle_collector(self, engine):
-        # the operator holds its solvers and they hold it weakly, so its arrays
-        # and factors go with its last reference, not at some later full gc
+    @pytest.mark.parametrize("engine, matrix_free", [
+        pytest.param(None, False, id="None"),
+        pytest.param(rgk_run, False, id="rgk_run"),
+        pytest.param(rational_gmf_approximate, False, id="rational_gmf_approximate"),
+        pytest.param(rgk_run, True, id="rgk_run-matrix-free"),
+        pytest.param(rational_gmf_approximate, True, id="rational_gmf_approximate-matrix-free")])
+    def test_operator_freed_without_the_cycle_collector(self, engine, matrix_free):
+        # the operator holds its solvers and they hold it weakly, and it refers
+        # to a run's Krylov basis weakly, so its arrays and factors go with its
+        # last reference, not at some later full gc
         op, b = seeded_problem(30, 30, "logspace", 0.5, 4.0, 11)
+        if matrix_free:
+            A = op.dense
+            op = LinearOperator.from_callables(30, 30, lambda v: A @ v, lambda u: A.T @ u)
         poles = PoleSequence((-1.0, -2.0) * 3)
         if engine is None:
             solve_shifted_gram(op, -1.0, b)
@@ -196,6 +205,21 @@ class TestShiftedGramSolve:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_krylov_basis_stops_at_n_columns(self):
+        # a non-finite product gives a NaN beta, which no breakdown test
+        # catches; the basis still stops at n columns and the solve returns.
+        # The product sleeps so that CGS2 never outweighs it.
+        n = 6
+
+        def matvec(v):
+            time.sleep(1e-3)
+            return np.full(n, np.nan)
+
+        basis = KrylovBasis(LinearOperator.from_callables(n, n, matvec, lambda u: u),
+                            np.eye(n)[0])
+        basis.solve(-1.0, np.ones(n), 0.0)
+        assert basis.columns.size == n
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
     def test_non_finite_shift_rejected(self, xi):

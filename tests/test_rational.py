@@ -1,4 +1,6 @@
 import math
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from gmfkrylov import (ArgumentError, GramLanczos, LinearOperator, PoleSequence,
                        rational_arnoldi, rational_gmf_approximate, rgk_run,
                        si_optimal_pole, solve_shifted_gram)
 from gmfkrylov import rational
-from gmfkrylov.operators import GRAM_SOLVE_RTOL, ShiftedGram
+from gmfkrylov.operators import GRAM_SOLVE_RTOL, KrylovBasis, ShiftedGram
 
-from conftest import record_factors, seeded_problem
+from conftest import explicit_profile_problem, record_factors, seeded_problem
 
 
 class TestRationalArnoldi:
@@ -327,6 +329,42 @@ def _record_rtols(monkeypatch):
     return rtols
 
 
+def _matrix_free(op, product_s=0.0):
+    """from_callables twin of op's dense payload, and the list its apply calls grow.
+
+    ``product_s`` > 0 sleeps that long in each product, as a costly A would:
+    then CGS2 never outweighs the products and the shared basis grows as far
+    as the solves ask."""
+    A, calls = op.dense, []
+
+    def matvec(v):
+        calls.append(1)
+        time.sleep(product_s)
+        return A @ v
+
+    return LinearOperator.from_callables(*A.shape, matvec, lambda u: A.T @ u), calls
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """Every KrylovBasis the engines make, kept past the run that owns it."""
+    made = []
+
+    class Recorded(KrylovBasis):
+        def __init__(self, op, q):
+            super().__init__(op, q)
+            made.append(self)
+
+    monkeypatch.setattr(rational, "KrylovBasis", Recorded)
+    return made
+
+
+def _relative_gap(trace, reference):
+    e, e_ref = np.array(trace.errors), np.array(reference.errors)
+    assert e.size == e_ref.size
+    return np.max(np.abs(e - e_ref) / e_ref)
+
+
 class TestMatrixFreeEngines:
     """The engines on a from_callables twin of a dense problem: the full engine
     relaxes its shifted solves as y_k converges, the other paths do not."""
@@ -335,11 +373,9 @@ class TestMatrixFreeEngines:
     @pytest.fixture
     def problem(self):
         op, b = seeded_problem(200, 200, "logspace", 0.1, 10.0, 5)
-        A = op.dense
-        mf = LinearOperator.from_callables(200, 200, lambda v: A @ v, lambda u: A.T @ u)
         f = builtin("sqrt")
-        return f, op, mf, b, si_optimal_pole(0.1, 10.0, self.K), gmf_apply_factors(
-            f, *op.factors, b)
+        return f, op, _matrix_free(op)[0], b, si_optimal_pole(0.1, 10.0, self.K), \
+            gmf_apply_factors(f, *op.factors, b)
 
     def test_full_engine_relaxes_and_tracks_dense(self, monkeypatch, problem):
         f, op, mf, b, poles, y = problem
@@ -362,3 +398,94 @@ class TestMatrixFreeEngines:
         ys = rgk_run(f, mf, b, poles, self.K, reference=y)[0]
         assert len(ys) == self.K
         assert len(rtols) == self.K and set(rtols) == {GRAM_SOLVE_RTOL}
+
+    @pytest.mark.parametrize("poles, ceiling", [
+        pytest.param(si_optimal_pole(0.1, 10.0, K), 250, id="si"),
+        pytest.param(PoleSequence(tuple(-np.geomspace(0.05, 200.0, 30))), 400,
+                     id="geomspace")])
+    def test_shared_basis_bounds_the_products(self, problem, bases, poles, ceiling):
+        # every solve first projects onto the run's one Lanczos basis of
+        # K(A^T A, b); CG from zero in each solve takes 1,420 and 4,311
+        # products with A on these two runs
+        f, op, _, b, _, y = problem
+        mf, calls = _matrix_free(op, product_s=1e-3)
+        _, free = rational_gmf_approximate(f, mf, b, poles, len(poles), reference=y)
+        assert len(calls) <= ceiling
+        assert len(bases) == 1 and bases[0].columns.size <= op.cols
+        _, dense = rational_gmf_approximate(f, op, b, poles, len(poles), reference=y)
+        assert _relative_gap(free, dense) <= 1e-4
+
+    def test_no_basis_outlives_its_run(self, problem):
+        # the engine owns the basis and the operator refers to it weakly; the
+        # short engine keeps O(1) vectors and builds none
+        f, _, mf, b, poles, _ = problem
+        rational_gmf_approximate(f, mf, b, poles, self.K)
+        assert isinstance(mf.krylov_basis, weakref.ref) and mf.krylov_basis() is None
+        rgk_run(f, mf, b, poles, self.K)
+        assert mf.krylov_basis is None
+
+    def test_refinement_covers_what_the_basis_misses(self, problem):
+        # with 60 SI poles the right-hand sides leave the basis by more than the
+        # relaxed tolerance; without the CG/MINRES passes on the true residual
+        # the run raises SolveFailure
+        f, op, _, b, _, y = problem
+        poles = si_optimal_pole(0.1, 10.0, 60)
+        _, dense = rational_gmf_approximate(f, op, b, poles, 60, reference=y)
+        mf = _matrix_free(op, product_s=1e-3)[0]
+        _, free = rational_gmf_approximate(f, mf, b, poles, 60, reference=y)
+        assert len(free.errors) == 60
+        assert free.errors[-1] <= 2 * dense.errors[-1]
+
+    def test_pole_in_a_spectral_gap(self, problem):
+        # xi = 25 lies between two squared singular values: MINRES alone
+        # returned above the relaxed tolerance after four passes
+        f, op, _, b, _, y = problem
+        poles = PoleSequence((25.0, -1.0) * 6)
+        _, dense = rational_gmf_approximate(f, op, b, poles, 12, reference=y)
+        mf = _matrix_free(op, product_s=1e-3)[0]
+        _, free = rational_gmf_approximate(f, mf, b, poles, 12, reference=y)
+        assert _relative_gap(free, dense) <= 1e-6
+
+    def test_basis_stops_where_cgs2_outweighs_the_products(self, bases):
+        # a diagonal A costs O(n) a product, far below CGS2's O(n m) a step: the
+        # basis stops within a few columns and CG refines each solve from its
+        # projection. The answers agree with a run whose products sleep 1 ms,
+        # where the basis grows further.
+        n, K = 20000, 10
+        sigma = np.geomspace(0.1, 10.0, n)
+        b = np.random.default_rng(0).standard_normal(n)
+        f, poles = builtin("sqrt"), si_optimal_pole(0.1, 10.0, K)
+        traces = []
+        for product_s in (0.0, 1e-3):
+            def matvec(v, product_s=product_s):
+                time.sleep(product_s)
+                return sigma * v
+
+            op = LinearOperator.from_callables(n, n, matvec, lambda u: sigma * u)
+            traces.append(rational_gmf_approximate(f, op, b, poles, K,
+                                                   reference=np.sqrt(sigma) * b)[1])
+        assert bases[0].columns.size < 50
+        assert _relative_gap(*traces) <= 1e-4
+
+    @pytest.mark.parametrize("poles", [si_optimal_pole(0.5, 4.0, 8),
+                                       PoleSequence(tuple(-np.arange(1.0, 8.0)))],
+                             ids=["si", "minus-1-to-7"])
+    def test_basis_stops_at_invariance(self, bases, poles):
+        # K(A^T A, b) has dimension 5 for this rank-4 matrix; pytest makes any
+        # RuntimeWarning of the singular Gram matrix an error
+        op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
+        f = builtin("sqrt")
+        mf = _matrix_free(op, product_s=1e-3)[0]
+        _, trace = rational_gmf_approximate(f, mf, b, poles, 8,
+                                            reference=gmf_apply_factors(f, *op.factors, b))
+        assert bases[0].columns.size == 5 and bases[0].beta[-1] == 0.0
+        assert trace.errors[-1] <= 2e-8
+
+    def test_basis_never_exceeds_n_columns(self, bases):
+        op, b = seeded_problem(20, 20, "logspace", 0.1, 10.0, 1)
+        f = builtin("sqrt")
+        mf = _matrix_free(op, product_s=1e-3)[0]
+        _, trace = rational_gmf_approximate(f, mf, b, si_optimal_pole(0.1, 10.0, 40), 20,
+                                            reference=gmf_apply_factors(f, *op.factors, b))
+        assert bases[0].columns.size == 20 and bases[0].beta[-1] == 0.0
+        assert trace.errors[-1] <= 1e-13
