@@ -9,7 +9,7 @@ bounds, and ships a deterministic experiment harness.
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundCurve, EllipseSampler, chui_hasson_constant,
+from .bounds import (BoundCurve, chui_hasson_constant,
                      polynomial_bound_curve, quasi_optimal_rational_bound,
                      rational_bound_curve, rho_branches, rho_of, sample_h_sup,
                      si_closed_form_bound, si_style_bound)

@@ -25,33 +25,13 @@ from .poles import require_poles
 ELLIPSE_SAMPLES = 4096
 RATIONAL_GRID = 2000
 RHO_GRID_SIZE = 40
+H_SUP_SAMPLES = 4001
 
 
-@dataclass(frozen=True)
-class EllipseSampler:
-    """Boundary samples of the ellipse with foci a^2, b^2 (image of E_rho)."""
-
-    rho: float
-    a: float
-    b: float
-    count: int = ELLIPSE_SAMPLES
-
-    def __post_init__(self):
-        if not (self.a < self.b):
-            raise ArgumentError("interval collapses: need a < b")
-        if not self.rho > 1:
-            raise ArgumentError("need rho > 1")
-
-    def rho_max(self):
-        return (self.b + self.a) / (self.b - self.a)
-
-    def samples(self):
-        return _ellipse_points(self.rho, self.a, self.b, self.count)
-
-
-def _ellipse_points(rho, a, b, count):
-    """Samples of the ellipse with foci a^2, b^2 for each rho, along the last axis."""
-    theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+def _ellipse_points(rho, a, b):
+    """ELLIPSE_SAMPLES points of the ellipse with foci a^2, b^2 (the image of
+    E_rho) for each rho, along the last axis."""
+    theta = np.linspace(0.0, 2.0 * np.pi, ELLIPSE_SAMPLES, endpoint=False)
     rho = np.asarray(rho, dtype=float)[..., None]
     unit = 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho)
     a2, b2 = a ** 2, b ** 2
@@ -70,7 +50,7 @@ class BoundCurve:
         return list(zip(self.ks.tolist(), self.values.tolist()))
 
 
-def chui_hasson_constant(f1_eval, f2_eval, a, b, rho, samples=ELLIPSE_SAMPLES):
+def chui_hasson_constant(f1_eval, f2_eval, a, b, rho):
     """Constant C = M1 + M2 + (N1 + N2)/a sampled on the ellipse.
 
     ``f2_eval`` is the analytic continuation of f to the right half-plane and
@@ -78,10 +58,10 @@ def chui_hasson_constant(f1_eval, f2_eval, a, b, rho, samples=ELLIPSE_SAMPLES):
     evaluated at -sqrt(z). Returns +inf if any sample diverges (which happens
     e.g. at rho = (b+a)/(b-a), where the ellipse touches 0).
     """
-    return float(_chui_hasson_constants(f1_eval, f2_eval, float(a), float(b), rho, samples))
+    return float(_chui_hasson_constants(f1_eval, f2_eval, float(a), float(b), rho))
 
 
-def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho, samples):
+def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho):
     """``chui_hasson_constant`` at each rho of an array, from one pass over all samples."""
     rho = np.asarray(rho, dtype=float)
     if not a < b:
@@ -91,7 +71,7 @@ def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho, samples):
     rho_max = (b + a) / (b - a)
     if np.any(rho > rho_max * (1 + 1e-12)):
         raise ArgumentError(f"rho must not exceed (b+a)/(b-a) = {rho_max:g}")
-    root = np.sqrt(_ellipse_points(rho, a, b, samples))
+    root = np.sqrt(_ellipse_points(rho, a, b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f2 = np.asarray(f2_eval(root), dtype=complex)
         f1 = np.asarray(f1_eval(-root), dtype=complex)
@@ -101,17 +81,13 @@ def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho, samples):
     return np.where(np.isfinite(C), C, math.inf)
 
 
-def _default_rho_grid(rho_max):
-    return np.geomspace(rho_max ** (1.0 / RHO_GRID_SIZE), rho_max, RHO_GRID_SIZE)
-
-
-def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, rho_grid=None,
-                           norm_b=1.0, include_constant=True):
+def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, norm_b=1.0):
     """Geometric bound min over rho of 2 C ||b|| rho/(rho-1) rho^{-k}.
 
-    With ``include_constant=False`` (or when f carries no complex evaluator)
-    only the rate rho_max^{-k} is reported, which is how such curves are
-    usually overlaid on convergence plots.
+    The minimum is over RHO_GRID_SIZE geometrically spaced rho up to rho_max.
+    When f carries no complex evaluator only the rate rho_max^{-k} is
+    reported, which is how such curves are usually overlaid on convergence
+    plots.
     """
     a, b = float(sigma_n), float(sigma_1)
     if not (0 < a < b):
@@ -120,21 +96,15 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, rho_grid=None,
     ks = np.arange(1, int(k_max) + 1)
     constants = {"rho_max": rho_max}
 
-    have_constant = include_constant and getattr(f, "has_complex", False)
-    if not have_constant:
+    if not getattr(f, "has_complex", False):
         values = rho_max ** (-ks.astype(float))
         constants["constant_mode"] = "rate-only"
         return BoundCurve(ks, values, constants)
 
-    if rho_grid is None:
-        rho_grid = _default_rho_grid(rho_max)
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    if rho_grid.size == 0:
-        raise ArgumentError("empty rho grid")
+    rho_grid = np.geomspace(rho_max ** (1.0 / RHO_GRID_SIZE), rho_max, RHO_GRID_SIZE)
     # every ellipse is sampled in one pass; rho^-k stays a scalar power per
     # rho, since a broadcast power may round differently
-    C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho_grid,
-                               ELLIPSE_SAMPLES)
+    C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho_grid)
     pref = 2.0 * C * norm_b * rho_grid / (rho_grid - 1.0)
     values = np.min([p * rho ** (-ks.astype(float)) for p, rho in zip(pref, rho_grid)], axis=0)
     constants["constant_mode"] = "included"
@@ -177,13 +147,13 @@ def si_closed_form_bound(sigma_min, sigma_max, M, k, norm_b=1.0):
             * math.exp(-2.0 * int(k) * math.sqrt(s / S)))
 
 
-def sample_h_sup(f, xi, samples=4001):
+def sample_h_sup(f, xi):
     """M = sup |h| on [0, 1/(-xi)] with h(t) = g(1/t + xi), g = f(sqrt z)/sqrt z."""
     xi = float(xi)
     if not xi < 0:
         raise ArgumentError("xi must be negative")
     g = companion_g(f)
-    ts = np.linspace(0.0, 1.0 / (-xi), int(samples))[1:]
+    ts = np.linspace(0.0, 1.0 / (-xi), H_SUP_SAMPLES)[1:]
     w = 1.0 / ts + xi
     w = np.maximum(w, 1e-300)   # endpoint t = 1/(-xi) maps to w = 0
     return float(np.max(np.abs(g(w))))
@@ -221,8 +191,7 @@ def _grid_rational_basis(w, poles, k):
     return V
 
 
-def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, grid_size=RATIONAL_GRID,
-                                 norm_b=1.0):
+def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, norm_b=1.0):
     """2 ||b|| sup over a symmetric grid of |f - q_{k-1}(z^2)^{-1} p(z)|.
 
     The minimum over p of degree <= 2k-1 is replaced by a discrete least
@@ -231,18 +200,17 @@ def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, grid_size=RATION
     z * po(z^2)/q(z^2) on the positive half grid. The result approximates
     the best uniform deviation from above only up to the discretization.
     """
-    return _rational_bound_values(f, poles, sigma_n, sigma_1, [k], grid_size, norm_b)[0]
+    return _rational_bound_values(f, poles, sigma_n, sigma_1, [k], norm_b)[0]
 
 
-def rational_bound_curve(f, poles, sigma_n, sigma_1, k_max, grid_size=RATIONAL_GRID,
-                         norm_b=1.0):
+def rational_bound_curve(f, poles, sigma_n, sigma_1, k_max, norm_b=1.0):
     """``quasi_optimal_rational_bound`` for k = 1..k_max, from one grid basis."""
     ks = np.arange(1, int(k_max) + 1)
-    values = _rational_bound_values(f, poles, sigma_n, sigma_1, ks.tolist(), grid_size, norm_b)
+    values = _rational_bound_values(f, poles, sigma_n, sigma_1, ks.tolist(), norm_b)
     return BoundCurve(ks, np.array(values))
 
 
-def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, grid_size, norm_b):
+def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, norm_b):
     """The bound at each k of ks, fitted on the leading columns of one basis.
 
     Column j of the grid basis depends only on columns 0..j-1, so the leading
@@ -253,7 +221,7 @@ def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, grid_size, norm_b):
         raise ArgumentError("need 0 < sigma_n <= sigma_1")
     ks = [int(k) for k in ks]
     poles = require_poles(poles, max(ks))
-    z = _chebyshev_grid(a, b, int(grid_size))
+    z = _chebyshev_grid(a, b, RATIONAL_GRID)
     basis = _grid_rational_basis(z * z, poles, max(ks))
     fz = f(z)
     values = []

@@ -202,7 +202,7 @@ def _bound_overlays(config, b, poles):
     overlays = {}
     for tag in config.bounds:
         if tag == "polynomial":
-            curve = polynomial_bound_curve(f, smin, smax, config.k_max)
+            curve = polynomial_bound_curve(f, smin, smax, config.k_max, norm_b=nb)
             overlays["bound_poly"] = curve.pairs()
         elif tag == "shift_invert":
             xi = -smin * smax

@@ -53,7 +53,7 @@ def cgs2(V, w):
 
 
 class Rows:
-    """Vectors of one length kept as the rows of a block that doubles when full."""
+    """Vectors of one length kept as the rows of a block of one row, doubled when full."""
 
     def __init__(self):
         self.block, self.size = np.empty((0, 0)), 0
@@ -66,7 +66,7 @@ class Rows:
     def append(self, v):
         if self.size == len(self.block):
             self.block = np.vstack((self.block.reshape(-1, v.size),
-                                    np.empty((max(self.size, 16), v.size))))
+                                    np.empty((max(self.size, 1), v.size))))
         self.block[self.size] = v
         self.size += 1
 

@@ -11,7 +11,7 @@ import importlib
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +21,7 @@ from .errors import ArgumentError, SolveFailure
 from .krylov import Rows, cgs2, normalize
 
 GRAM_SOLVE_RTOL = 1e-10
+ADJOINT_PROBES = 5
 
 # the extensions through whose handles each library's OpenBLAS is found
 _BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg",
@@ -358,9 +359,6 @@ class SingularProfile:
     """Prescribed singular values, stored in descending order."""
 
     values: np.ndarray
-    kind: str = "explicit-list"
-    lo: float = field(default=np.nan)
-    hi: float = field(default=np.nan)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -374,14 +372,6 @@ class SingularProfile:
 
     def __len__(self):
         return self.values.size
-
-    @property
-    def sigma_max(self):
-        return float(self.values[0])
-
-    @property
-    def sigma_min(self):
-        return float(self.values[-1])
 
 
 def singular_profile(kind, count, lo, hi):
@@ -410,7 +400,7 @@ def singular_profile(kind, count, lo, hi):
         raise ArgumentError(f"unknown profile kind {kind!r}")
     # clamp roundoff so values stay inside [lo, hi] and strictly descending order holds
     vals = np.clip(vals, lo, hi)
-    return SingularProfile(vals, kind=kind, lo=lo, hi=hi)
+    return SingularProfile(vals)
 
 
 def _haar_from_rng(n, rng):
@@ -487,12 +477,13 @@ def save_dense_matrix(path, A):
             fh.write(" ".join(f"{x:.17e}" for x in row) + "\n")
 
 
-def adjointness_defect(op, seed=0, samples=5):
-    """max |u^T(Av) - (A^T u)^T v| / (||u|| ||v|| ||A||_est) over random probes."""
-    rng = np.random.default_rng(seed)
+def adjointness_defect(op):
+    """max |u^T(Av) - (A^T u)^T v| / (||u|| ||v|| ||A||_est) over ADJOINT_PROBES
+    seeded random probes."""
+    rng = np.random.default_rng(0)
     scale = max(op.norm_estimate(), np.finfo(float).tiny)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(ADJOINT_PROBES):
         u = rng.standard_normal(op.rows)
         v = rng.standard_normal(op.cols)
         lhs = u @ op.apply(v)

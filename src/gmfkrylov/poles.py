@@ -36,10 +36,6 @@ class PoleSequence:
         return iter(self.poles)
 
     @property
-    def all_infinite(self):
-        return all(xi == INF for xi in self.poles)
-
-    @property
     def has_zero(self):
         return any(xi == 0.0 for xi in self.poles)
 

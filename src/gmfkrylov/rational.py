@@ -252,18 +252,9 @@ class GmfProjection:
     P: np.ndarray
     Q: np.ndarray
     B: np.ndarray
-    structure: str = "dense-upper"
 
 
-def _structure_tag(poles):
-    if poles.all_infinite:
-        return "bidiagonal"
-    if poles.has_zero:
-        return "dense-upper"
-    return "quasiseparable-upper"
-
-
-def project(op, Q, poles=None):
+def project(op, Q):
     """QR of A Q: returns P (= the Q-factor) and B (= R, nonnegative diagonal)."""
     Q = np.asarray(Q, dtype=float)
     AQ = np.column_stack([op.apply(Q[:, i]) for i in range(Q.shape[1])])
@@ -272,8 +263,7 @@ def project(op, Q, poles=None):
     signs[signs == 0] = 1.0
     W = W * signs
     R = R * signs[:, None]
-    tag = "dense-upper" if poles is None else _structure_tag(poles)
-    return GmfProjection(W, Q, R, structure=tag)
+    return GmfProjection(W, Q, R)
 
 
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):

@@ -47,16 +47,13 @@ class QuasiseparableUpper:
     def k(self):
         return len(self.d)
 
-    def dense(self, k=None):
-        return reconstruct_dense(self, k)
-
-    def generators(self, k=None):
+    def generators(self):
         """Vectors u, v with triu(B, 1) = triu(u v^T, 1).
 
         Built from the column recursion: v_0 = 0 and v_{j+1} is the running
         product of the ratios gamma_t/beta_t, t < j, so u_i = beta_i / v_{i+1}.
         """
-        k = self.k if k is None else k
+        k = self.k
         u = np.zeros(k)
         v = np.zeros(k)
         if k < 2:
@@ -70,13 +67,13 @@ class QuasiseparableUpper:
         return u, v
 
 
-def reconstruct_dense(B, k=None):
+def reconstruct_dense(B):
     """Dense upper-triangular matrix from the (d, beta, gamma) generators.
 
     Entry (i, j) for j > i + 1 follows the rank-one column recursion
     B[:, j] = (gamma_{j-2}/beta_{j-2}) * B[:, j-1] above the superdiagonal.
     """
-    k = B.k if k is None else int(k)
+    k = B.k
     out = np.zeros((k, k))
     column = None
     for j in range(k):
@@ -101,42 +98,39 @@ def _dense_column(B, j, previous):
     return column
 
 
-def rgk_step(op, q_k, p_prev1, p_prev2, x_prev, beta_prev, *, p_history=None, Aq=None):
+def rgk_step(Aq, p_history, x_prev, beta_prev):
     """One step of the short-recurrence update of P and B.
 
-    Returns (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback); at
-    breakdown (``krylov.normalize`` against ||A q_k||) p_k = 0 and d_k = 0. The
-    first two steps pass ``p_prev1``/``p_prev2`` as None. When |beta_{k-2}| has
-    vanished (against ||A q_k|| too) the rank-one recursion for x_k is
-    undefined; with ``p_history`` (the stored P columns, as a sequence of
-    vectors) available the step falls back to CGS2 against them for this step
-    only. ``Aq`` is A q_k when the caller has formed it already.
+    ``Aq`` is A q_k and ``p_history`` the stored columns p_1..p_{k-1} as the
+    rows of an array (or a sequence of vectors), empty at k = 1. Returns
+    (p_k, d_k, beta_{k-1}, gamma_{k-2}, x_k, used_fallback), with beta_{k-1}
+    None for k < 2 and gamma_{k-2} None for k < 3; at breakdown
+    (``krylov.normalize`` against ||A q_k||) p_k = 0 and d_k = 0. When
+    |beta_{k-2}| has vanished (against ||A q_k|| too) the rank-one recursion
+    for x_k is undefined, and the step falls back to CGS2 against the stored
+    columns for this step only.
     """
-    w = op.apply(q_k) if Aq is None else Aq
+    w = Aq
     scale = np.linalg.norm(w)
     used_fallback = False
 
-    if p_prev1 is None:
-        x_k = np.zeros(op.rows)
+    if len(p_history) == 0:
+        x_k = np.zeros_like(w)
         beta_km1 = None
         gamma_km2 = None
-    elif p_prev2 is None:
-        beta_km1 = float(w @ p_prev1)
+    elif len(p_history) == 1:
+        beta_km1 = float(w @ p_history[-1])
         gamma_km2 = None
-        x_k = beta_km1 * p_prev1
+        x_k = beta_km1 * p_history[-1]
     else:
-        beta_km1 = float(w @ p_prev1)
-        gamma_km2 = float(w @ p_prev2)
+        beta_km1 = float(w @ p_history[-1])
+        gamma_km2 = float(w @ p_history[-2])
         if abs(beta_prev) <= BETA_FALLBACK_RTOL * scale:
-            if p_history is None:
-                raise ArgumentError(
-                    f"beta_{{k-2}} = {beta_prev:.3e} vanished and no stored P "
-                    "columns are available for the fallback")
             used_fallback = True
             history = np.asarray(p_history).T
             x_k = history @ cgs2(history, w)[1]
         else:
-            x_k = (gamma_km2 / beta_prev) * x_prev + beta_km1 * p_prev1
+            x_k = (gamma_km2 / beta_prev) * x_prev + beta_km1 * p_history[-1]
 
     p_k, d_k = normalize(w - x_k, scale)
     return p_k, d_k, beta_km1, gamma_km2, x_k, used_fallback
@@ -157,19 +151,17 @@ def rgk_run(f, op, b, poles, k_max, reference=None):
     k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="short")
     B = QuasiseparableUpper()
-    x_prev = np.zeros(op.rows)
+    x_prev = None              # x_1 = 0 is made by the first step
     column = None
 
     def step(P, _z):
         nonlocal x_prev, column
         k = P.shape[1] + 1
-        q = eng.q if k == 1 else eng.advance()
-        if q is None:
+        if k > 1 and eng.advance() is None:
             return None
         # the step divides by beta_{k-2}, the last beta appended so far
         p_k, d_k, beta_km1, gamma_km2, x_prev, fallback = rgk_step(
-            op, q, P[:, -1] if k > 1 else None, P[:, -2] if k > 2 else None,
-            x_prev, B.beta[-1] if B.beta else 0.0, p_history=P.T, Aq=eng.apply_q())
+            eng.apply_q(), P.T, x_prev, B.beta[-1] if B.beta else 0.0)
         if d_k == 0.0:
             return None
         if fallback:

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmfkrylov import (ArgumentError, EllipseSampler, builtin, chui_hasson_constant,
+from gmfkrylov import (ArgumentError, builtin, chui_hasson_constant,
                        gk_approximate, gmf_apply_reference, polynomial_bound_curve,
                        polynomial_poles, quasi_optimal_rational_bound,
                        rational_bound_curve, rational_gmf_approximate, rho_branches,
                        rho_of, sample_h_sup, si_closed_form_bound, si_optimal_pole,
                        si_style_bound)
+from gmfkrylov.bounds import ELLIPSE_SAMPLES, _ellipse_points
 from gmfkrylov.harness import build_poles, load_config
 
 from conftest import seeded_problem
@@ -20,18 +21,18 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 class TestEllipse:
     def test_samples_lie_on_ellipse(self):
         a, b, rho = 0.5, 3.0, 1.05
-        sampler = EllipseSampler(rho, a, b, count=256)
-        z = sampler.samples()
+        z = _ellipse_points(rho, a, b)
         # constant sum of distances to the foci a^2, b^2
         dist = np.abs(z - a * a) + np.abs(z - b * b)
         semi_major = (b * b - a * a) * (rho + 1.0 / rho) / 4.0
-        assert dist == pytest.approx(np.full(256, 2 * semi_major), rel=1e-12)
+        assert dist == pytest.approx(np.full(ELLIPSE_SAMPLES, 2 * semi_major), rel=1e-12)
 
     def test_degenerate_interval_rejected(self):
+        f = builtin("sqrt")
         with pytest.raises(ArgumentError):
-            EllipseSampler(1.1, 2.0, 2.0)
+            chui_hasson_constant(f.complex_eval_left, f.complex_eval, 2.0, 2.0, 1.1)
         with pytest.raises(ArgumentError):
-            EllipseSampler(1.0, 1.0, 2.0)
+            chui_hasson_constant(f.complex_eval_left, f.complex_eval, 1.0, 2.0, 1.0)
 
 
 class TestHalfPlaneConstant:
@@ -40,9 +41,8 @@ class TestHalfPlaneConstant:
         # the odd extension gives the same values on the left side
         a, b, rho = 0.5, 2.0, 1.2
         f = builtin("identity")
-        C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho,
-                                 samples=2048)
-        z = EllipseSampler(rho, a, b, count=2048).samples()
+        C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
+        z = _ellipse_points(rho, a, b)
         M2 = np.max(np.abs(np.sqrt(z)))
         expected = 2 * M2 + 2 * 1.0 / a
         assert C == pytest.approx(expected, rel=1e-12)
@@ -62,7 +62,7 @@ class TestHalfPlaneConstant:
 
     def test_divergent_sample_reports_infinity(self):
         diverging = lambda s: 1.0 / (s - s)   # inf at every sample
-        C = chui_hasson_constant(diverging, diverging, 0.5, 2.0, 1.2, samples=64)
+        C = chui_hasson_constant(diverging, diverging, 0.5, 2.0, 1.2)
         assert math.isinf(C)
 
     def test_rho_above_limit_rejected(self):
@@ -72,19 +72,16 @@ class TestHalfPlaneConstant:
 
 
 class TestPolynomialBound:
-    def test_rate_only_mode_is_pure_geometric(self):
-        f = builtin("sqrt")
-        curve = polynomial_bound_curve(f, 0.1, 10.0, 6, include_constant=False)
+    def test_missing_complex_evaluator_falls_back(self):
+        # without a complex evaluator only the pure geometric rate is reported
+        from gmfkrylov import ScalarFunction
+        bare = ScalarFunction("bare", np.sqrt)
+        curve = polynomial_bound_curve(bare, 0.1, 10.0, 6)
+        assert curve.constants["constant_mode"] == "rate-only"
         rho_max = 10.1 / 9.9
         assert curve.constants["rho_max"] == pytest.approx(rho_max)
         ratios = curve.values[:-1] / curve.values[1:]
         assert ratios == pytest.approx(np.full(5, rho_max), rel=1e-12)
-
-    def test_missing_complex_evaluator_falls_back(self):
-        from gmfkrylov import ScalarFunction
-        bare = ScalarFunction("bare", np.sqrt)
-        curve = polynomial_bound_curve(bare, 0.5, 2.0, 4)
-        assert curve.constants["constant_mode"] == "rate-only"
 
     def test_dominates_measured_error_with_constant(self):
         f = builtin("sqrt")
@@ -96,10 +93,6 @@ class TestPolynomialBound:
                                            norm_b=float(np.linalg.norm(b)))
             errs = np.array(tr.errors) * np.linalg.norm(ref)
             assert np.all(errs <= curve.values[:len(errs)]), seed
-
-    def test_empty_rho_grid_rejected(self):
-        with pytest.raises(ArgumentError):
-            polynomial_bound_curve(builtin("sqrt"), 0.5, 2.0, 4, rho_grid=[])
 
     @pytest.mark.parametrize("k_max", [1, 30])
     @pytest.mark.parametrize("name", ["sqrt", "inv_quarter", "sqrt_log", "z_log_z"])
@@ -113,10 +106,6 @@ class TestPolynomialBound:
             C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
             per_rho.append(2.0 * C * nb * rho / (rho - 1.0) * rho ** (-ks))
         assert np.array_equal(curve.values, np.min(per_rho, axis=0))
-
-    def test_rho_grid_entry_above_limit_rejected(self):
-        with pytest.raises(ArgumentError):
-            polynomial_bound_curve(builtin("sqrt"), 0.5, 2.0, 4, rho_grid=[1.2, 2.0])
 
 
 class TestShiftInvertBound:

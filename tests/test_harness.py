@@ -7,7 +7,7 @@ import pytest
 import scipy
 
 from gmfkrylov import (ConfigError, builtin, emit_dat, gmf_apply_factors, gmf_apply_reference,
-                       harness, operators, read_dat)
+                       harness, operators, polynomial_bound_curve, read_dat)
 from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
 from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
@@ -486,6 +486,22 @@ class TestExperimentAnalogs:
         ref = gmf_apply_reference(builtin(config.function), op.dense, b)
         nr = np.linalg.norm(ref)
         assert all(err * nr <= bound[k] for k, err in errs)
+
+    def test_polynomial_bound_includes_norm_b(self, tmp_path):
+        # like the other overlays, bound_poly bounds the absolute error for the
+        # run's b: it is the curve for ||b||, above err * ||f◇(A) b|| at every k
+        config = load_config(os.path.join(self.configs_dir(), "polynomial_sqrt.json"))
+        summary = run(config, output_dir=str(tmp_path))
+        op, b = synthesize(config)
+        f = builtin(config.function)
+        curve = polynomial_bound_curve(f, config.matrix.lo, config.matrix.hi, config.k_max,
+                                       norm_b=float(np.linalg.norm(b)))
+        ks, bound = np.array(read_dat(summary["traces"]["bound_poly"])).T
+        assert ks.tolist() == curve.ks.tolist()
+        assert bound == pytest.approx(curve.values, rel=1e-14)
+        errs = np.array(read_dat(summary["traces"]["err"]))[:, 1]
+        nr = np.linalg.norm(gmf_apply_factors(f, *op.factors, b))
+        assert np.all(errs * nr <= bound)
 
     def test_si_bound_at_overridden_pole(self, tmp_path):
         # the closed form holds only at xi = -sigma_min sigma_max; at xi = -1

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
                        gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
                        polynomial_poles, rational_arnoldi, rational_gmf_approximate,
-                       relative_error, rgk_run, si_optimal_pole)
+                       reconstruct_dense, relative_error, rgk_run, si_optimal_pole)
 from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
 from gmfkrylov.rectangular import ENGINES as TABLE
 
@@ -38,12 +38,21 @@ class TestCgs2:
 
 
 def test_rows_keep_every_vector():
-    # 40 appends pass the first allocation of 16 rows and the doubled 32
+    # 40 appends pass five doublings of the first one-row block
     vs = np.random.default_rng(4).standard_normal((40, 7))
     rows = Rows()
     for i, v in enumerate(vs):
         rows.append(v)
         assert np.array_equal(rows.filled, vs[:i + 1])
+
+
+def test_rows_grow_from_one_row():
+    # a basis that stops after a few vectors holds no 16-row first block
+    rows, capacity = Rows(), []
+    for v in np.eye(5)[:3]:
+        rows.append(v)
+        capacity.append(len(rows.block))
+    assert capacity == [1, 2, 4]
 
 
 class TestNormalize:
@@ -321,7 +330,7 @@ class TestBorderedSvd:
         # scale: every column is full, not one bidiagonal entry
         op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
         _, B, _ = rgk_run(F, op, b, si_optimal_pole(0.1, 10.0, 120), 120)
-        self.check(B.dense())
+        self.check(reconstruct_dense(B))
 
     def test_breakdown_column(self):
         # rank 4: GK breaks down at k = 5 with the final column (beta_4, 0)

@@ -11,7 +11,6 @@ from gmfkrylov import (INF, ArgumentError, extended_poles, load_user_poles,
 def test_polynomial_poles():
     assert tuple(polynomial_poles(1)) == (INF,)
     assert tuple(polynomial_poles(3)) == (INF, INF, INF)
-    assert polynomial_poles(3).all_infinite
 
 
 def test_extended_poles():

@@ -148,7 +148,7 @@ class TestRationalApproximation:
         for poles in (polynomial_poles(8), extended_poles(8),
                       si_optimal_pole(0.4, 6.0, 8)):
             fac = rational_arnoldi(op, b, poles, 8)
-            pj = project(op, fac.Q, poles)
+            pj = project(op, fac.Q)
             sv = np.linalg.svd(pj.B, compute_uv=False)
             assert sv.max() <= 6.0 + 1e-10 and sv.min() >= 0.4 - 1e-10, poles.kind
 
@@ -171,14 +171,6 @@ class TestRationalApproximation:
             sv = np.linalg.svd(block, compute_uv=False)
             if sv.size > 1:
                 assert sv[1] <= 1e-8 * nJ, i
-
-    def test_structure_tags(self):
-        op, b = seeded_problem(8, 8, "logspace", 0.5, 2.0, 9)
-        for poles, tag in ((polynomial_poles(3), "bidiagonal"),
-                           (extended_poles(3), "dense-upper"),
-                           (si_optimal_pole(0.5, 2.0, 3), "quasiseparable-upper")):
-            fac = rational_arnoldi(op, b, poles, 3)
-            assert project(op, fac.Q, poles).structure == tag
 
 
 class TestShortMode:
