@@ -1,7 +1,9 @@
 """Matrix-free linear operators, shifted Gram solves and seeded test matrices.
 
 An operator exposes ``apply`` (v -> A v), ``applyt`` (u -> A^T u) and, at
-desk scale, a dense payload, which ``ShiftedGram`` factors once per shift.
+desk scale, a dense payload, which ``ShiftedGram`` factors: by LU for one
+live shift, by one eigendecomposition of A^T A shared by every shift once two
+are live.
 """
 
 import contextlib
@@ -27,6 +29,7 @@ ADJOINT_PROBES = 5
 _BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg",
                     "scipy": "scipy.linalg._flapack"}
 _SCIPY_BLAS_LOCK = threading.Lock()
+_GRAM_EIGH_LOCK = threading.Lock()
 
 
 class LinearOperator:
@@ -46,6 +49,7 @@ class LinearOperator:
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
         self._gram = None
         self.shifted_grams = {}    # xi -> ShiftedGram, see ShiftedGram.of
+        self.gram_eigh = None      # (lambda, V) of A^T A once two shifts are live
         self.krylov_basis = None   # weakref to the running engine's KrylovBasis
         self._norm_est = None
         self.factors = None
@@ -249,18 +253,23 @@ class ShiftedGram:
     """Solver of (A^T A - xi I) x = v for one operator and one finite shift xi.
 
     On a dense payload the first solve factors the formed A^T A - xi I by LU
-    (scipy's BLAS at one thread) and keeps the factor. On a matrix-free operator
-    the first pass is a Galerkin solve in the running engine's ``KrylovBasis``,
-    if the operator refers to one and that lowers the residual; CG for xi <= 0
-    and MINRES for xi > 0 then refine what lies outside it in at most four
-    passes on the true residual. Each asks for ``0.5 * rtol * ||v||`` and no
+    (scipy's BLAS at one thread) and keeps the factor, unless another shift's
+    solver is live on the operator: then it takes one ``numpy.linalg.eigh`` of
+    A^T A = V diag(lambda) V^T, which the operator keeps for every shift, solves
+    by V((V^T v) / (lambda - xi)) and releases the LU. A cyclic pole sequence so
+    holds one n-by-n factor, not one per pole; concurrent solves build it once,
+    under a lock. On a matrix-free operator the first pass is a Galerkin solve
+    in the running engine's ``KrylovBasis``, if the operator refers to one and
+    that lowers the residual; CG for xi <= 0 and MINRES for xi > 0 then refine
+    what lies outside it in at most four passes on the true residual. Each asks for ``0.5 * rtol * ||v||`` and no
     smaller, and one that does not lower the residual ends the refinement with
     the best iterate. ``solve`` checks every return: against the factored
-    A^T A on a dense payload (one n-by-n product, the LU's backward error),
-    else with two operator products. ``lu_solve`` skips the check, for a caller
-    that checks with ``require``. A residual above ``rtol * ||v||``, or an
-    exactly zero pivot, raises SolveFailure: xi is singular or too close to
-    the spectrum of A^T A, or the iteration did not converge.
+    A^T A on a dense payload (one n-by-n product, the factor's backward error),
+    else with two operator products. ``factor_solve`` skips the check, for a
+    caller that checks with ``require``. A residual above ``rtol * ||v||``, an
+    exactly zero pivot or an exactly zero lambda - xi raises SolveFailure: xi is
+    singular or too close to the spectrum of A^T A, or the iteration did not
+    converge.
     """
 
     def __init__(self, op, xi):
@@ -268,7 +277,8 @@ class ShiftedGram:
         if not np.isfinite(self.xi):
             raise ArgumentError(f"shift xi must be finite, got {self.xi}")
         self.op = weakref.proxy(op)  # op holds self: a cycle would delay freeing op
-        self._lu = None            # (lu, piv) once factored; False at a zero pivot
+        self._lu = None            # (lu, piv) once factored; False at a zero pivot;
+                                   # None again once op.gram_eigh is taken
 
     @classmethod
     def of(cls, op, xi):
@@ -278,13 +288,27 @@ class ShiftedGram:
             solver = op.shifted_grams[xi] = cls(op, xi)
         return solver
 
-    def lu_solve(self, v):
-        """x from the dense LU alone, its residual left to the caller."""
+    def factor_solve(self, v):
+        """x from the dense factor alone, its residual left to the caller."""
+        op = self.op
+        if op.gram_eigh is None and self._lu is None and op.shifted_grams.keys() - {self.xi}:
+            with _GRAM_EIGH_LOCK:
+                if op.gram_eigh is None:
+                    op.gram_eigh = np.linalg.eigh(op.gram_matrix())
+                    for solver in list(op.shifted_grams.values()):
+                        solver._lu = None
+        if op.gram_eigh is not None:
+            lam, V = op.gram_eigh
+            gap = lam - self.xi
+            if not np.all(gap):
+                raise SolveFailure(f"shifted Gram solve residual inf: xi={self.xi} "
+                                   "is an eigenvalue of A^T A")
+            return V @ ((v @ V) / gap)
         if self._lu is None:
             # one Fortran-ordered copy, shifted on its diagonal and factored
             # in place: the LU is that of G - xi I without an n-by-n identity
-            shifted = np.array(self.op.gram_matrix(), order="F")
-            shifted.flat[::self.op.cols + 1] -= self.xi
+            shifted = np.array(op.gram_matrix(), order="F")
+            shifted.flat[::op.cols + 1] -= self.xi
             with _one_scipy_blas_thread():
                 lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
             self._lu = False if info else (lu, piv)
@@ -307,7 +331,7 @@ class ShiftedGram:
             return np.zeros(op.cols)
 
         if op.dense is not None:
-            x = self.lu_solve(v)
+            x = self.factor_solve(v)
             r = op.gram_matrix() @ x - xi * x - v
         else:
             def shifted_mv(y):

@@ -21,7 +21,9 @@ class PoleSequence:
     kind: str = "user_file"
 
     def __post_init__(self):
-        object.__setattr__(self, "poles", tuple(float(x) for x in self.poles))
+        poles = tuple(float(x) for x in self.poles)
+        # -inf and inf are one point, the pole at infinity: 1/xi = 0 for both
+        object.__setattr__(self, "poles", tuple(INF if xi == -INF else xi for xi in poles))
         for xi in self.poles:
             if math.isnan(xi):
                 raise ArgumentError("NaN pole")
@@ -90,7 +92,8 @@ def si_optimal_pole(sigma_min, sigma_max, k):
 
 
 def load_user_poles(path, sigma_min=None, sigma_max=None):
-    """One pole per line: "inf", "0", or a decimal; blank lines ignored."""
+    """One pole per line: "inf", "0", or a decimal; blank lines ignored. A "-inf"
+    line is the pole at infinity, as "inf" is."""
     poles = []
     with open(path, "r", encoding="ascii") as fh:
         try:

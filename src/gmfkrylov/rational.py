@@ -63,10 +63,13 @@ class GramLanczos:
 
     Shifted solves go through ``solve_shifted_gram`` (see ``ShiftedGram``),
     except in a dense step that stores no columns and whose pole repeats the
-    previous one: y0 comes from ``lu_solve`` and is checked once q_{j+1}
+    previous one: y0 comes from ``factor_solve`` and is checked once q_{j+1}
     exists. A pole with no solver yet first drops the operator's solvers no
-    remaining pole uses. In full mode on a matrix-free operator the engine owns
-    a ``KrylovBasis`` from q_1, which every shifted solve projects onto.
+    remaining pole uses, so a second solver is live only when a pole recurs
+    (a cyclic sequence); then the dense shifts share one eigendecomposition of
+    A^T A instead of one LU each. In full mode on a matrix-free operator the
+    engine owns a ``KrylovBasis`` from q_1, which every shifted solve projects
+    onto.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -145,7 +148,7 @@ class GramLanczos:
                 y0, y1 = t0, t1
             else:
                 rhs = -xi * t0
-                y0 = (ShiftedGram.of(self.op, xi).lu_solve(rhs) if deferred
+                y0 = (ShiftedGram.of(self.op, xi).factor_solve(rhs) if deferred
                       else solve_shifted_gram(self.op, xi, rhs, rtol))
                 y1 = -self.q if repeat else solve_shifted_gram(self.op, xi, -xi * t1, rtol)
             denom = self.q @ y1

@@ -29,17 +29,28 @@ def explicit_profile_problem(values, m, n, seed):
     return op, b
 
 
-def record_factors(monkeypatch, mark=lambda: None):
-    """List that gets mark() appended at each LAPACK dgetrf call, that is at
-    each LU of a shifted Gram matrix."""
-    calls, dgetrf = [], scipy.linalg.lapack.dgetrf
+def _record_calls(monkeypatch, owner, name, mark):
+    """List that gets mark() appended at each call of owner.<name>."""
+    calls, fn = [], getattr(owner, name)
 
     def recorded(*args, **kwargs):
         calls.append(mark())
-        return dgetrf(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", recorded)
+    monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def record_factors(monkeypatch, mark=lambda: None):
+    """List that gets mark() appended at each LAPACK dgetrf call, that is at
+    each LU of a shifted Gram matrix."""
+    return _record_calls(monkeypatch, scipy.linalg.lapack, "dgetrf", mark)
+
+
+def record_eighs(monkeypatch):
+    """List that grows at each numpy.linalg.eigh call, that is at each
+    eigendecomposition of A^T A that an operator's shifts share."""
+    return _record_calls(monkeypatch, np.linalg, "eigh", lambda: None)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from gmfkrylov.cli import main
 from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
 from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
 
-from conftest import record_factors
+from conftest import record_eighs, record_factors
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -217,18 +217,19 @@ class TestRun:
         for tag in ("err", "err_full", "diff_short_full", "drift"):
             assert tag in summary["traces"], tag
 
-    # LU factors per shipped config: one per distinct pole, none made twice,
-    # although each new pole drops the factors that no later pole uses.
-    # short_vs_full's two engines share one operator and its 20 factors
-    FACTORS = {"rational_optpoles_narrow": 13, "rational_optpoles_wide": 15,
-               "short_vs_full": 20}
+    # factors per shipped config: one LU for the first shift of a rational run.
+    # The cyclic pole files (13, 15 and 20 poles) take one eigendecomposition
+    # of A^T A at their second pole, which every later pole solves with;
+    # short_vs_full's two engines share one operator and so that one factor
+    CYCLIC = {"rational_optpoles_narrow", "rational_optpoles_wide", "short_vs_full"}
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
     def test_factors_per_shipped_config(self, tmp_path, monkeypatch, name):
-        calls = record_factors(monkeypatch)
+        calls, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
         run(load_config(str(CONFIGS / f"{name}.json")), output_dir=str(tmp_path))
         polynomial = name.startswith("polynomial_")
-        assert len(calls) == (0 if polynomial else self.FACTORS.get(name, 1))
+        assert len(calls) == (0 if polynomial else 1)
+        assert len(eighs) == (name in self.CYCLIC)
 
     def test_synthesize_deterministic(self):
         config = parse_config(cfg())

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import time
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +20,7 @@ from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, ShiftedGram,
 from gmfkrylov import operators
 from gmfkrylov.operators import GRAM_SOLVE_RTOL, KrylovBasis
 
-from conftest import explicit_profile_problem, record_factors, seeded_problem
+from conftest import explicit_profile_problem, record_eighs, record_factors, seeded_problem
 
 
 class TestApply:
@@ -176,7 +177,7 @@ class TestShiftedGramSolve:
         assert len(calls) == 0
         x = solve_shifted_gram(op, -1.0, b)
         assert len(calls) == 1
-        assert np.array_equal(solver.lu_solve(b), x) and len(calls) == 1
+        assert np.array_equal(solver.factor_solve(b), x) and len(calls) == 1
 
     @pytest.mark.parametrize("engine, matrix_free", [
         pytest.param(None, False, id="None"),
@@ -269,6 +270,73 @@ class TestShiftedGramSolve:
             assert residual <= GRAM_SOLVE_RTOL * np.linalg.norm(b)
 
 
+class TestSharedEigendecomposition:
+    """A dense operator's second live shift takes one eigendecomposition of
+    A^T A, which every shift on the operator then solves with."""
+
+    def test_second_live_shift_shares_one_eigh_and_releases_the_lu(self, monkeypatch):
+        factors, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        G = op.dense.T @ op.dense
+        x1 = solve_shifted_gram(op, -1.0, b)
+        assert (len(factors), len(eighs)) == (1, 0) and op.gram_eigh is None
+        x2 = solve_shifted_gram(op, -2.0, b)
+        assert (len(factors), len(eighs)) == (1, 1)
+        assert all(solver._lu is None for solver in op.shifted_grams.values())
+        for xi, x in ((-1.0, x1), (-2.0, x2), (-1.0, solve_shifted_gram(op, -1.0, b))):
+            expected = scipy.linalg.solve(G - xi * np.eye(50), b)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert (len(factors), len(eighs)) == (1, 1)
+
+    def test_exact_eigenvalue_raises_without_a_warning(self):
+        # A^T A = diag(9, 4, 1, 0.25), whose eigendecomposition is exact: 4 - 4 is
+        # an exact zero, which must not divide into an inf or NaN
+        op = LinearOperator.from_dense(np.diag([3.0, 2.0, 1.0, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_shifted_gram(op, -1.0, np.ones(4))
+            for solve in (lambda: solve_shifted_gram(op, 4.0, np.ones(4)),
+                          lambda: ShiftedGram.of(op, 4.0).factor_solve(np.ones(4))):
+                with pytest.raises(SolveFailure, match="residual inf"):
+                    solve()
+            assert op.gram_eigh is not None
+
+    @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
+                             ids=["short", "full"])
+    @pytest.mark.parametrize("j", [0, 20, 39])
+    def test_cycled_pole_at_a_squared_singular_value_fails(self, engine, j):
+        # the second pole of the cycle solves with the shared factor, and its
+        # check refuses it, with no RuntimeWarning on the way
+        op, b = seeded_problem(40, 40, "logspace", 0.5, 4.0, 31)
+        poles = PoleSequence((-1.0, float(op.factors[1][j] ** 2)) * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveFailure):
+                engine(builtin("sqrt"), op, b, poles, 8)
+        assert op.gram_eigh is not None
+
+    def test_concurrent_solves_build_one_eigh(self, monkeypatch):
+        # the build runs under a lock and looks again inside it, so threads
+        # that race to a second live shift make one eigendecomposition; at
+        # most the first shift, alone when it factored, takes an LU
+        factors, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
+        op, b = seeded_problem(100, 100, "logspace", 0.5, 4.0, 11)
+        G = op.dense.T @ op.dense
+        shifts = [-1.0 - j for j in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as executor:
+                futures = [executor.submit(solve_shifted_gram, op, xi, b) for xi in shifts]
+                xs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(eighs) == 1 and len(factors) <= 1
+        for xi, x in zip(shifts, xs):
+            expected = scipy.linalg.solve(G - xi * np.eye(100), b)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestScipyBlasPool:
     """The Gram LU runs with scipy's own OpenBLAS pool at one thread."""
 
@@ -311,7 +379,7 @@ class TestScipyBlasPool:
         solver = ShiftedGram(op, 0.0)
         for _ in range(2):
             with pytest.raises(SolveFailure, match="residual inf"):
-                solver.lu_solve(np.ones(3))
+                solver.factor_solve(np.ones(3))
         assert seen == [1] and pool() == 2
 
     def test_raising_factor_restores(self, pool, monkeypatch):
@@ -323,15 +391,18 @@ class TestScipyBlasPool:
 
     def test_concurrent_factors_restore(self, pool, monkeypatch):
         # more threads than cores, switching often: a save and restore that
-        # interleaved would leave the pool at one thread
+        # interleaved would leave the pool at one thread. One shift on each
+        # of 16 operators, so that each takes an LU of its own
         seen = self.record_dgetrf(monkeypatch, pool)
         op, b = seeded_problem(100, 100, "logspace", 0.5, 4.0, 11)
+        ops = [LinearOperator.from_dense(op.dense) for _ in range(16)]
         shifts = [-1.0 - j for j in range(16)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as executor:
-                futures = [executor.submit(solve_shifted_gram, op, xi, b) for xi in shifts]
+                futures = [executor.submit(solve_shifted_gram, each, xi, b)
+                           for each, xi in zip(ops, shifts)]
                 for future in futures:
                     future.result(timeout=60)
         finally:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gmfkrylov import (INF, ArgumentError, extended_poles, load_user_poles,
-                       polynomial_poles, rho_branches, si_optimal_pole,
-                       si_style_bound)
+from gmfkrylov import (INF, ArgumentError, PoleSequence, extended_poles,
+                       load_user_poles, polynomial_poles, rho_branches,
+                       si_optimal_pole, si_style_bound)
 
 
 def test_polynomial_poles():
@@ -44,6 +44,14 @@ def test_load_user_poles(tmp_path):
     seq = load_user_poles(path)
     assert tuple(seq) == (INF, -1.5, 0.0)
     assert seq.kind == "user_file"
+
+
+def test_negative_infinity_is_the_pole_at_infinity(tmp_path):
+    assert tuple(PoleSequence((-INF, 0.0, -INF, -1.0))) == (INF, 0.0, INF, -1.0)
+    assert PoleSequence((-INF,) * 3).validate_interval(1.0, 2.0)
+    path = tmp_path / "poles.txt"
+    path.write_text("-inf\n-1.5\n-Infinity\n", encoding="ascii")
+    assert tuple(load_user_poles(path)) == (INF, -1.5, INF)
 
 
 def test_empty_pole_file(tmp_path):

@@ -7,13 +7,14 @@ import pytest
 
 from gmfkrylov import (ArgumentError, GramLanczos, LinearOperator, PoleSequence,
                        ScalarFunction, builtin, extended_poles, gk_init, gk_step,
-                       gmf_apply_factors, gmf_apply_reference, polynomial_poles, project,
-                       rational_arnoldi, rational_gmf_approximate, rgk_run,
-                       si_optimal_pole, solve_shifted_gram)
+                       gmf_apply_factors, gmf_apply_reference, load_user_poles,
+                       polynomial_poles, project, rational_arnoldi,
+                       rational_gmf_approximate, rgk_run, si_optimal_pole,
+                       solve_shifted_gram)
 from gmfkrylov import rational
 from gmfkrylov.operators import GRAM_SOLVE_RTOL, KrylovBasis, ShiftedGram
 
-from conftest import explicit_profile_problem, record_factors, seeded_problem
+from conftest import explicit_profile_problem, record_eighs, record_factors, seeded_problem
 
 
 class TestRationalArnoldi:
@@ -238,16 +239,16 @@ class TestOneSolvePerStep:
         # solve, checked or not
         op, b = seeded_problem(40, 40, "logspace", 0.5, 3.0, 11)
         counts = _count_operations(monkeypatch, op)
-        lu_solves, lu_solve = [], ShiftedGram.lu_solve
-        monkeypatch.setattr(ShiftedGram, "lu_solve",
-                            lambda *args: lu_solves.append(1) or lu_solve(*args))
+        factor_solves, factor_solve = [], ShiftedGram.factor_solve
+        monkeypatch.setattr(ShiftedGram, "factor_solve",
+                            lambda *args: factor_solves.append(1) or factor_solve(*args))
         ys = engine(builtin("sqrt"), op, b, si_optimal_pole(0.5, 3.0, self.K),
                     self.K)[0]
         assert len(ys) == self.K
         short = engine is rgk_run
         assert counts == {"apply": self.K, "applyt": self.K if short else self.K - 1,
                           "solve": 2 if short else self.K}
-        assert len(lu_solves) == self.K
+        assert len(factor_solves) == self.K
 
     @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
                              ids=["short", "full"])
@@ -275,7 +276,8 @@ class TestOneSolvePerStep:
 
 class TestSolverCache:
     """Each new pole first drops the operator's solvers, with their LU
-    factors, whose shift no remaining pole uses; no shift is factored twice."""
+    factors, whose shift no remaining pole uses; no shift is factored twice,
+    and once two shifts are live they share one eigendecomposition."""
 
     @pytest.fixture
     def factors(self, monkeypatch):
@@ -286,27 +288,55 @@ class TestSolverCache:
                                              (rgk_run, (0.0,)),
                                              (rational_gmf_approximate, (0.0,))],
                              ids=["short", "full", "short_zero", "full_zero"])
-    def test_distinct_poles_keep_one_factor(self, factors, engine, lead):
+    def test_distinct_poles_keep_one_factor(self, factors, monkeypatch, engine, lead):
+        # no shift is live beside a new one, so each takes an LU and none an eigh
+        eighs = record_eighs(monkeypatch)
         op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
         poles = PoleSequence(lead + tuple(-np.geomspace(0.05, 20.0, 59)))
         ys = engine(builtin("sqrt"), op, b, poles, len(poles) + 1)[0]
         assert len(ys) == len(poles) + 1
         assert list(op.shifted_grams) == [poles[-1]]
         assert len(factors) == len(poles)
+        assert not eighs and op.gram_eigh is None
 
     @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
                              ids=["short", "full"])
-    def test_cycled_poles_keep_every_factor(self, factors, engine):
-        op, b = seeded_problem(60, 60, "logspace", 0.1, 10.0, 1)
+    def test_cycled_poles_share_one_eigendecomposition(self, factors, monkeypatch, engine):
+        # -0.1 is factored by LU; -1 finds it live, takes the one eigendecomposition
+        # of A^T A that every later shift solves with, and releases that LU
+        eighs = record_eighs(monkeypatch)
+        op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
         poles = PoleSequence((-0.1, -1.0, -10.0) * 8 + (-3.0,))
         ys = engine(builtin("sqrt"), op, b, poles, 26)[0]
         assert len(ys) == 26
         # -3 comes last: it drops the cycle, which no later pole uses
-        assert list(op.shifted_grams) == [-3.0] and len(factors) == 4
-        # a second run on the operator factors the cycle again, and only it
+        assert list(op.shifted_grams) == [-3.0]
+        assert op.gram_eigh is not None
+        assert (len(factors), len(eighs)) == (1, 1)
+        # a second run on the operator factors nothing again
         engine(builtin("sqrt"), op, b, poles, 24)
         assert sorted(op.shifted_grams) == [-10.0, -3.0, -1.0, -0.1]
-        assert len(factors) == 7
+        assert all(solver._lu is None for solver in op.shifted_grams.values())
+        assert (len(factors), len(eighs)) == (1, 1)
+
+
+class TestNegativeInfinitePole:
+    """-inf is the pole at infinity, as inf is, given directly or in a pole file."""
+
+    @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
+                             ids=["short", "full"])
+    @pytest.mark.parametrize("lines", [["-inf"] * 10, ["0", "-inf"] * 5],
+                             ids=["polynomial", "extended"])
+    def test_runs_as_the_pole_at_infinity(self, tmp_path, engine, lines):
+        path = tmp_path / "poles.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        runs = []
+        for poles in (load_user_poles(path), PoleSequence(tuple(map(float, lines))),
+                      PoleSequence(tuple(abs(float(x)) for x in lines))):
+            op, b = seeded_problem(40, 40, "logspace", 0.5, 4.0, 3)
+            runs.append(np.array(engine(builtin("sqrt"), op, b, poles, 11)[0]))
+        assert len(runs[2]) == 11
+        assert np.array_equal(runs[0], runs[2]) and np.array_equal(runs[1], runs[2])
 
 
 def _record_rtols(monkeypatch):

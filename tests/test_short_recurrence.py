@@ -315,12 +315,12 @@ def _record(monkeypatch, name, keep):
 
 
 def _record_deferred(monkeypatch, error=0.0):
-    """The (xi, rhs, y0) of every ShiftedGram.lu_solve and the checked
+    """The (xi, rhs, y0) of every ShiftedGram.factor_solve and the checked
     residual / ||rhs|| of every ShiftedGram.require that the engines call
     themselves, not inside the checked ShiftedGram.solve; each such y0 is
     scaled by 1 + error."""
     solves, checks, inside = [], [], []
-    solve, lu_solve, require = ShiftedGram.solve, ShiftedGram.lu_solve, ShiftedGram.require
+    solve, factor_solve, require = ShiftedGram.solve, ShiftedGram.factor_solve, ShiftedGram.require
 
     def checked(self, *args):
         inside.append(self)
@@ -330,7 +330,7 @@ def _record_deferred(monkeypatch, error=0.0):
             inside.pop()
 
     def unchecked(self, v):
-        x = lu_solve(self, v)
+        x = factor_solve(self, v)
         if not inside:
             x = (1.0 + error) * x
             solves.append((self.xi, v, x))
@@ -342,7 +342,7 @@ def _record_deferred(monkeypatch, error=0.0):
         return require(self, r, v, rtol)
 
     monkeypatch.setattr(ShiftedGram, "solve", checked)
-    monkeypatch.setattr(ShiftedGram, "lu_solve", unchecked)
+    monkeypatch.setattr(ShiftedGram, "factor_solve", unchecked)
     monkeypatch.setattr(ShiftedGram, "require", check)
     return solves, checks
 
@@ -381,7 +381,7 @@ class TestRepeatedPoleCheck:
         with pytest.raises(SolveFailure, match="residual inf"):
             rgk_run(builtin("sqrt"), op, np.ones(4), PoleSequence((4.0,) * 4), 4)
         with pytest.raises(SolveFailure, match="residual inf"):
-            ShiftedGram(op, 4.0).lu_solve(np.ones(4))
+            ShiftedGram(op, 4.0).factor_solve(np.ones(4))
 
     @pytest.mark.parametrize("error", [1e-12, 1e-8])
     def test_a_perturbed_solve_is_caught(self, monkeypatch, problem, error):
@@ -415,7 +415,7 @@ class TestRepeatedPoleCheck:
         op, b = problem
         A = op.dense
         solves = _record(monkeypatch, "solve_shifted_gram", lambda a, x: None)
-        lu_solves, _ = _record_deferred(monkeypatch)
+        factor_solves, _ = _record_deferred(monkeypatch)
         poles = si_optimal_pole(0.5, 4.0, self.K)
         if twin == "dense_full":
             ys = rational_gmf_approximate(builtin("sqrt"), op, b, poles, self.K)[0]
@@ -424,7 +424,7 @@ class TestRepeatedPoleCheck:
                                                  lambda u: A.T @ u)
             ys = rgk_run(builtin("sqrt"), free, b, poles, self.K)[0]
         assert len(ys) == self.K
-        assert (len(solves), len(lu_solves)) == (self.K, 0)
+        assert (len(solves), len(factor_solves)) == (self.K, 0)
 
 
 @settings(max_examples=200)
