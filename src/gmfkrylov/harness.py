@@ -20,7 +20,8 @@ from .bounds import (polynomial_bound_curve, rational_bound_curve, sample_h_sup,
                      si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
-from .operators import blas_thread_counts, singular_profile, synthesize_test_matrix
+from .operators import (blas_thread_counts, one_blas_thread, singular_profile,
+                        synthesize_test_matrix)
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
 from .rectangular import ENGINES, gmf_via_transpose
@@ -224,54 +225,58 @@ def run(config, output_dir=None):
     """Execute a configuration; returns a summary dict with trace file paths.
 
     Outputs are deterministic per seed: re-running the same configuration
-    reproduces byte-identical trace files.
+    reproduces byte-identical trace files. The run computes with numpy's
+    OpenBLAS pool at one thread, so the thread count the process was started
+    with does not change them.
     """
-    poles = _checked_poles(config)
-    op, b = synthesize(config)
-    f = builtin(config.function)
-    # the Haar factors are the SVD of A by construction: no dense SVD of A
-    y_ref = gmf_apply_factors(f, *op.factors, b)
+    with one_blas_thread("numpy"):
+        poles = _checked_poles(config)
+        op, b = synthesize(config)
+        f = builtin(config.function)
+        # the Haar factors are the SVD of A by construction: no dense SVD of A
+        y_ref = gmf_apply_factors(f, *op.factors, b)
 
-    if config.method == "transpose_trick":
-        ys, trace = gmf_via_transpose(
-            f, op, b, config.transpose_inner, poles=poles, k_max=config.k_max,
-            reference=y_ref)
-    else:
-        ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
-    files = {"err": trace.pairs()}
-    if trace.orthogonality_drift:
-        files["drift"] = trace.pairs("drift")
-    if config.compare_full and config.method == "rational_short":
-        ys_full, trace_full = ENGINES["rational_full"](f, op, b, poles, config.k_max,
-                                                       reference=y_ref)
-        files["err_full"] = trace_full.pairs()
-        denom = np.linalg.norm(y_ref)
-        files["diff_short_full"] = [(k, float(np.linalg.norm(y - y_full) / denom))
-                                    for k, (y, y_full) in enumerate(zip(ys, ys_full), start=1)]
+        if config.method == "transpose_trick":
+            ys, trace = gmf_via_transpose(
+                f, op, b, config.transpose_inner, poles=poles, k_max=config.k_max,
+                reference=y_ref)
+        else:
+            ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
+        files = {"err": trace.pairs()}
+        if trace.orthogonality_drift:
+            files["drift"] = trace.pairs("drift")
+        if config.compare_full and config.method == "rational_short":
+            ys_full, trace_full = ENGINES["rational_full"](f, op, b, poles, config.k_max,
+                                                           reference=y_ref)
+            files["err_full"] = trace_full.pairs()
+            denom = np.linalg.norm(y_ref)
+            files["diff_short_full"] = [
+                (k, float(np.linalg.norm(y - y_full) / denom))
+                for k, (y, y_full) in enumerate(zip(ys, ys_full), start=1)]
 
-    files.update(_bound_overlays(config, b, poles))
-    out = output_dir or config.output_dir
-    paths = _write_dat(out, config.name, files)
+        files.update(_bound_overlays(config, b, poles))
+        out = output_dir or config.output_dir
+        paths = _write_dat(out, config.name, files)
 
-    threads = blas_thread_counts()
-    manifest = {
-        "config": asdict(config),
-        # what decides the run's bits besides the config
-        "environment": {lib: {"version": module.__version__, "blas_threads": threads[lib]}
-                        for lib, module in (("numpy", np), ("scipy", scipy))},
-        "library_version": __version__,
-        "pole_values": [("inf" if math.isinf(x) else x) for x in poles],
-        "traces": {tag: os.path.basename(p) for tag, p in paths.items()},
-    }
-    manifest_path = os.path.join(out, f"{config.name}_manifest.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    summary = {"name": config.name, "method": config.method, "traces": paths,
-               "manifest": manifest_path}
-    if files["err"]:
-        summary["final_error"] = files["err"][-1][1]
-    return summary
+        threads = blas_thread_counts()
+        manifest = {
+            "config": asdict(config),
+            # what decides the run's bits besides the config
+            "environment": {lib: {"version": module.__version__, "blas_threads": threads[lib]}
+                            for lib, module in (("numpy", np), ("scipy", scipy))},
+            "library_version": __version__,
+            "pole_values": [("inf" if math.isinf(x) else x) for x in poles],
+            "traces": {tag: os.path.basename(p) for tag, p in paths.items()},
+        }
+        manifest_path = os.path.join(out, f"{config.name}_manifest.json")
+        with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        summary = {"name": config.name, "method": config.method, "traces": paths,
+                   "manifest": manifest_path}
+        if files["err"]:
+            summary["final_error"] = files["err"][-1][1]
+        return summary
 
 
 def evaluate_bounds(config, output_dir=None):

@@ -1,9 +1,9 @@
 """Matrix-free linear operators, shifted Gram solves and seeded test matrices.
 
 An operator exposes ``apply`` (v -> A v), ``applyt`` (u -> A^T u) and, at
-desk scale, a dense payload, which ``ShiftedGram`` factors: by LU for one
-live shift, by one eigendecomposition of A^T A shared by every shift once two
-are live.
+desk scale, a dense payload, which ``ShiftedGram`` factors: by LU per shift,
+or by one eigendecomposition of A^T A that every shift shares once a caller
+takes it (``LinearOperator.share_gram_eigh``).
 """
 
 import contextlib
@@ -28,8 +28,9 @@ ADJOINT_PROBES = 5
 # the extensions through whose handles each library's OpenBLAS is found
 _BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg",
                     "scipy": "scipy.linalg._flapack"}
-_SCIPY_BLAS_LOCK = threading.Lock()
-_GRAM_EIGH_LOCK = threading.Lock()
+# id of a pool's set function -> [blocks inside one_blas_thread, count to restore]
+_PINS = {}
+_PINS_LOCK = threading.Lock()
 
 
 class LinearOperator:
@@ -49,7 +50,8 @@ class LinearOperator:
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
         self._gram = None
         self.shifted_grams = {}    # xi -> ShiftedGram, see ShiftedGram.of
-        self.gram_eigh = None      # (lambda, V) of A^T A once two shifts are live
+        self.gram_eigh = None      # (lambda, V) of A^T A, see share_gram_eigh
+        self._gram_eigh_lock = threading.Lock()
         self.krylov_basis = None   # weakref to the running engine's KrylovBasis
         self._norm_est = None
         self.factors = None
@@ -129,6 +131,18 @@ class LinearOperator:
             self._gram = self.dense.T @ self.dense
         return self._gram
 
+    def share_gram_eigh(self):
+        """Take, once, A^T A = V diag(lambda) V^T (requires a dense payload),
+        with which every ``ShiftedGram`` of the operator solves from then on,
+        and release their LUs. Concurrent callers build it once, under the
+        operator's lock."""
+        with self._gram_eigh_lock:
+            if self.gram_eigh is None:
+                self.gram_eigh = np.linalg.eigh(self.gram_matrix())
+                for solver in list(self.shifted_grams.values()):
+                    solver._lu = None
+        return self.gram_eigh
+
 
 @functools.cache
 def _blas_threads_api(module):
@@ -166,28 +180,40 @@ def _scipy_blas_pool():
 
 
 @contextlib.contextmanager
-def _one_scipy_blas_thread():
-    """Run the block with scipy's own OpenBLAS pool at one thread.
+def one_blas_thread(lib):
+    """Run the block with the OpenBLAS pool of ``lib`` ("numpy" or "scipy")
+    at one thread.
 
     pip's numpy and scipy each ship an OpenBLAS with its own pool, and after
     a call a pool's idle workers spin for more work, taking the CPU that the
     other pool's parallel region needs. The package's only threaded call
-    into scipy is the Gram LU, so it runs on one thread and scipy's workers
-    never wake. The previous count is restored under a lock, so concurrent
-    callers cannot leave the pool at one thread.
+    into scipy is the Gram LU, so it runs on scipy's pool at one thread and
+    scipy's workers never wake. ``harness.run`` runs on numpy's at one
+    thread, so its bits do not depend on the thread count. Blocks may nest
+    and run concurrently: the first to enter saves the count and the last to
+    leave restores it, so concurrent callers cannot leave the pool at one
+    thread. Nothing is set where there is no OpenBLAS pool, and for scipy
+    where it is numpy's.
     """
-    pool = _scipy_blas_pool()
+    pool = (_scipy_blas_pool() if lib == "scipy"
+            else _blas_threads_api(_BLAS_EXTENSIONS["numpy"]))
     if pool is None:
         yield
         return
     get, set_ = pool
-    with _SCIPY_BLAS_LOCK:
-        previous = get()
-        set_(1)
-        try:
-            yield
-        finally:
-            set_(previous)
+    with _PINS_LOCK:
+        pin = _PINS.setdefault(ctypes.cast(set_, ctypes.c_void_p).value, [0, None])
+        if not pin[0]:
+            pin[1] = get()
+            set_(1)
+        pin[0] += 1
+    try:
+        yield
+    finally:
+        with _PINS_LOCK:
+            pin[0] -= 1
+            if not pin[0]:
+                set_(pin[1])
 
 
 def blas_thread_counts():
@@ -253,23 +279,24 @@ class ShiftedGram:
     """Solver of (A^T A - xi I) x = v for one operator and one finite shift xi.
 
     On a dense payload the first solve factors the formed A^T A - xi I by LU
-    (scipy's BLAS at one thread) and keeps the factor, unless another shift's
-    solver is live on the operator: then it takes one ``numpy.linalg.eigh`` of
-    A^T A = V diag(lambda) V^T, which the operator keeps for every shift, solves
-    by V((V^T v) / (lambda - xi)) and releases the LU. A cyclic pole sequence so
-    holds one n-by-n factor, not one per pole; concurrent solves build it once,
-    under a lock. On a matrix-free operator the first pass is a Galerkin solve
-    in the running engine's ``KrylovBasis``, if the operator refers to one and
-    that lowers the residual; CG for xi <= 0 and MINRES for xi > 0 then refine
-    what lies outside it in at most four passes on the true residual. Each asks for ``0.5 * rtol * ||v||`` and no
-    smaller, and one that does not lower the residual ends the refinement with
-    the best iterate. ``solve`` checks every return: against the factored
-    A^T A on a dense payload (one n-by-n product, the factor's backward error),
-    else with two operator products. ``factor_solve`` skips the check, for a
-    caller that checks with ``require``. A residual above ``rtol * ||v||``, an
-    exactly zero pivot or an exactly zero lambda - xi raises SolveFailure: xi is
-    singular or too close to the spectrum of A^T A, or the iteration did not
-    converge.
+    (scipy's BLAS at one thread) and keeps the factor, unless the operator
+    holds the eigendecomposition A^T A = V diag(lambda) V^T that
+    ``LinearOperator.share_gram_eigh`` takes: then every solve is
+    V((V^T v) / (lambda - xi)) and no LU is kept. A solver never takes it
+    itself, so two shifts solved here hold two LUs; the engines take it when
+    their pole sequence recurs (``rational.GramLanczos``). On a matrix-free
+    operator the first pass is a Galerkin solve in the running engine's
+    ``KrylovBasis``, if the operator refers to one and that lowers the
+    residual; CG for xi <= 0 and MINRES for xi > 0 then refine what lies
+    outside it in at most four passes on the true residual. Each asks for
+    ``0.5 * rtol * ||v||`` and no smaller, and one that does not lower the
+    residual ends the refinement with the best iterate. ``solve`` checks every
+    return: against the factored A^T A on a dense payload (one n-by-n product,
+    the factor's backward error), else with two operator products.
+    ``factor_solve`` skips the check, for a caller that checks with
+    ``require``. A residual above ``rtol * ||v||``, an exactly zero pivot or an
+    exactly zero lambda - xi raises SolveFailure: xi is singular or too close
+    to the spectrum of A^T A, or the iteration did not converge.
     """
 
     def __init__(self, op, xi):
@@ -291,12 +318,18 @@ class ShiftedGram:
     def factor_solve(self, v):
         """x from the dense factor alone, its residual left to the caller."""
         op = self.op
-        if op.gram_eigh is None and self._lu is None and op.shifted_grams.keys() - {self.xi}:
-            with _GRAM_EIGH_LOCK:
+        if op.gram_eigh is None and self._lu is None:
+            # one Fortran-ordered copy, shifted on its diagonal and factored
+            # in place: the LU is that of G - xi I without an n-by-n identity
+            shifted = np.array(op.gram_matrix(), order="F")
+            shifted.flat[::op.cols + 1] -= self.xi
+            with one_blas_thread("scipy"):
+                lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
+            # kept only while no shared eigendecomposition has been taken meanwhile
+            with op._gram_eigh_lock:
                 if op.gram_eigh is None:
-                    op.gram_eigh = np.linalg.eigh(op.gram_matrix())
-                    for solver in list(op.shifted_grams.values()):
-                        solver._lu = None
+                    self._lu = False if info else (lu, piv)
+        factor = self._lu
         if op.gram_eigh is not None:
             lam, V = op.gram_eigh
             gap = lam - self.xi
@@ -304,17 +337,9 @@ class ShiftedGram:
                 raise SolveFailure(f"shifted Gram solve residual inf: xi={self.xi} "
                                    "is an eigenvalue of A^T A")
             return V @ ((v @ V) / gap)
-        if self._lu is None:
-            # one Fortran-ordered copy, shifted on its diagonal and factored
-            # in place: the LU is that of G - xi I without an n-by-n identity
-            shifted = np.array(op.gram_matrix(), order="F")
-            shifted.flat[::op.cols + 1] -= self.xi
-            with _one_scipy_blas_thread():
-                lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
-            self._lu = False if info else (lu, piv)
-        if not self._lu:
+        if not factor:
             raise SolveFailure(f"shifted Gram solve residual inf: zero pivot, xi={self.xi}")
-        return scipy.linalg.lu_solve(self._lu, v, check_finite=False)
+        return scipy.linalg.lu_solve(factor, v, check_finite=False)
 
     def solve(self, v, rtol=GRAM_SOLVE_RTOL):
         """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1)."""
@@ -374,7 +399,11 @@ class ShiftedGram:
 
 
 def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
-    """x with (A^T A - xi I) x = v, solved and checked by op's ShiftedGram for xi."""
+    """x with (A^T A - xi I) x = v, solved and checked by op's ShiftedGram for xi.
+
+    On a dense payload each shift keeps its own LU unless a caller has taken
+    ``op.share_gram_eigh()``; this function never takes it.
+    """
     return ShiftedGram.of(op, xi).solve(v, rtol)
 
 

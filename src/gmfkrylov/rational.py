@@ -65,9 +65,11 @@ class GramLanczos:
     except in a dense step that stores no columns and whose pole repeats the
     previous one: y0 comes from ``factor_solve`` and is checked once q_{j+1}
     exists. A pole with no solver yet first drops the operator's solvers no
-    remaining pole uses, so a second solver is live only when a pole recurs
-    (a cyclic sequence); then the dense shifts share one eigendecomposition of
-    A^T A instead of one LU each. In full mode on a matrix-free operator the
+    remaining pole uses. If a solver is still live then, a pole recurs (a
+    cyclic sequence), and on a dense operator the engine takes
+    ``op.share_gram_eigh()``: every shift solves with one eigendecomposition of
+    A^T A instead of one LU each. A run of distinct poles, or of one repeated
+    pole, keeps one LU at a time. In full mode on a matrix-free operator the
     engine owns a ``KrylovBasis`` from q_1, which every shifted solve projects
     onto.
     """
@@ -129,6 +131,8 @@ class GramLanczos:
         if xi != math.inf and xi not in self.op.shifted_grams:
             for shift in set(self.op.shifted_grams) - set(self.poles[j - 1:]):
                 self.op.shifted_grams.pop(shift, None)
+            if self.op.dense is not None and self.op.shifted_grams:
+                self.op.share_gram_eigh()
         d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
         u, v = np.zeros(j + 1), np.zeros(j + 1)
         # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j

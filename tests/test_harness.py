@@ -188,7 +188,9 @@ class TestRun:
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         config = parse_config(cfg(output_dir=str(tmp_path)))
-        threads = blas_thread_counts()
+        # the counts the run computed with: numpy's pool at one thread
+        with operators.one_blas_thread("numpy"):
+            threads = blas_thread_counts()
         manifest = json.loads(Path(run(config)["manifest"]).read_text())
         assert manifest["environment"] == {
             "numpy": {"version": np.__version__, "blas_threads": threads["numpy"]},
@@ -208,6 +210,25 @@ class TestRun:
         second = run(config)
         for tag, path in second["traces"].items():
             assert Path(path).read_bytes() == blobs[tag], tag
+
+    def test_run_does_not_depend_on_numpy_thread_count(self, tmp_path):
+        # a cyclic config, whose traces move with the thread count of the
+        # QR, gemm and eigh when these run threaded; the pool is restored
+        api = operators._blas_threads_api(operators._BLAS_EXTENSIONS["numpy"])
+        if api is None:
+            pytest.skip("numpy has no OpenBLAS pool here")
+        get, set_ = api
+        config = load_config(str(CONFIGS / "rational_optpoles_narrow.json"))
+        previous, blobs = get(), []
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                summary = run(config, output_dir=str(tmp_path / str(threads)))
+                assert get() == threads
+                blobs.append({tag: Path(p).read_bytes() for tag, p in summary["traces"].items()})
+        finally:
+            set_(previous)
+        assert blobs[0] == blobs[1]
 
     def test_short_with_comparison_traces(self, tmp_path):
         config = parse_config(cfg(method="rational_short",

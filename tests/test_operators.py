@@ -271,27 +271,40 @@ class TestShiftedGramSolve:
 
 
 class TestSharedEigendecomposition:
-    """A dense operator's second live shift takes one eigendecomposition of
-    A^T A, which every shift on the operator then solves with."""
+    """``op.share_gram_eigh()`` takes one eigendecomposition of A^T A, which
+    every shift on the operator then solves with; a shifted solve never takes
+    it itself."""
 
-    def test_second_live_shift_shares_one_eigh_and_releases_the_lu(self, monkeypatch):
+    def test_distinct_shifts_solved_directly_keep_one_lu_each(self, monkeypatch):
+        # the decision belongs to the engines, which know the pole sequence:
+        # the exported solve pays one LU per shift and no eigh
+        factors, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        for xi in (-1.0, -2.0, -1.0, -2.0):
+            solve_shifted_gram(op, xi, b)
+        assert (len(factors), len(eighs)) == (2, 0) and op.gram_eigh is None
+        assert all(solver._lu for solver in op.shifted_grams.values())
+
+    def test_shared_eigh_releases_the_lus_and_solves_every_shift(self, monkeypatch):
         factors, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
         op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
         G = op.dense.T @ op.dense
         x1 = solve_shifted_gram(op, -1.0, b)
-        assert (len(factors), len(eighs)) == (1, 0) and op.gram_eigh is None
-        x2 = solve_shifted_gram(op, -2.0, b)
+        assert op.share_gram_eigh() is op.share_gram_eigh()
         assert (len(factors), len(eighs)) == (1, 1)
-        assert all(solver._lu is None for solver in op.shifted_grams.values())
-        for xi, x in ((-1.0, x1), (-2.0, x2), (-1.0, solve_shifted_gram(op, -1.0, b))):
+        assert op.shifted_grams[-1.0]._lu is None
+        for xi, x in ((-1.0, x1), (-2.0, solve_shifted_gram(op, -2.0, b)),
+                      (-1.0, solve_shifted_gram(op, -1.0, b))):
             expected = scipy.linalg.solve(G - xi * np.eye(50), b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
         assert (len(factors), len(eighs)) == (1, 1)
+        assert all(solver._lu is None for solver in op.shifted_grams.values())
 
     def test_exact_eigenvalue_raises_without_a_warning(self):
         # A^T A = diag(9, 4, 1, 0.25), whose eigendecomposition is exact: 4 - 4 is
         # an exact zero, which must not divide into an inf or NaN
         op = LinearOperator.from_dense(np.diag([3.0, 2.0, 1.0, 0.5]))
+        op.share_gram_eigh()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solve_shifted_gram(op, -1.0, np.ones(4))
@@ -299,7 +312,6 @@ class TestSharedEigendecomposition:
                           lambda: ShiftedGram.of(op, 4.0).factor_solve(np.ones(4))):
                 with pytest.raises(SolveFailure, match="residual inf"):
                     solve()
-            assert op.gram_eigh is not None
 
     @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
                              ids=["short", "full"])
@@ -315,23 +327,47 @@ class TestSharedEigendecomposition:
                 engine(builtin("sqrt"), op, b, poles, 8)
         assert op.gram_eigh is not None
 
-    def test_concurrent_solves_build_one_eigh(self, monkeypatch):
-        # the build runs under a lock and looks again inside it, so threads
-        # that race to a second live shift make one eigendecomposition; at
-        # most the first shift, alone when it factored, takes an LU
+    def test_lu_factored_while_sharing_is_dropped(self, monkeypatch):
+        # another thread takes the shared eigendecomposition while this LU is
+        # being factored: the LU is not kept, and the solve uses the eigh
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        G = op.dense.T @ op.dense
+        dgetrf = scipy.linalg.lapack.dgetrf
+
+        def sharing_meanwhile(*args, **kwargs):
+            op.share_gram_eigh()
+            return dgetrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", sharing_meanwhile)
+        x = solve_shifted_gram(op, -1.0, b)
+        assert op.gram_eigh is not None and op.shifted_grams[-1.0]._lu is None
+        expected = scipy.linalg.solve(G + np.eye(50), b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_concurrent_sharing_builds_one_eigh_and_keeps_no_lu(self, monkeypatch):
+        # the build runs under the operator's lock and looks again inside it,
+        # so the racing threads make one eigendecomposition; an LU that was
+        # being factored while it was built is dropped, not kept
         factors, eighs = record_factors(monkeypatch), record_eighs(monkeypatch)
         op, b = seeded_problem(100, 100, "logspace", 0.5, 4.0, 11)
         G = op.dense.T @ op.dense
         shifts = [-1.0 - j for j in range(16)]
+
+        def solve(j):
+            if j % 2:
+                op.share_gram_eigh()
+            return solve_shifted_gram(op, shifts[j], b)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as executor:
-                futures = [executor.submit(solve_shifted_gram, op, xi, b) for xi in shifts]
+                futures = [executor.submit(solve, j) for j in range(len(shifts))]
                 xs = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert len(eighs) == 1 and len(factors) <= 1
+        assert len(eighs) == 1 and len(factors) <= len(shifts)
+        assert all(solver._lu is None for solver in op.shifted_grams.values())
         for xi, x in zip(shifts, xs):
             expected = scipy.linalg.solve(G - xi * np.eye(100), b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)

@@ -276,8 +276,9 @@ class TestOneSolvePerStep:
 
 class TestSolverCache:
     """Each new pole first drops the operator's solvers, with their LU
-    factors, whose shift no remaining pole uses; no shift is factored twice,
-    and once two shifts are live they share one eigendecomposition."""
+    factors, whose shift no remaining pole uses; no shift is factored twice.
+    A solver still live beside a new pole means a pole recurs, and then the
+    engine takes the one eigendecomposition that every shift shares."""
 
     @pytest.fixture
     def factors(self, monkeypatch):
@@ -302,8 +303,9 @@ class TestSolverCache:
     @pytest.mark.parametrize("engine", [rgk_run, rational_gmf_approximate],
                              ids=["short", "full"])
     def test_cycled_poles_share_one_eigendecomposition(self, factors, monkeypatch, engine):
-        # -0.1 is factored by LU; -1 finds it live, takes the one eigendecomposition
-        # of A^T A that every later shift solves with, and releases that LU
+        # -0.1 is factored by LU; at -1 the engine finds it live, takes the one
+        # eigendecomposition of A^T A that every later shift solves with, and
+        # so releases that LU
         eighs = record_eighs(monkeypatch)
         op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
         poles = PoleSequence((-0.1, -1.0, -10.0) * 8 + (-3.0,))

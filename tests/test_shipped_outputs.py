@@ -1,10 +1,12 @@
 """Every shipped config reproduces its checked-in traces, within the file's class.
 
 ``tests/shipped`` holds the .dat files that ``gmf run`` writes for the 16
-configs under ``configs/``, recorded with OpenBLAS on more than one thread.
-Each file has a class, measured by running every config under
+configs under ``configs/``. ``harness.run`` computes with numpy's OpenBLAS
+pool at one thread, so on one host every ``OPENBLAS_NUM_THREADS`` writes the
+same bytes. Each file has a class for a BLAS or CPU that rounds otherwise,
+measured before that pin by running every config under
 ``OPENBLAS_NUM_THREADS`` = 1, 2, 3 and 4 on one host (2, 3 and 4 gave the
-same bytes; 1 moves every file that is not byte-identical):
+same bytes; 1 moved every file that is not byte-identical):
 
 * ``IDENTICAL``: the values are equal bit for bit;
 * ``CLOSE``: each value is within the given relative tolerance;
