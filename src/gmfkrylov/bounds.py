@@ -50,19 +50,14 @@ class BoundCurve:
         return list(zip(self.ks.tolist(), self.values.tolist()))
 
 
-def chui_hasson_constant(f1_eval, f2_eval, a, b, rho):
-    """Constant C = M1 + M2 + (N1 + N2)/a sampled on the ellipse.
-
-    ``f2_eval`` is the analytic continuation of f to the right half-plane and
-    is evaluated at sqrt(z); ``f1_eval`` covers the left half-plane and is
-    evaluated at -sqrt(z). Returns +inf if any sample diverges (which happens
-    e.g. at rho = (b+a)/(b-a), where the ellipse touches 0).
-    """
-    return float(_chui_hasson_constants(f1_eval, f2_eval, float(a), float(b), rho))
-
-
 def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho):
-    """``chui_hasson_constant`` at each rho of an array, from one pass over all samples."""
+    """Constant C = M1 + M2 + (N1 + N2)/a on the ellipse of each rho of an array.
+
+    One pass samples every ellipse. ``f2_eval`` is the analytic continuation
+    of f to the right half-plane, evaluated at sqrt(z); ``f1_eval`` covers the
+    left half-plane, evaluated at -sqrt(z). C is +inf where a sample diverges
+    (e.g. at rho = (b+a)/(b-a), where the ellipse touches 0).
+    """
     rho = np.asarray(rho, dtype=float)
     if not a < b:
         raise ArgumentError("interval collapses: need a < b")

@@ -125,7 +125,3 @@ def builtin(name):
         return odd_monomial((p + 1) // 2)
     raise ArgumentError(
         f"unknown function {name!r}; choices: {sorted(_BUILTINS)} or z^<odd>")
-
-
-def builtin_names():
-    return sorted(_BUILTINS)

@@ -98,7 +98,7 @@ def require_inputs(op, b, k_max, reference=None):
         k = int(k_max)
     except (TypeError, ValueError, OverflowError):
         k = None
-    if k is None or k != k_max or k < 1:
+    if k is None or k != k_max or k < 1 or isinstance(k_max, (bool, np.bool_)):
         raise ArgumentError(f"k_max must be a positive integer, got {k_max!r}")
     return k
 

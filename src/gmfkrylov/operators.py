@@ -23,7 +23,6 @@ from .errors import ArgumentError, SolveFailure
 from .krylov import Rows, cgs2, normalize
 
 GRAM_SOLVE_RTOL = 1e-10
-ADJOINT_PROBES = 5
 
 # the extensions through whose handles each library's OpenBLAS is found
 _BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg",
@@ -470,19 +469,6 @@ def _as_seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-def haar_orthogonal(n, seed):
-    """Haar-distributed n-by-n orthogonal matrix, deterministic per seed.
-
-    QR of a standard-normal matrix with the sign fix that makes diag(R)
-    nonnegative.
-    """
-    n = int(n)
-    if n < 1:
-        raise ArgumentError("n must be >= 1")
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    return _haar_from_rng(n, rng)
-
-
 def synthesize_test_matrix(m, n, profile, seed):
     """Dense A = U diag(profile) V^T with independent Haar factors U, V.
 
@@ -528,19 +514,3 @@ def save_dense_matrix(path, A):
         fh.write(f"{A.shape[0]} {A.shape[1]}\n")
         for row in A:
             fh.write(" ".join(f"{x:.17e}" for x in row) + "\n")
-
-
-def adjointness_defect(op):
-    """max |u^T(Av) - (A^T u)^T v| / (||u|| ||v|| ||A||_est) over ADJOINT_PROBES
-    seeded random probes."""
-    rng = np.random.default_rng(0)
-    scale = max(op.norm_estimate(), np.finfo(float).tiny)
-    worst = 0.0
-    for _ in range(ADJOINT_PROBES):
-        u = rng.standard_normal(op.rows)
-        v = rng.standard_normal(op.cols)
-        lhs = u @ op.apply(v)
-        rhs = op.applyt(u) @ v
-        worst = max(worst, abs(lhs - rhs) /
-                    (np.linalg.norm(u) * np.linalg.norm(v) * scale))
-    return worst

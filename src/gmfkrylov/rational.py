@@ -31,7 +31,6 @@ cleaning is the CGS2 kernel and breakdown is ``krylov.normalize``.
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import ArgumentError
 from .krylov import (Rows, approximation_loop, cgs2, normalize, require_inputs,
                      start_vector)
 from .operators import GRAM_SOLVE_RTOL, KrylovBasis, ShiftedGram, solve_shifted_gram
-from .poles import PoleSequence, require_poles
+from .poles import require_poles
 
 
 class GramLanczos:
@@ -54,12 +53,6 @@ class GramLanczos:
     that holds one takes rational Arnoldi candidates instead (multiply for
     inf, Gram solve for 0, shifted solve otherwise) and, in either mode,
     keeps every column and cleans each candidate against all of them.
-
-    Each step appends a column (k, h) to the pencil M Q K = Q H. A non-zero
-    pole's candidate solves (I - delta M) w = M Q_j u - Q_j v, with u = e_j,
-    v = 0 in the Arnoldi step and u, v read off the module's three-term step.
-    Cleaning writes w = Q_{j+1} c, c = (coefficients, b_j), so k = u + delta c
-    and h = v + c. A zero pole solves M w = q_j, so k = c and h = e_j.
 
     Shifted solves go through ``solve_shifted_gram`` (see ``ShiftedGram``),
     except in a dense step that stores no columns and whose pole repeats the
@@ -89,7 +82,7 @@ class GramLanczos:
 
         self.q_prev = np.zeros_like(self.q)
         self.Mq_prev = np.zeros_like(self.q)
-        self.b_prev = 0.0          # b_{j-1} of the pencil
+        self.b_prev = 0.0          # b_{j-1} of the three-term step
         self.d_cur = 0.0           # delta_j for the current q_j
         self.d_prev = 0.0          # delta_{j-1}
         self.count = 1             # basis vectors produced so far
@@ -101,9 +94,6 @@ class GramLanczos:
         if orthogonalize == "full" or self.arnoldi:
             self.columns = Rows()
             self.columns.append(self.q)
-        # pencil bookkeeping (H and K columns)
-        self._h_cols = []
-        self._k_cols = []
 
     def apply_q(self):
         """A q_j for the current q_j; the P side and M q_j = A^T (A q_j) share it."""
@@ -134,13 +124,11 @@ class GramLanczos:
             if self.op.dense is not None and self.op.shifted_grams:
                 self.op.share_gram_eigh()
         d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
-        u, v = np.zeros(j + 1), np.zeros(j + 1)
         # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
         repeat = d_new != 0.0 and d_new == self.d_cur
         deferred = repeat and self.columns is None and self.op.dense is not None
 
         if self.arnoldi:
-            u[j - 1] = 1.0
             w = self._raw_candidate(xi, rtol)
             scale = np.linalg.norm(w)
         else:
@@ -162,13 +150,9 @@ class GramLanczos:
             a_j = -(self.q @ y0) / denom
             w = y0 + a_j * y1
             scale = max(np.linalg.norm(w), np.linalg.norm(y0))
-            u[j - 1], v[j - 1] = 1.0 + self.d_cur * a_j, a_j
-            if j >= 2:
-                u[j - 2], v[j - 2] = self.d_prev * self.b_prev, self.b_prev
             self.Mq_prev = Mq
-        c = np.zeros(j + 1)        # cleaning coefficients, then b_j
         if self.columns is not None:
-            w, c[:j] = cgs2(self.columns.filled.T, w)
+            w = cgs2(self.columns.filled.T, w)[0]
         q_new, b_new = normalize(w, scale)
         Aq_new = Mq_new = None
         if deferred:
@@ -184,13 +168,6 @@ class GramLanczos:
             self.breakdown = True
             return None
 
-        c[j] = b_new
-        if xi == 0.0:
-            self._k_cols.append(c)
-            self._h_cols.append(u)
-        else:
-            self._k_cols.append(u + d_new * c)
-            self._h_cols.append(v + c)
         self.b_prev = b_new
         self.d_prev, self.d_cur = self.d_cur, d_new
         self.q_prev, self.q = self.q, q_new
@@ -199,78 +176,6 @@ class GramLanczos:
         if self.columns is not None:
             self.columns.append(q_new)
         return q_new
-
-    def pencil(self):
-        """Stacked (H, K) with H, K of shape (j+1, j) after j steps."""
-        j = len(self._h_cols)
-        H = np.zeros((j + 1, j))
-        K = np.zeros((j + 1, j))
-        for c, (h, k) in enumerate(zip(self._h_cols, self._k_cols)):
-            H[:len(h), c] = h
-            K[:len(k), c] = k
-        return H, K
-
-
-@dataclass(frozen=True)
-class RationalArnoldiFactorization:
-    """Basis Q with the pencil (H, K) of the decomposition M Q K = Q H."""
-
-    Q: np.ndarray           # n x k, orthonormal
-    H: np.ndarray           # k x (k-1)
-    K: np.ndarray           # k x (k-1)
-    poles: PoleSequence
-    breakdown: bool
-
-    @property
-    def k(self):
-        return self.Q.shape[1]
-
-    def pencil_residual(self, op):
-        """|| M Q K - Q H || / ||M||  (M = A^T A)."""
-        if self.H.shape[1] == 0:
-            return 0.0
-        MQ = np.column_stack([op.gram_apply(self.Q[:, i]) for i in range(self.k)])
-        res = MQ @ self.K - self.Q @ self.H
-        return float(np.linalg.norm(res) / max(op.norm_estimate() ** 2, 1.0))
-
-    def orthogonality_defect(self):
-        k = self.k
-        return float(np.linalg.norm(np.eye(k) - self.Q.T @ self.Q, 2))
-
-
-def rational_arnoldi(op, b, poles, k):
-    """Fully orthogonalized basis of the rational space of (A^T A, b).
-
-    Produces at most k basis vectors using poles xi_1..xi_{k-1}; stops early
-    (returning a truncated factorization) when the space becomes invariant.
-    """
-    k = require_inputs(op, b, k)
-    eng = GramLanczos(op, b, require_poles(poles, k), orthogonalize="full")
-    while eng.count < k and not eng.breakdown:
-        eng.advance()
-    return RationalArnoldiFactorization(eng.columns.filled.T, *eng.pencil(), eng.poles,
-                                        eng.breakdown)
-
-
-@dataclass(frozen=True)
-class GmfProjection:
-    """Orthonormal P, Q with the upper-triangular projection B = P^T A Q."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    B: np.ndarray
-
-
-def project(op, Q):
-    """QR of A Q: returns P (= the Q-factor) and B (= R, nonnegative diagonal)."""
-    Q = np.asarray(Q, dtype=float)
-    AQ = np.column_stack([op.apply(Q[:, i]) for i in range(Q.shape[1])])
-    W, R = np.linalg.qr(AQ)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    W = W * signs
-    R = R * signs[:, None]
-    return GmfProjection(W, Q, R)
 
 
 def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
@@ -284,8 +189,8 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     |z_last| / ||z||: a residual of tau_k ||v|| adds at most about
     kappa GRAM_SOLVE_RTOL to their relative error, kappa = (sigma_max^2 - xi)
     / (sigma_min^2 - xi). tau_k also bounds how far the engine's shared
-    ``KrylovBasis`` grows for a solve. Dense payloads, ``rgk_run`` and
-    ``rational_arnoldi`` keep GRAM_SOLVE_RTOL.
+    ``KrylovBasis`` grows for a solve. Dense payloads and ``rgk_run`` keep
+    GRAM_SOLVE_RTOL.
     """
     k_max = require_inputs(op, b, k_max, reference)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")

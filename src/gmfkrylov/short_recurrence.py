@@ -47,25 +47,6 @@ class QuasiseparableUpper:
     def k(self):
         return len(self.d)
 
-    def generators(self):
-        """Vectors u, v with triu(B, 1) = triu(u v^T, 1).
-
-        Built from the column recursion: v_0 = 0 and v_{j+1} is the running
-        product of the ratios gamma_t/beta_t, t < j, so u_i = beta_i / v_{i+1}.
-        """
-        k = self.k
-        u = np.zeros(k)
-        v = np.zeros(k)
-        if k < 2:
-            return u, v
-        beta = np.asarray(self.beta[:k - 2])
-        if np.any(beta == 0.0):
-            raise ArgumentError(
-                "vanished beta: generator form unavailable (fallback path)")
-        v[1:] = np.cumprod(np.append(1.0, np.asarray(self.gamma[:k - 2]) / beta))
-        u[:k - 1] = np.asarray(self.beta[:k - 1]) / v[1:]
-        return u, v
-
 
 def reconstruct_dense(B):
     """Dense upper-triangular matrix from the (d, beta, gamma) generators.
@@ -153,17 +134,19 @@ def rgk_run(f, op, b, poles, k_max, reference=None):
     B = QuasiseparableUpper()
     x_prev = None              # x_1 = 0 is made by the first step
     column = None
+    invariant = False          # A q_k fell in span(P_{k-1}) at the last step
 
     def step(P, _z):
-        nonlocal x_prev, column
+        nonlocal x_prev, column, invariant
         k = P.shape[1] + 1
-        if k > 1 and eng.advance() is None:
+        if invariant or k > 1 and eng.advance() is None:
             return None
         # the step divides by beta_{k-2}, the last beta appended so far
         p_k, d_k, beta_km1, gamma_km2, x_prev, fallback = rgk_step(
             eng.apply_q(), P.T, x_prev, B.beta[-1] if B.beta else 0.0)
-        if d_k == 0.0:
-            return None
+        # with d_k = 0 the entries of column k above the diagonal still belong
+        # to B_k: the column is kept with p_k = 0 and the run stops after it
+        invariant = d_k == 0.0
         if fallback:
             B.fallback_steps.append(k)
         B.d.append(d_k)

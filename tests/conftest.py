@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from gmfkrylov import SingularProfile, singular_profile, synthesize_test_matrix
 
@@ -51,6 +51,16 @@ def record_eighs(monkeypatch):
     """List that grows at each numpy.linalg.eigh call, that is at each
     eigendecomposition of A^T A that an operator's shifts share."""
     return _record_calls(monkeypatch, np.linalg, "eigh", lambda: None)
+
+
+@st.composite
+def small_problems(draw):
+    """(operator, b) of a shape up to 8 x 8, wide ones included, with its
+    singular values drawn from [0.5, 4]."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    sigma = draw(st.lists(st.floats(0.5, 4.0), min_size=min(m, n), max_size=min(m, n)))
+    return explicit_profile_problem(sorted(sigma, reverse=True), m, n,
+                                    draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @pytest.fixture

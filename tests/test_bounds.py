@@ -4,13 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmfkrylov import (ArgumentError, builtin, chui_hasson_constant,
-                       gk_approximate, gmf_apply_reference, polynomial_bound_curve,
-                       polynomial_poles, quasi_optimal_rational_bound,
-                       rational_bound_curve, rational_gmf_approximate, rho_branches,
-                       rho_of, sample_h_sup, si_closed_form_bound, si_optimal_pole,
-                       si_style_bound)
-from gmfkrylov.bounds import ELLIPSE_SAMPLES, _ellipse_points
+from gmfkrylov import (ArgumentError, builtin, gk_approximate, gmf_apply_reference,
+                       polynomial_bound_curve, polynomial_poles,
+                       quasi_optimal_rational_bound, rational_bound_curve,
+                       rational_gmf_approximate, rho_branches, rho_of, sample_h_sup,
+                       si_closed_form_bound, si_optimal_pole, si_style_bound)
+from gmfkrylov.bounds import ELLIPSE_SAMPLES, _chui_hasson_constants, _ellipse_points
 from gmfkrylov.harness import build_poles, load_config
 
 from conftest import seeded_problem
@@ -30,9 +29,9 @@ class TestEllipse:
     def test_degenerate_interval_rejected(self):
         f = builtin("sqrt")
         with pytest.raises(ArgumentError):
-            chui_hasson_constant(f.complex_eval_left, f.complex_eval, 2.0, 2.0, 1.1)
+            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 2.0, 2.0, 1.1)
         with pytest.raises(ArgumentError):
-            chui_hasson_constant(f.complex_eval_left, f.complex_eval, 1.0, 2.0, 1.0)
+            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 1.0, 2.0, 1.0)
 
 
 class TestHalfPlaneConstant:
@@ -41,7 +40,7 @@ class TestHalfPlaneConstant:
         # the odd extension gives the same values on the left side
         a, b, rho = 0.5, 2.0, 1.2
         f = builtin("identity")
-        C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
+        C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho)
         z = _ellipse_points(rho, a, b)
         M2 = np.max(np.abs(np.sqrt(z)))
         expected = 2 * M2 + 2 * 1.0 / a
@@ -53,22 +52,22 @@ class TestHalfPlaneConstant:
         a, b = 0.5, 2.0
         rho_max = (b + a) / (b - a)
         f = builtin("sqrt")
-        C_near = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b,
-                                      0.9999 * rho_max + 0.0001)
-        C_mid = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b,
-                                     0.9 * rho_max + 0.1)
+        C_near = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b,
+                                        0.9999 * rho_max + 0.0001)
+        C_mid = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b,
+                                       0.9 * rho_max + 0.1)
         assert C_near > 3.0 * C_mid
         assert math.isfinite(C_mid)
 
     def test_divergent_sample_reports_infinity(self):
         diverging = lambda s: 1.0 / (s - s)   # inf at every sample
-        C = chui_hasson_constant(diverging, diverging, 0.5, 2.0, 1.2)
+        C = _chui_hasson_constants(diverging, diverging, 0.5, 2.0, 1.2)
         assert math.isinf(C)
 
     def test_rho_above_limit_rejected(self):
         f = builtin("sqrt")
         with pytest.raises(ArgumentError):
-            chui_hasson_constant(f.complex_eval_left, f.complex_eval, 0.5, 2.0, 2.0)
+            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 0.5, 2.0, 2.0)
 
 
 class TestPolynomialBound:
@@ -103,7 +102,7 @@ class TestPolynomialBound:
         ks = np.arange(1, k_max + 1).astype(float)
         per_rho = []
         for rho in curve.constants["rho_grid"]:
-            C = chui_hasson_constant(f.complex_eval_left, f.complex_eval, a, b, rho)
+            C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho)
             per_rho.append(2.0 * C * nb * rho / (rho - 1.0) * rho ** (-ks))
         assert np.array_equal(curve.values, np.min(per_rho, axis=0))
 

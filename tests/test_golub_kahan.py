@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmfkrylov import (LinearOperator, builtin, gk_approximate, gk_init, gk_step,
-                       gmf_apply_reference, gmf_dense, odd_monomial, polynomial_poles,
-                       project, rational_arnoldi)
+                       gmf_apply_reference, gmf_dense, odd_monomial, polynomial_poles)
 
-from conftest import seeded_problem
+from conftest import seeded_problem, small_problems
+from oracles import project, rational_arnoldi
 
 
 def run_steps(op, b, k):
@@ -20,8 +21,8 @@ def run_steps(op, b, k):
 def gk_basis(op, b, k):
     """The reorthogonalized GK bases: Q from the rational basis with every pole
     at infinity, P and B from the QR of A Q."""
-    fac = rational_arnoldi(op, b, polynomial_poles(k), k)
-    return fac, project(op, fac.Q)
+    Q = rational_arnoldi(op, b, polynomial_poles(k), k).Q
+    return Q, project(op, Q)
 
 
 class TestStep:
@@ -92,6 +93,17 @@ class TestApproximate:
                 _, tr = gk_approximate(f, op, b, k, reorth=True, reference=ref)
                 assert tr.errors[-1] <= 1e-11, (seed, ell, k)
 
+    @settings(max_examples=200)
+    @given(problem=small_problems(), ell=st.integers(1, 4), extra=st.integers(0, 3))
+    def test_polynomial_exactness_property(self, problem, ell, extra):
+        # z^(2l-1) is an odd polynomial of degree 2l-1: exact from k = l on, or
+        # from the invariance index if the run stops before
+        op, b = problem
+        f = odd_monomial(ell)
+        ref = gmf_apply_reference(f, op.dense, b)
+        ys, tr = gk_approximate(f, op, b, ell + extra, reorth=True, reference=ref)
+        assert max(tr.errors[min(ell, len(ys)) - 1:]) <= 1e-12
+
     def test_interlacing(self):
         op, b = seeded_problem(25, 25, "logspace", 0.4, 6.0, 3)
         _, proj = gk_basis(op, b, 10)
@@ -103,8 +115,8 @@ class TestApproximate:
     def test_q_spans_gram_krylov_space(self):
         op, b = seeded_problem(12, 9, "logspace", 0.5, 3.0, 5)
         k = 5
-        fac, _ = gk_basis(op, b, k)
-        assert fac.k == k
+        Q, _ = gk_basis(op, b, k)
+        assert Q.shape[1] == k
         # explicit Krylov basis of (A^T A, b)
         V = np.zeros((9, k))
         v = b.copy()
@@ -112,15 +124,15 @@ class TestApproximate:
             V[:, j] = v
             v = op.gram_apply(v)
         Vq, _ = np.linalg.qr(V)
-        angles = np.linalg.svd(fac.Q.T @ Vq, compute_uv=False)
+        angles = np.linalg.svd(Q.T @ Vq, compute_uv=False)
         assert np.all(angles >= 1.0 - 1e-8)
 
     def test_reorth_keeps_bases_clean(self):
         # Q stays orthonormal, so P^T A Q stays bidiagonal to roundoff
         op, b = seeded_problem(60, 60, "logspace", 0.01, 10.0, 8)
-        fac, proj = gk_basis(op, b, 40)
-        assert fac.k == 40
-        assert np.linalg.norm(fac.Q.T @ fac.Q - np.eye(40)) <= 1e-11
+        Q, proj = gk_basis(op, b, 40)
+        assert Q.shape[1] == 40
+        assert np.linalg.norm(Q.T @ Q - np.eye(40)) <= 1e-11
         assert np.linalg.norm(proj.P.T @ proj.P - np.eye(40)) <= 1e-11
         assert np.abs(np.triu(proj.B, 2)).max() <= 1e-12 * op.norm_estimate()
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
                        gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
-                       polynomial_poles, rational_arnoldi, rational_gmf_approximate,
+                       polynomial_poles, rational_gmf_approximate,
                        reconstruct_dense, relative_error, rgk_run, si_optimal_pole)
 from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
 from gmfkrylov.rectangular import ENGINES as TABLE
@@ -104,10 +104,7 @@ def _golub_kahan(reorth):
 ENGINES = {**{name: _direct(name) for name in TABLE},
            **{f"transpose_{name}": _transposed(name) for name in TABLE},
            "gk_reorth": _golub_kahan(True), "gk_short": _golub_kahan(False)}
-# the entry checks also hold for the rational basis alone, which takes no reference
-BASIS = {"rational_arnoldi": rational_arnoldi}
-CALLS = {**ENGINES, **BASIS}
-BAD_INPUTS = [(name, case) for case in ("k_max=0", "poles=None", "b=nan") for name in CALLS
+BAD_INPUTS = [(name, case) for case in ("k_max=0", "poles=None", "b=nan") for name in ENGINES
               if case != "poles=None" or not name.startswith("gk_")]
 
 
@@ -124,7 +121,7 @@ def test_engines_reject_bad_input_with_argument_error(engine, case):
     else:
         args = (poles, 3)
     with pytest.raises(ArgumentError):
-        CALLS[engine](op, b, *args)
+        ENGINES[engine](op, b, *args)
 
 
 CHECKED_INPUTS = {
@@ -135,16 +132,15 @@ CHECKED_INPUTS = {
     "reference_all_nan": lambda b, ref: (b, np.full(30, np.nan), 4),
     "reference_as_a_row": lambda b, ref: (b, ref[None, :], 4),
     "k_max=2.5": lambda b, ref: (b, ref, 2.5),
+    "k_max=True": lambda b, ref: (b, ref, True),
 }
 
 
-@pytest.mark.parametrize("engine,case", [
-    *[(engine, case) for engine in ENGINES for case in CHECKED_INPUTS],
-    *[(engine, case) for engine in BASIS for case in CHECKED_INPUTS
-      if not case.startswith("reference")]])
+@pytest.mark.parametrize("engine,case", [(engine, case) for engine in ENGINES
+                                         for case in CHECKED_INPUTS])
 def test_engines_check_inputs_before_any_product(engine, case):
     # b must be a finite vector of length n, the reference one of length m and
-    # k_max an integer; each is refused before A or A^T is applied once
+    # k_max an integer, not a bool; each is refused before A or A^T is applied once
     op, b = seeded_problem(30, 20, "logspace", 0.5, 3.0, 0)
     ref = gmf_apply_reference(F, op.dense, b)
     products = []
@@ -154,10 +150,7 @@ def test_engines_check_inputs_before_any_product(engine, case):
     b, ref, k_max = CHECKED_INPUTS[case](b, ref)
     poles = si_optimal_pole(0.5, 3.0, 6)
     with pytest.raises(ArgumentError):
-        if engine in BASIS:
-            BASIS[engine](op, b, poles, k_max)
-        else:
-            ENGINES[engine](op, b, poles, k_max, reference=ref)
+        ENGINES[engine](op, b, poles, k_max, reference=ref)
     assert products == []
 
 
@@ -228,6 +221,9 @@ def converged_errors(ys, reference, tol=1e-12):
     return errs[first:]
 
 
+ITEM_4 = pytest.mark.xfail(strict=True, reason="rgk_run misjudges invariance (ROADMAP item 4)")
+
+
 class TestBreakdownAtInvariance:
     """Runs that reach an invariant subspace end there with the exact answer.
 
@@ -251,17 +247,27 @@ class TestBreakdownAtInvariance:
         ys, _ = gk_approximate(F, op, b, 26, reorth=True)
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
 
+    @pytest.mark.parametrize("m,n", [(1, 5), (2, 8), (3, 7)])
+    def test_rgk_run_wide(self, m, n):
+        # A q_{m+1} lies in span(P_m), but column m+1 of B still holds entries
+        # above its zero diagonal: the run keeps it and ends exact
+        op, b = seeded_problem(m, n, "chebyshev2", 0.5, 4.0, 3)
+        ys, _, _ = rgk_run(F, op, b, si_optimal_pole(0.5, 4.0, m + 1), m + 1)
+        assert len(ys) == m + 1
+        assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-14
+
     # ROADMAP item 4: the Q side's b_5 is roundoff amplified by the shifted
     # solve and passes the breakdown test. With the SI pole of [0.5, 4],
-    # rgk_run reaches 2.7e-8 at k = 5 and ends at 6.3e-5; with that of [1, 4]
-    # it stops at k = 4 with 1.4e-1, where rational_full reaches 4.2e-16 and
-    # GK 7.8e-16. With every pole at infinity (rational_short's Golub-Kahan,
-    # and gk_approximate(reorth=False)) it takes no solve, yet reaches 9.5e-8
-    # at k = 5 and ends at 4.4e-4, where rational_full stops at k = 5 with 4.0e-16
-    @pytest.mark.xfail(strict=True, reason="rgk_run misjudges invariance (ROADMAP item 4)")
-    @pytest.mark.parametrize("poles", [si_optimal_pole(0.5, 4.0, 8), si_optimal_pole(1.0, 4.0, 8),
-                                       polynomial_poles(8)],
-                             ids=["shift_invert_lo_0.5", "shift_invert_lo_1.0", "polynomial"])
+    # rgk_run reaches 2.7e-8 at k = 5 and ends at 6.3e-5, where rational_full
+    # reaches 4.2e-16 and GK 7.8e-16. With every pole at infinity
+    # (rational_short's Golub-Kahan, and gk_approximate(reorth=False)) it takes
+    # no solve, yet reaches 9.5e-8 at k = 5 and ends at 4.4e-4, where
+    # rational_full stops at k = 5 with 4.0e-16. With the SI pole of [1, 4] the
+    # P side turns invariant first, and the run ends exact on its last column
+    @pytest.mark.parametrize("poles", [
+        pytest.param(si_optimal_pole(0.5, 4.0, 8), id="shift_invert_lo_0.5", marks=ITEM_4),
+        pytest.param(si_optimal_pole(1.0, 4.0, 8), id="shift_invert_lo_1.0"),
+        pytest.param(polynomial_poles(8), id="polynomial", marks=ITEM_4)])
     def test_rgk_run_rank_deficient_square(self, poles):
         op, b = explicit_profile_problem([4, 3, 2, 1, 0, 0, 0, 0], 8, 8, 4)
         ys, _, _ = rgk_run(F, op, b, poles, 8)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from gmfkrylov import (builtin, check_identities, compact_svd, gmf_apply_reference,
-                       gmf_dense)
+from gmfkrylov import builtin, compact_svd, functions, gmf_apply_reference, gmf_dense
 
-from conftest import seeded_problem
+from conftest import seeded_problem, small_problems
+from oracles import check_identities
 
 
 def test_identity_function_reproduces_matrix():
@@ -63,6 +64,15 @@ def test_identities_seeded_rectangular():
     op, _ = seeded_problem(6, 4, "logspace", 0.5, 4.0, 11)
     report = check_identities(builtin("sqrt_log1p_sqrt"), op.dense)
     assert report.passed, report.violations()
+
+
+@settings(max_examples=200)
+@given(problem=small_problems())
+def test_identities_hold_for_every_builtin(problem):
+    A = problem[0].dense
+    for name in sorted(functions._BUILTINS):
+        report = check_identities(builtin(name), A)
+        assert report.passed, (name, report.violations())
 
 
 def test_odd_polynomial_identity_randomized():
