@@ -19,8 +19,7 @@ import numpy as np
 
 from .krylov import Rows, normalize, require_inputs, start_vector
 from .poles import polynomial_poles
-from .rational import rational_gmf_approximate
-from .short_recurrence import rgk_run
+from .rectangular import ENGINES
 
 
 @dataclass
@@ -102,6 +101,5 @@ def gk_approximate(f, op, b, k_max, reorth=True, reference=None):
     the exact answer (the strict xfail ``test_rgk_run_rank_deficient_square``).
     """
     poles = polynomial_poles(require_inputs(op, b, k_max, reference))
-    if reorth:
-        return rational_gmf_approximate(f, op, b, poles, k_max, reference=reference)
-    return rgk_run(f, op, b, poles, k_max, reference=reference)[::2]
+    engine = ENGINES["rational_full" if reorth else "rational_short"]
+    return engine(f, op, b, poles, k_max, reference=reference)

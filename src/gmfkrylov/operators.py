@@ -51,7 +51,6 @@ class LinearOperator:
         self.shifted_grams = {}    # xi -> ShiftedGram, see ShiftedGram.of
         self.gram_eigh = None      # (lambda, V) of A^T A, see share_gram_eigh
         self._gram_eigh_lock = threading.Lock()
-        self.krylov_basis = None   # weakref to the running engine's KrylovBasis
         self._norm_est = None
         self.factors = None
 
@@ -282,12 +281,12 @@ class ShiftedGram:
     holds the eigendecomposition A^T A = V diag(lambda) V^T that
     ``LinearOperator.share_gram_eigh`` takes: then every solve is
     V((V^T v) / (lambda - xi)) and no LU is kept. A solver never takes it
-    itself, so two shifts solved here hold two LUs; the engines take it when
-    their pole sequence recurs (``rational.GramLanczos``). On a matrix-free
-    operator the first pass is a Galerkin solve in the running engine's
-    ``KrylovBasis``, if the operator refers to one and that lowers the
-    residual; CG for xi <= 0 and MINRES for xi > 0 then refine what lies
-    outside it in at most four passes on the true residual. Each asks for
+    itself, so two shifts solved here hold two LUs; an engine takes it when
+    its own pole sequence recurs (``rational.GramLanczos``). On a matrix-free
+    operator the first pass is a Galerkin solve in the ``KrylovBasis`` the
+    caller passes, if any and if that lowers the residual; CG for xi <= 0
+    and MINRES for xi > 0 then refine what lies outside it in at most four
+    passes on the true residual. Each asks for
     ``0.5 * rtol * ||v||`` and no smaller, and one that does not lower the
     residual ends the refinement with the best iterate. ``solve`` checks every
     return: against the factored A^T A on a dense payload (one n-by-n product,
@@ -340,8 +339,9 @@ class ShiftedGram:
             raise SolveFailure(f"shifted Gram solve residual inf: zero pivot, xi={self.xi}")
         return scipy.linalg.lu_solve(factor, v, check_finite=False)
 
-    def solve(self, v, rtol=GRAM_SOLVE_RTOL):
-        """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1)."""
+    def solve(self, v, rtol=GRAM_SOLVE_RTOL, basis=None):
+        """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1);
+        a matrix-free solve starts from ``basis``, a ``KrylovBasis`` of the operator."""
         if not 0.0 < rtol < 1.0:
             raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
         op, xi = self.op, self.xi
@@ -366,7 +366,6 @@ class ShiftedGram:
             solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
             target = 0.5 * rtol * nv
             x, r, residual = np.zeros(op.cols), v, nv
-            basis = op.krylov_basis and op.krylov_basis()
             if basis is not None:
                 x0 = basis.solve(xi, v, target)
                 r0 = v - shifted_mv(x0)
@@ -397,13 +396,14 @@ class ShiftedGram:
                 f"{rtol:.1e}*||v||; xi={self.xi} may be too close to the spectrum of A^T A")
 
 
-def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL):
-    """x with (A^T A - xi I) x = v, solved and checked by op's ShiftedGram for xi.
+def solve_shifted_gram(op, xi, v, rtol=GRAM_SOLVE_RTOL, basis=None):
+    """x with (A^T A - xi I) x = v, solved and checked by op's ShiftedGram for xi,
+    from the caller's ``KrylovBasis`` ``basis`` on a matrix-free operator.
 
     On a dense payload each shift keeps its own LU unless a caller has taken
     ``op.share_gram_eigh()``; this function never takes it.
     """
-    return ShiftedGram.of(op, xi).solve(v, rtol)
+    return ShiftedGram.of(op, xi).solve(v, rtol, basis)
 
 
 @dataclass(frozen=True)

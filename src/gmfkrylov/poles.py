@@ -92,8 +92,8 @@ def si_optimal_pole(sigma_min, sigma_max, k):
 
 
 def load_user_poles(path, sigma_min=None, sigma_max=None):
-    """One pole per line: "inf", "0", or a decimal; blank lines ignored. A "-inf"
-    line is the pole at infinity, as "inf" is."""
+    """One pole per line, as ``float`` reads it ("inf", "0", a decimal); blank
+    lines ignored. A "-inf" line is the pole at infinity, as "inf" is."""
     poles = []
     with open(path, "r", encoding="ascii") as fh:
         try:
@@ -104,14 +104,10 @@ def load_user_poles(path, sigma_min=None, sigma_max=None):
             tok = line.strip()
             if not tok:
                 continue
-            if tok.lower() in ("inf", "+inf", "infinity"):
-                poles.append(INF)
-            else:
-                try:
-                    poles.append(float(tok))
-                except ValueError:
-                    raise ArgumentError(
-                        f"{path}:{lineno}: cannot parse pole {tok!r}") from None
+            try:
+                poles.append(float(tok))
+            except ValueError:
+                raise ArgumentError(f"{path}:{lineno}: cannot parse pole {tok!r}") from None
     if not poles:
         raise ArgumentError(f"{path}: empty pole file")
     seq = PoleSequence(tuple(poles), kind="user_file")

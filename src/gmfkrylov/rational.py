@@ -30,7 +30,6 @@ cleaning is the CGS2 kernel and breakdown is ``krylov.normalize``.
 """
 
 import math
-import weakref
 
 import numpy as np
 
@@ -57,14 +56,15 @@ class GramLanczos:
     Shifted solves go through ``solve_shifted_gram`` (see ``ShiftedGram``),
     except in a dense step that stores no columns and whose pole repeats the
     previous one: y0 comes from ``factor_solve`` and is checked once q_{j+1}
-    exists. A pole with no solver yet first drops the operator's solvers no
-    remaining pole uses. If a solver is still live then, a pole recurs (a
-    cyclic sequence), and on a dense operator the engine takes
-    ``op.share_gram_eigh()``: every shift solves with one eigendecomposition of
-    A^T A instead of one LU each. A run of distinct poles, or of one repeated
-    pole, keeps one LU at a time. In full mode on a matrix-free operator the
-    engine owns a ``KrylovBasis`` from q_1, which every shifted solve projects
-    onto.
+    exists. The engine decides from its own pole sequence alone: a finite
+    pole that none of its earlier poles equals first drops the operator's
+    solvers for its earlier finite poles that no remaining pole uses. If one
+    of those earlier poles recurs later (a cyclic sequence), then on a dense
+    operator the engine takes ``op.share_gram_eigh()``: every shift solves
+    with one eigendecomposition of A^T A instead of one LU each. A run of
+    distinct poles, or of one repeated pole, keeps one LU at a time. In full
+    mode on a matrix-free operator the engine owns a ``KrylovBasis`` from
+    q_1, which it passes to every shifted solve to project onto.
     """
 
     def __init__(self, op, b, poles, orthogonalize="full"):
@@ -72,10 +72,9 @@ class GramLanczos:
             raise ArgumentError("orthogonalize must be 'full' or 'short'")
         self.q, _ = start_vector(b)
         self.op = op
-        # held here, found by the solves through op; rgk_run keeps O(1) vectors
+        # rgk_run keeps O(1) vectors, so only the full engine grows a basis
         self.basis = (KrylovBasis(op, self.q) if op.dense is None and orthogonalize == "full"
                       else None)
-        op.krylov_basis = self.basis and weakref.ref(self.basis)
         self.poles = require_poles(poles)
         self.arnoldi = self.poles.has_zero
         self.breakdown = False
@@ -104,9 +103,10 @@ class GramLanczos:
     def _raw_candidate(self, xi, rtol):
         """Rational Arnoldi candidate for the next direction."""
         if xi == 0.0:
-            return solve_shifted_gram(self.op, 0.0, self.q, rtol)
+            return solve_shifted_gram(self.op, 0.0, self.q, rtol, self.basis)
         Mq = self.op.applyt(self.apply_q())
-        return Mq if xi == math.inf else solve_shifted_gram(self.op, xi, -xi * Mq, rtol)
+        return (Mq if xi == math.inf
+                else solve_shifted_gram(self.op, xi, -xi * Mq, rtol, self.basis))
 
     def advance(self, rtol=GRAM_SOLVE_RTOL):
         """Next basis vector, its shifted solves checked at ``rtol``; None at invariance."""
@@ -118,10 +118,11 @@ class GramLanczos:
                 f"pole sequence exhausted: {len(self.poles)} poles support at most "
                 f"{len(self.poles) + 1} basis vectors")
         xi = self.poles[j - 1]
-        if xi != math.inf and xi not in self.op.shifted_grams:
-            for shift in set(self.op.shifted_grams) - set(self.poles[j - 1:]):
+        if xi != math.inf and xi not in self.poles[:j - 1]:
+            earlier, later = set(self.poles[:j - 1]) - {math.inf}, set(self.poles[j - 1:])
+            for shift in earlier - later:
                 self.op.shifted_grams.pop(shift, None)
-            if self.op.dense is not None and self.op.shifted_grams:
+            if self.op.dense is not None and earlier & later:
                 self.op.share_gram_eigh()
         d_new = 0.0 if xi in (math.inf, 0.0) else 1.0 / xi
         # a repeated pole makes -xi t1 = -(M - xi I) q_j: y1 = -q_j
@@ -141,8 +142,9 @@ class GramLanczos:
             else:
                 rhs = -xi * t0
                 y0 = (ShiftedGram.of(self.op, xi).factor_solve(rhs) if deferred
-                      else solve_shifted_gram(self.op, xi, rhs, rtol))
-                y1 = -self.q if repeat else solve_shifted_gram(self.op, xi, -xi * t1, rtol)
+                      else solve_shifted_gram(self.op, xi, rhs, rtol, self.basis))
+                y1 = (-self.q if repeat
+                      else solve_shifted_gram(self.op, xi, -xi * t1, rtol, self.basis))
             denom = self.q @ y1
             if abs(denom) <= np.finfo(float).tiny:
                 self.breakdown = True

@@ -4,10 +4,10 @@
 one call shape, ``(f, op, b, poles, k_max, reference=None) -> (ys, trace)``.
 Golub-Kahan is either engine with every pole at infinity
 (``polynomial_poles``): ``rational_full`` reorthogonalizes, ``rational_short``
-does not. Each entry looks its engine up by module name when called and
-stores no function object, so a profiler that rebinds
-``rational_gmf_approximate`` and ``rgk_run`` sees the calls made through the
-table.
+does not, and ``gk_approximate`` runs it through this table. Each entry
+looks its engine up by module name when called and stores no function
+object, so a profiler that rebinds ``rational_gmf_approximate`` and
+``rgk_run`` sees the calls made through the table.
 
 Directly projecting a wide A traps spurious near-zero singular values in the
 projected matrix, which functions with large derivative at 0 amplify. Writing

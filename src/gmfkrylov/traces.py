@@ -13,9 +13,11 @@ class ConvergenceTrace:
     """Iteration indices with relative errors and optional diagnostics.
 
     ``gram`` is P^T P for a basis that is not kept orthonormal, else None.
-    ``orthogonality_drift`` lists ||I - P_k^T P_k||_2 for every k, one SVD
-    per k taken on the first read and kept, so a caller who never reads it
-    pays nothing. Equality compares ks, errors and the drift.
+    ``orthogonality_drift`` lists ||D_k - P_k^T P_k||_2 for every k, with D_k
+    the identity on the nonzero columns of P_k (a column the engine kept with
+    p_k = 0 at invariance is not a drift), one SVD per k taken on the first
+    read and kept, so a caller who never reads it pays nothing. Equality
+    compares ks, errors and the drift.
     """
 
     ks: list = field(default_factory=list)
@@ -35,7 +37,8 @@ class ConvergenceTrace:
     def orthogonality_drift(self):
         G = self.gram
         return [] if G is None else [
-            float(np.linalg.norm(np.eye(k) - G[:k, :k], 2)) for k in range(1, len(G) + 1)]
+            float(np.linalg.norm(np.diag(np.diag(G[:k, :k]) != 0) - G[:k, :k], 2))
+            for k in range(1, len(G) + 1)]
 
     def __eq__(self, other):
         return isinstance(other, ConvergenceTrace) and (

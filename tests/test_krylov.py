@@ -250,11 +250,13 @@ class TestBreakdownAtInvariance:
     @pytest.mark.parametrize("m,n", [(1, 5), (2, 8), (3, 7)])
     def test_rgk_run_wide(self, m, n):
         # A q_{m+1} lies in span(P_m), but column m+1 of B still holds entries
-        # above its zero diagonal: the run keeps it and ends exact
+        # above its zero diagonal: the run keeps it and ends exact. Its p = 0
+        # column is no drift: compared with the identity it read 1.0
         op, b = seeded_problem(m, n, "chebyshev2", 0.5, 4.0, 3)
-        ys, _, _ = rgk_run(F, op, b, si_optimal_pole(0.5, 4.0, m + 1), m + 1)
+        ys, _, trace = rgk_run(F, op, b, si_optimal_pole(0.5, 4.0, m + 1), m + 1)
         assert len(ys) == m + 1
         assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-14
+        assert trace.orthogonality_drift[-1] <= 1e-14
 
     # ROADMAP item 4: the Q side's b_5 is roundoff amplified by the shifted
     # solve and passes the breakdown test. With the SI pole of [0.5, 4],

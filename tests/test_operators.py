@@ -186,9 +186,9 @@ class TestShiftedGramSolve:
         pytest.param(rgk_run, True, id="rgk_run-matrix-free"),
         pytest.param(rational_gmf_approximate, True, id="rational_gmf_approximate-matrix-free")])
     def test_operator_freed_without_the_cycle_collector(self, engine, matrix_free):
-        # the operator holds its solvers and they hold it weakly, and it refers
-        # to a run's Krylov basis weakly, so its arrays and factors go with its
-        # last reference, not at some later full gc
+        # the operator holds its solvers and they hold it weakly, and a run's
+        # Krylov basis belongs to the run, so the operator's arrays and factors
+        # go with its last reference, not at some later full gc
         op, b = seeded_problem(30, 30, "logspace", 0.5, 4.0, 11)
         if matrix_free:
             A = op.dense

@@ -54,6 +54,15 @@ def test_negative_infinity_is_the_pole_at_infinity(tmp_path):
     assert tuple(load_user_poles(path)) == (INF, -1.5, INF)
 
 
+def test_pole_file_reads_infinity_in_any_spelling(tmp_path):
+    path = tmp_path / "poles.txt"
+    path.write_text("INF\n+inf\n-2\n+Infinity\ninfinity\n", encoding="ascii")
+    assert tuple(load_user_poles(path)) == (INF, INF, -2.0, INF, INF)
+    path.write_text("-1\nNaN\n", encoding="ascii")
+    with pytest.raises(ArgumentError, match="NaN pole"):
+        load_user_poles(path)
+
+
 def test_empty_pole_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("", encoding="ascii")

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gmfkrylov import (ArgumentError, GramLanczos, LinearOperator, PoleSequence,
                        ScalarFunction, builtin, extended_poles, gk_init, gk_step,
@@ -284,10 +285,11 @@ class TestOneSolvePerStep:
 
 
 class TestSolverCache:
-    """Each new pole first drops the operator's solvers, with their LU
-    factors, whose shift no remaining pole uses; no shift is factored twice.
-    A solver still live beside a new pole means a pole recurs, and then the
-    engine takes the one eigendecomposition that every shift shares."""
+    """Each new pole first drops the solvers, with their LU factors, of the
+    run's earlier poles that no remaining pole uses; no shift is factored
+    twice. An earlier pole that recurs after a new one makes the engine take
+    the one eigendecomposition that every shift shares. Each run decides from
+    its own poles, whatever other runs do on the operator."""
 
     @pytest.fixture
     def factors(self, monkeypatch):
@@ -330,6 +332,44 @@ class TestSolverCache:
         assert all(solver._lu is None for solver in op.shifted_grams.values())
         assert (len(factors), len(eighs)) == (1, 1)
 
+    def test_interleaved_runs_keep_their_factors(self, factors):
+        # each run's single pole is never new after its first step, so neither
+        # drops the other's solver (deciding from the operator's solvers, each
+        # run found its pole dropped by the other at every step: 30 LUs)
+        op, b = seeded_problem(300, 300, "logspace", 0.1, 10.0, 1)
+        runs = [GramLanczos(op, b, PoleSequence((xi,) * 15), orthogonalize="short")
+                for xi in (-1.0, -3.0)]
+        for _ in range(15):
+            for run in runs:
+                assert run.advance() is not None
+        assert len(factors) == 2
+
+
+def _factor_work(poles):
+    """(LUs, eighs) a run of poles takes on a fresh dense operator: one LU per
+    new finite pole, until one arrives while an earlier finite pole recurs
+    later, where the run takes the shared eigh and no LU from then on."""
+    lus = 0
+    for j, xi in enumerate(poles):
+        earlier = set(poles[:j]) - {math.inf}
+        if xi != math.inf and xi not in earlier:
+            if earlier & set(poles[j + 1:]):
+                return lus, 1
+            lus += 1
+    return lus, 0
+
+
+@given(poles=st.lists(st.sampled_from([-0.5, -1.0, -2.0, 0.0, math.inf]),
+                      min_size=1, max_size=10))
+def test_factor_work_follows_the_poles(poles):
+    for engine in (rgk_run, rational_gmf_approximate):
+        op, b = seeded_problem(12, 12, "logspace", 0.5, 4.0, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            factors, eighs = record_factors(mp), record_eighs(mp)
+            ys = engine(builtin("sqrt"), op, b, poles, len(poles) + 1)[0]
+        assert len(ys) == len(poles) + 1
+        assert (len(factors), len(eighs)) == _factor_work(poles)
+
 
 class TestNegativeInfinitePole:
     """-inf is the pole at infinity, as inf is, given directly or in a pole file."""
@@ -354,9 +394,9 @@ def _record_rtols(monkeypatch):
     """The rtol of every shifted solve the rational engines make, in order."""
     rtols, solve = [], rational.solve_shifted_gram
 
-    def recorded(op, xi, v, rtol=GRAM_SOLVE_RTOL):
+    def recorded(op, xi, v, rtol=GRAM_SOLVE_RTOL, basis=None):
         rtols.append(rtol)
-        return solve(op, xi, v, rtol)
+        return solve(op, xi, v, rtol, basis)
 
     monkeypatch.setattr(rational, "solve_shifted_gram", recorded)
     return rtols
@@ -448,14 +488,36 @@ class TestMatrixFreeEngines:
         _, dense = rational_gmf_approximate(f, op, b, poles, len(poles), reference=y)
         assert _relative_gap(free, dense) <= 1e-4
 
-    def test_no_basis_outlives_its_run(self, problem):
-        # the engine owns the basis and the operator refers to it weakly; the
-        # short engine keeps O(1) vectors and builds none
+    def test_no_basis_outlives_its_run(self, problem, bases):
+        # the engine owns the basis and hands it to each solve, and the
+        # operator keeps no reference to it; the short engine keeps O(1)
+        # vectors and builds none
         f, _, mf, b, poles, _ = problem
         rational_gmf_approximate(f, mf, b, poles, self.K)
-        assert isinstance(mf.krylov_basis, weakref.ref) and mf.krylov_basis() is None
+        assert len(bases) == 1 and bases[0].columns.size > 1
+        freed = weakref.ref(bases.pop())
+        assert freed() is None and not hasattr(mf, "krylov_basis")
         rgk_run(f, mf, b, poles, self.K)
-        assert mf.krylov_basis is None
+        assert not bases
+
+    def test_second_engine_leaves_a_run_alone(self, problem):
+        # an engine built on the operator mid-run shares nothing with the run:
+        # the run's solves still start from its own basis (when the operator
+        # referred to the newest engine's basis, the run's 15 steps took 1,002
+        # products, not 162)
+        _, op, _, b, poles, _ = problem
+        runs = []
+        for interrupt in (False, True):
+            mf, calls = _matrix_free(op, product_s=1e-3)
+            run = GramLanczos(mf, b, poles)
+            qs = [run.q]
+            for j in range(15):
+                if interrupt and j == 5:
+                    GramLanczos(mf, b, poles)
+                qs.append(run.advance())
+            runs.append((len(calls), np.array(qs)))
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_refinement_covers_what_the_basis_misses(self, problem):
         # with 60 SI poles the right-hand sides leave the basis by more than the
