@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .functions import companion_g
-from .krylov import cgs2, normalize
+from .krylov import cgs2, normalize, require_count
 from .poles import require_poles
 
 ELLIPSE_SAMPLES = 4096
@@ -88,7 +88,7 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, norm_b=1.0):
     if not (0 < a < b):
         raise ArgumentError("need 0 < sigma_n < sigma_1")
     rho_max = (b + a) / (b - a)
-    ks = np.arange(1, int(k_max) + 1)
+    ks = np.arange(1, require_count("k_max", k_max) + 1)
     constants = {"rho_max": rho_max}
 
     if not getattr(f, "has_complex", False):
@@ -117,8 +117,8 @@ def rho_branches(sigma_min, sigma_max, xi):
     s, S, xi = float(sigma_min), float(sigma_max), float(xi)
     if not (0 < s <= S):
         raise ArgumentError("need 0 < sigma_min <= sigma_max")
-    if not xi < 0:
-        raise ArgumentError("the Shift-and-Invert pole must be negative")
+    if not -math.inf < xi < 0:
+        raise ArgumentError("the Shift-and-Invert pole must be finite and negative")
     rS = math.sqrt(S * S - xi)
     rs = math.sqrt(s * s - xi)
     return ((rS - rs) / (rS + rs),
@@ -127,10 +127,10 @@ def rho_branches(sigma_min, sigma_max, xi):
 
 def si_style_bound(sigma_min, sigma_max, xi, M, k):
     """Approximation-theory bound 2 M rho^k / (1 - rho)."""
-    if M <= 0:
+    if not M > 0:
         raise ArgumentError("M must be positive")
     rho = rho_of(sigma_min, sigma_max, xi)
-    return 2.0 * M * rho ** int(k) / (1.0 - rho)
+    return 2.0 * M * rho ** require_count("k", k, least=0) / (1.0 - rho)
 
 
 def si_closed_form_bound(sigma_min, sigma_max, M, k, norm_b=1.0):
@@ -138,15 +138,17 @@ def si_closed_form_bound(sigma_min, sigma_max, M, k, norm_b=1.0):
     s, S = float(sigma_min), float(sigma_max)
     if not (0 < s <= S):
         raise ArgumentError("need 0 < sigma_min <= sigma_max")
+    if not M > 0:
+        raise ArgumentError("M must be positive")
     return (2.0 * norm_b * M * math.sqrt(S / s)
-            * math.exp(-2.0 * int(k) * math.sqrt(s / S)))
+            * math.exp(-2.0 * require_count("k", k, least=0) * math.sqrt(s / S)))
 
 
 def sample_h_sup(f, xi):
     """M = sup |h| on [0, 1/(-xi)] with h(t) = g(1/t + xi), g = f(sqrt z)/sqrt z."""
     xi = float(xi)
-    if not xi < 0:
-        raise ArgumentError("xi must be negative")
+    if not -math.inf < xi < 0:
+        raise ArgumentError(f"xi must be a finite negative number, got {xi}")
     g = companion_g(f)
     ts = np.linspace(0.0, 1.0 / (-xi), H_SUP_SAMPLES)[1:]
     w = 1.0 / ts + xi
@@ -168,7 +170,7 @@ def _grid_rational_basis(w, poles, k):
     by the full denominator would span dozens of orders of magnitude and lose
     the fit entirely for repeated poles.
     """
-    V = np.empty((w.size, max(k, 1)))
+    V = np.empty((w.size, k))
     V[:, 0] = 1.0 / math.sqrt(w.size)
     for j in range(k - 1):
         xi, v = poles[j], V[:, j]
@@ -195,12 +197,12 @@ def quasi_optimal_rational_bound(f, poles, sigma_n, sigma_1, k, norm_b=1.0):
     z * po(z^2)/q(z^2) on the positive half grid. The result approximates
     the best uniform deviation from above only up to the discretization.
     """
-    return _rational_bound_values(f, poles, sigma_n, sigma_1, [k], norm_b)[0]
+    return _rational_bound_values(f, poles, sigma_n, sigma_1, [require_count("k", k)], norm_b)[0]
 
 
 def rational_bound_curve(f, poles, sigma_n, sigma_1, k_max, norm_b=1.0):
     """``quasi_optimal_rational_bound`` for k = 1..k_max, from one grid basis."""
-    ks = np.arange(1, int(k_max) + 1)
+    ks = np.arange(1, require_count("k_max", k_max) + 1)
     values = _rational_bound_values(f, poles, sigma_n, sigma_1, ks.tolist(), norm_b)
     return BoundCurve(ks, np.array(values))
 
@@ -214,14 +216,13 @@ def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, norm_b):
     a, b = float(sigma_n), float(sigma_1)
     if not (0 < a <= b):
         raise ArgumentError("need 0 < sigma_n <= sigma_1")
-    ks = [int(k) for k in ks]
     poles = require_poles(poles, max(ks))
     z = _chebyshev_grid(a, b, RATIONAL_GRID)
     basis = _grid_rational_basis(z * z, poles, max(ks))
     fz = f(z)
     values = []
     for k in ks:
-        design = z[:, None] * basis[:, :max(k, 1)]
+        design = z[:, None] * basis[:, :k]
         coef, *_ = np.linalg.lstsq(design, fz, rcond=None)
         residual = fz - design @ coef
         values.append(2.0 * norm_b * float(np.max(np.abs(residual))))

@@ -13,6 +13,7 @@ import re
 import numpy as np
 
 from .errors import ArgumentError, EvaluationError
+from .krylov import require_count
 
 
 class ScalarFunction:
@@ -80,10 +81,7 @@ def companion_g(f):
 
 def odd_monomial(ell):
     """f(z) = z^(2*ell - 1)."""
-    ell = int(ell)
-    if ell < 1:
-        raise ArgumentError("odd monomial degree parameter must be >= 1")
-    p = 2 * ell - 1
+    p = 2 * require_count("ell", ell) - 1
     return ScalarFunction(f"z^{p}", lambda z: z ** p,
                           small_at_zero=True,
                           complex_evaluate=lambda s: s ** p)

@@ -20,6 +20,7 @@ from .bounds import (polynomial_bound_curve, rational_bound_curve, sample_h_sup,
                      si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
+from .krylov import require_count
 from .operators import (blas_thread_counts, one_blas_thread, singular_profile,
                         synthesize_test_matrix)
 from .poles import (PoleSequence, extended_poles, load_user_poles,
@@ -35,6 +36,11 @@ POLE_KINDS = {"polynomial": {"kind"}, "extended": {"kind"},
 BOUND_TAGS = ("polynomial", "rational", "shift_invert")
 
 
+def _require(cond, message):
+    if not cond:
+        raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
     m: int
@@ -43,9 +49,19 @@ class MatrixSpec:
     lo: float = 1.0
     hi: float = 1.0
 
+    def __post_init__(self):
+        require_count("matrix.m", self.m)
+        require_count("matrix.n", self.n)
+        _require(self.kind in ("chebyshev2", "logspace"), f"unknown profile kind {self.kind!r}")
+        _require(0 < self.lo <= self.hi < math.inf,
+                 f"profile interval [{self.lo}, {self.hi}] must be positive and finite")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when made (by ``parse_config`` or by
+    ``dataclasses.replace``): its pole sequence is built then, once."""
+
     name: str
     seed: int
     matrix: MatrixSpec
@@ -58,6 +74,40 @@ class ExperimentConfig:
     transpose_inner: str = "rational_full"
     output_dir: str = "out"
 
+    def __post_init__(self):
+        _require(os.path.basename(self.name) == self.name, "name must be a file name, not a path")
+        require_count("seed", self.seed, least=0)
+        _require(self.method in METHODS, f"method must be one of {METHODS}")
+        _require(self.transpose_inner in ENGINES,
+                 f"transpose_inner must be one of {tuple(ENGINES)}")
+        require_count("k_max", self.k_max)
+        builtin(self.function)   # raises on unknown names
+        for tag in self.bounds:
+            _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
+
+        # every engine reads a pole spec; Golub-Kahan is {"kind": "polynomial"}
+        kind = self.poles.get("kind")
+        _require(type(kind) is str and kind in POLE_KINDS,
+                 f"pole kind must be one of {tuple(POLE_KINDS)}")
+        unread = sorted(set(self.poles) - POLE_KINDS[kind])
+        _require(not unread, f"pole kind {kind!r} does not read keys {unread}")
+        _require(kind != "user_file" or type(self.poles.get("path")) is str,
+                 "user_file poles need a 'path' string")
+
+        # xi, the pole file and its interval are checked here, once. A zero pole
+        # solves with the Gram matrix itself, which is singular for a wide A
+        # (A^T A) or, under the transpose trick's inner method, for a tall one
+        # (A A^T): refuse it before the matrix and the oracle are built
+        poles, (m, n) = build_poles(self), (self.matrix.m, self.matrix.n)
+        if poles.has_zero:
+            gram, singular = (("A A^T", m > n) if self.method == "transpose_trick"
+                              else ("A^T A", m < n))
+            _require(not singular, f"{kind} poles include 0, but {gram} of a "
+                                   f"{m}x{n} matrix is singular")
+        # run and evaluate_bounds take this sequence, so a pole file is read
+        # once per config; it is no field, so the manifest does not record it
+        object.__setattr__(self, "_poles", poles)
+
 
 # the JSON types a field of each type takes, compared exactly so that a bool
 # is no integer, and how a message names them
@@ -65,11 +115,6 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a finite numb
                bool: ((bool,), "true or false"), str: ((str,), "a string"),
                tuple: ((list,), "a list of bound tags"),
                dict: ((dict,), "a pole spec object"), MatrixSpec: ((dict,), "an object")}
-
-
-def _require(cond, message):
-    if not cond:
-        raise ConfigError(message)
 
 
 def _read(obj, f, where=""):
@@ -100,71 +145,30 @@ def load_config(path):
 
 
 def parse_config(raw, base_dir="."):
+    """The config of a JSON object: checks its types and unknown and unread keys and
+    joins a pole file's path to ``base_dir``; the config checks the rest when made."""
     _require(type(raw) is dict, "config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     c = {f.name: _read(raw, f) for f in fields(ExperimentConfig)}
 
     mat, (m, n, *profile) = c["matrix"], fields(MatrixSpec)
-    spec = c["matrix"] = MatrixSpec(
+    c["matrix"] = MatrixSpec(
         *(_read(mat, f, "matrix.") for f in (m, n)),
         *(_read(mat.get("profile"), f, "matrix.profile.") for f in profile))
-    _require(spec.kind in ("chebyshev2", "logspace"), f"unknown profile kind {spec.kind!r}")
-    _require(0 < spec.lo <= spec.hi, f"profile interval [{spec.lo}, {spec.hi}] must be positive")
-    _require(spec.m >= 1 and spec.n >= 1, "matrix dimensions must be positive")
-
-    _require(os.path.basename(c["name"]) == c["name"], "name must be a file name, not a path")
-    _require(c["seed"] >= 0, "seed must be >= 0")
-    _require(c["method"] in METHODS, f"method must be one of {METHODS}")
-    _require(c["transpose_inner"] in ENGINES,
-             f"transpose_inner must be one of {tuple(ENGINES)}")
     # a key the method never reads is refused where the config gives it
     transposed = c["method"] == "transpose_trick"
     unread = [key for key, read in (("compare_full", c["method"] == "rational_short"),
                                     ("transpose_inner", transposed)) if key in raw and not read]
     _require(not unread, f"method {c['method']!r}" + f" with transpose_inner "
              f"{c['transpose_inner']!r}" * transposed + f" does not read config keys {unread}")
-    _require(c["k_max"] >= 1, "k_max must be >= 1")
-    builtin(c["function"])   # raises on unknown names
-    for tag in c["bounds"]:
-        _require(tag in BOUND_TAGS, f"unknown bound tag {tag!r}")
-
-    # every engine reads a pole spec; Golub-Kahan is {"kind": "polynomial"}
-    poles = c["poles"]
-    kind = poles.get("kind")
-    _require(type(kind) is str and kind in POLE_KINDS,
-             f"pole kind must be one of {tuple(POLE_KINDS)}")
-    unread = sorted(set(poles) - POLE_KINDS[kind])
-    _require(not unread, f"pole kind {kind!r} does not read keys {unread}")
-    if kind == "user_file":
-        _require(type(poles.get("path")) is str, "user_file poles need a 'path' string")
-        poles["path"] = os.path.join(base_dir, poles["path"])   # kept if absolute
-    config = ExperimentConfig(**c)
-
-    # xi, the pole file and its interval are checked here, once. A zero pole
-    # solves with the Gram matrix itself, which is singular for a wide A
-    # (A^T A) or, under the transpose trick's inner method, for a tall one
-    # (A A^T): refuse it before the matrix and the oracle are built
-    built = build_poles(config)
-    if built.has_zero:
-        gram, singular = ("A A^T", spec.m > spec.n) if transposed else ("A^T A", spec.m < spec.n)
-        _require(not singular, f"{kind} poles include 0, but {gram} of a "
-                               f"{spec.m}x{spec.n} matrix is singular")
-    # run and evaluate_bounds take this checked sequence, so a pole file is
-    # read once; it is no field, so neither the manifest nor replace() sees it
-    object.__setattr__(config, "_poles", built)
-    return config
-
-
-def _checked_poles(config):
-    """The sequence parse_config built and checked for this config, else a new one."""
-    return config._poles if "_poles" in vars(config) else build_poles(config)
+    if type(c["poles"].get("path")) is str:
+        c["poles"]["path"] = os.path.join(base_dir, c["poles"]["path"])   # kept if absolute
+    return ExperimentConfig(**c)
 
 
 def build_poles(config):
-    spec = config.poles
-    kind = spec["kind"]
-    count = config.k_max
+    spec, count, kind = config.poles, config.k_max, config.poles["kind"]
     smin, smax = config.matrix.lo, config.matrix.hi
     if kind == "polynomial":
         return polynomial_poles(count)
@@ -206,9 +210,7 @@ def _bound_overlays(config, b, poles):
             curve = polynomial_bound_curve(f, smin, smax, config.k_max, norm_b=nb)
             overlays["bound_poly"] = curve.pairs()
         elif tag == "shift_invert":
-            xi = -smin * smax
-            if poles.kind == "shift_invert" and len(poles):
-                xi = poles[0]
+            xi = poles[0] if poles.kind == "shift_invert" else -smin * smax
             M = sample_h_sup(f, xi)
             # the closed form holds only at its own pole; an override takes
             # the two-branch rate
@@ -230,7 +232,7 @@ def run(config, output_dir=None):
     with does not change them.
     """
     with one_blas_thread("numpy"):
-        poles = _checked_poles(config)
+        poles = config._poles
         op, b = synthesize(config)
         f = builtin(config.function)
         # the Haar factors are the SVD of A by construction: no dense SVD of A
@@ -285,7 +287,7 @@ def evaluate_bounds(config, output_dir=None):
     The start vector is drawn as in ``run``, without building the matrix, so
     the bound files match those a full run would produce byte for byte.
     """
-    overlays = _bound_overlays(config, seeded_start_vector(config), _checked_poles(config))
+    overlays = _bound_overlays(config, seeded_start_vector(config), config._poles)
     return {"name": config.name,
             "traces": _write_dat(output_dir or config.output_dir, config.name, overlays)}
 

@@ -28,6 +28,8 @@ Every engine normalizes its new basis vector by the one breakdown rule,
 it was formed from has vanished, and the Krylov space is invariant.
 """
 
+import numbers
+
 import numpy as np
 from scipy.linalg.lapack import dlasd4
 
@@ -87,20 +89,21 @@ def start_vector(b):
     return b / nb, nb
 
 
+def require_count(name, value, least=1):
+    """``value`` as an int, once it is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def require_inputs(op, b, k_max, reference=None):
     """k_max as an int, once b is a finite vector of length n, the reference
-    (if given) a finite vector of length m and k_max a positive integer: every
-    engine checks these before its first operator product."""
+    (if given) a finite vector of length m and k_max a count (``require_count``):
+    every engine checks these before its first operator product."""
     _require_vector("b", b, op.cols)
     if reference is not None:
         _require_vector("reference", reference, op.rows)
-    try:
-        k = int(k_max)
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != k_max or k < 1 or isinstance(k_max, (bool, np.bool_)):
-        raise ArgumentError(f"k_max must be a positive integer, got {k_max!r}")
-    return k
+    return require_count("k_max", k_max)
 
 
 def _require_vector(name, x, size):

@@ -10,6 +10,7 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import numbers
 import threading
 import time
 import weakref
@@ -20,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ArgumentError, SolveFailure
-from .krylov import Rows, cgs2, normalize
+from .krylov import Rows, cgs2, normalize, require_count
 
 GRAM_SOLVE_RTOL = 1e-10
 
@@ -40,10 +41,8 @@ class LinearOperator:
     """
 
     def __init__(self, rows, cols, matvec, rmatvec, dense=None):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        if self.rows < 1 or self.cols < 1:
-            raise ArgumentError("operator dimensions must be positive")
+        self.rows = require_count("rows", rows)
+        self.cols = require_count("cols", cols)
         self._matvec = matvec
         self._rmatvec = rmatvec
         self.dense = None if dense is None else np.asarray(dense, dtype=float)
@@ -298,9 +297,9 @@ class ShiftedGram:
     """
 
     def __init__(self, op, xi):
+        if not (isinstance(xi, numbers.Real) and np.isfinite(xi)):
+            raise ArgumentError(f"shift xi must be a finite number, got {xi!r}")
         self.xi = float(xi)
-        if not np.isfinite(self.xi):
-            raise ArgumentError(f"shift xi must be finite, got {self.xi}")
         self.op = weakref.proxy(op)  # op holds self: a cycle would delay freeing op
         self._lu = None            # (lu, piv) once factored; False at a zero pivot;
                                    # None again once op.gram_eigh is taken
@@ -308,7 +307,7 @@ class ShiftedGram:
     @classmethod
     def of(cls, op, xi):
         """The solver ``op`` keeps for xi, made at its first use."""
-        solver = op.shifted_grams.get(xi)
+        solver = op.shifted_grams.get(xi) if isinstance(xi, numbers.Real) else None
         if solver is None:
             solver = op.shifted_grams[xi] = cls(op, xi)
         return solver
@@ -342,7 +341,7 @@ class ShiftedGram:
     def solve(self, v, rtol=GRAM_SOLVE_RTOL, basis=None):
         """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1);
         a matrix-free solve starts from ``basis``, a ``KrylovBasis`` of the operator."""
-        if not 0.0 < rtol < 1.0:
+        if not (isinstance(rtol, numbers.Real) and 0.0 < rtol < 1.0):
             raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
         op, xi = self.op, self.xi
         v = np.asarray(v, dtype=float)
@@ -432,9 +431,7 @@ def singular_profile(kind, count, lo, hi):
     ``chebyshev2`` maps cos(j*pi/(count-1)) affinely onto [lo, hi];
     ``logspace`` is geometric (requires lo > 0).
     """
-    count = int(count)
-    if count < 1:
-        raise ArgumentError("count must be >= 1")
+    count = require_count("count", count)
     lo, hi = float(lo), float(hi)
     if not (0 <= lo <= hi) or not np.isfinite(hi):
         raise ArgumentError(f"invalid interval [{lo}, {hi}]")
@@ -475,7 +472,7 @@ def synthesize_test_matrix(m, n, profile, seed):
     The operator keeps ``factors = (U_r, profile, V_r)``, r = min(m, n): by
     construction the SVD of A, so an oracle for it needs no second SVD.
     """
-    m, n = int(m), int(n)
+    m, n = require_count("m", m), require_count("n", n)
     if len(profile) != min(m, n):
         raise ArgumentError(
             f"profile length {len(profile)} != min(m, n) = {min(m, n)}")

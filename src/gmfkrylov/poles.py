@@ -6,9 +6,11 @@ infinity (a plain multiplication step); 0.0 denotes a pure Gram solve.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ArgumentError
+from .krylov import require_count
 
 INF = math.inf
 
@@ -21,12 +23,17 @@ class PoleSequence:
     kind: str = "user_file"
 
     def __post_init__(self):
-        poles = tuple(float(x) for x in self.poles)
+        try:
+            poles = None if isinstance(self.poles, (str, bytes)) else tuple(self.poles)
+        except TypeError:
+            poles = None
+        if poles is None or not all(isinstance(xi, numbers.Real) for xi in poles):
+            raise ArgumentError(f"poles must be a sequence of numbers, not {self.poles!r}")
         # -inf and inf are one point, the pole at infinity: 1/xi = 0 for both
-        object.__setattr__(self, "poles", tuple(INF if xi == -INF else xi for xi in poles))
-        for xi in self.poles:
-            if math.isnan(xi):
-                raise ArgumentError("NaN pole")
+        poles = tuple(INF if xi == -INF else xi for xi in map(float, poles))
+        if any(math.isnan(xi) for xi in poles):
+            raise ArgumentError("NaN pole")
+        object.__setattr__(self, "poles", poles)
 
     def __len__(self):
         return len(self.poles)
@@ -54,14 +61,9 @@ class PoleSequence:
 
 def require_poles(poles, k=1):
     """The poles as a PoleSequence, checked to support k basis vectors (k-1 poles)."""
-    if poles is None:
-        raise ArgumentError("a pole sequence is required")
     if not isinstance(poles, PoleSequence):
-        try:
-            poles = PoleSequence(tuple(poles))
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"poles must be a sequence of numbers: {exc}") from None
-    if int(k) - 1 > len(poles):
+        poles = PoleSequence(poles)
+    if require_count("k", k) - 1 > len(poles):
         raise ArgumentError(
             f"{len(poles)} poles support at most {len(poles) + 1} basis vectors")
     return poles
@@ -69,16 +71,12 @@ def require_poles(poles, k=1):
 
 def polynomial_poles(k):
     """k poles at infinity (the polynomial Krylov subspace)."""
-    if int(k) < 1:
-        raise ArgumentError("k must be >= 1")
-    return PoleSequence((INF,) * int(k), kind="polynomial")
+    return PoleSequence((INF,) * require_count("k", k), kind="polynomial")
 
 
 def extended_poles(k):
     """Alternating (inf, 0, inf, 0, ...) of length k."""
-    if int(k) < 1:
-        raise ArgumentError("k must be >= 1")
-    return PoleSequence(tuple(INF if i % 2 == 0 else 0.0 for i in range(int(k))),
+    return PoleSequence(tuple(INF if i % 2 == 0 else 0.0 for i in range(require_count("k", k))),
                         kind="extended")
 
 
@@ -88,7 +86,7 @@ def si_optimal_pole(sigma_min, sigma_max, k):
     if not (0 < sigma_min <= sigma_max):
         raise ArgumentError("need 0 < sigma_min <= sigma_max")
     xi = -sigma_min * sigma_max
-    return PoleSequence((xi,) * int(k), kind="shift_invert")
+    return PoleSequence((xi,) * require_count("k", k), kind="shift_invert")
 
 
 def load_user_poles(path, sigma_min=None, sigma_max=None):

@@ -138,6 +138,30 @@ class TestShiftInvertBound:
         with pytest.raises(ArgumentError):
             rho_branches(0.1, 10.0, 5.0)
 
+    @pytest.mark.parametrize("xi", [-math.inf, math.inf, math.nan, 0.0, 1.0])
+    def test_h_supremum_needs_a_finite_negative_pole(self, xi):
+        # at xi = -inf the sample grid collapses onto t = 0; refused before it
+        # is built, so without a RuntimeWarning (the suite makes one an error)
+        with pytest.raises(ArgumentError, match="finite negative"):
+            sample_h_sup(builtin("sqrt"), xi)
+
+    @pytest.mark.parametrize("M", [math.nan, 0.0, -1.0, -math.inf])
+    def test_bounds_need_a_positive_constant(self, M):
+        # a NaN constant fails M <= 0 as well as M > 0: it is refused, not
+        # carried into a NaN bound
+        with pytest.raises(ArgumentError, match="M must be positive"):
+            si_style_bound(0.1, 10.0, -1.0, M, 3)
+        with pytest.raises(ArgumentError, match="M must be positive"):
+            si_closed_form_bound(0.1, 10.0, M, 3)
+
+    @pytest.mark.parametrize("xi", [-math.inf, math.nan, 0.0, 0.5])
+    def test_rate_needs_a_finite_negative_pole(self, xi):
+        # at xi = -inf both square roots are infinite and rho would be NaN
+        with pytest.raises(ArgumentError, match="finite and negative"):
+            rho_of(0.1, 10.0, xi)
+        with pytest.raises(ArgumentError, match="finite and negative"):
+            si_style_bound(0.1, 10.0, xi, 1.0, 3)
+
     def test_h_supremum_for_log_function(self):
         # g(w) = log(1 + w^(1/4)) / w^(1/4) has supremum 1 at w -> 0
         M = sample_h_sup(builtin("sqrt_log1p_sqrt"), -1.0)

@@ -1,15 +1,18 @@
 import json
+import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from gmfkrylov import (ConfigError, builtin, emit_dat, gmf_apply_factors, gmf_apply_reference,
-                       harness, operators, polynomial_bound_curve, read_dat)
+from gmfkrylov import (ArgumentError, ConfigError, builtin, emit_dat, gmf_apply_factors,
+                       gmf_apply_reference, harness, operators, polynomial_bound_curve, read_dat)
 from gmfkrylov.cli import main
-from gmfkrylov.harness import build_poles, load_config, parse_config, run, synthesize
+from gmfkrylov.harness import (MatrixSpec, build_poles, evaluate_bounds, load_config,
+                               parse_config, run, synthesize)
 from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
 
 from conftest import record_eighs, record_factors
@@ -155,6 +158,71 @@ class TestConfigValidation:
         # transpose_inner is given only where the method reads it
         given = {"transpose_inner": inner} if method == "transpose_trick" else {}
         parse_config(self.sized(m, n, method=method, poles={"kind": "extended"}, **given))
+
+
+class TestConfigCheckedWhenMade:
+    """``dataclasses.replace`` makes a config through the same checks as ``parse_config``."""
+
+    def test_replaced_matrix_with_singular_gram_rejected(self):
+        config = parse_config(cfg(poles={"kind": "extended"}))
+        with pytest.raises(ConfigError, match=r"A\^T A of a 8x12 matrix is singular"):
+            replace(config, matrix=MatrixSpec(8, 12, "logspace", 0.5, 4.0))
+        # a tall matrix keeps A^T A nonsingular
+        assert replace(config, matrix=MatrixSpec(12, 8, "logspace", 0.5, 4.0)).matrix.m == 12
+
+    @pytest.mark.parametrize("changes,error,message", [
+        ({"method": "warp"}, ConfigError, "method must be one of"),
+        ({"transpose_inner": "gk"}, ConfigError, "transpose_inner must be one of"),
+        ({"name": "../escaped"}, ConfigError, "file name"),
+        ({"bounds": ("9.99",)}, ConfigError, "bound tag"),
+        ({"function": "cosh"}, ArgumentError, "unknown function"),
+        ({"poles": {"kind": "magic"}}, ConfigError, "pole kind"),
+        ({"poles": {"kind": "polynomial", "xi": -1.0}}, ConfigError, "does not read keys"),
+        ({"poles": {"kind": "user_file"}}, ConfigError, "'path'"),
+        ({"poles": {"kind": "shift_invert", "xi": 1.0}}, ConfigError, "finite negative"),
+        ({"k_max": 0}, ArgumentError, "k_max must be an integer >= 1"),
+        ({"k_max": True}, ArgumentError, "k_max must be an integer >= 1"),
+        ({"k_max": 2.5}, ArgumentError, "k_max must be an integer >= 1"),
+        ({"seed": -1}, ArgumentError, "seed must be an integer >= 0"),
+        ({"seed": 3.0}, ArgumentError, "seed must be an integer >= 0"),
+    ])
+    def test_replace_runs_every_check(self, changes, error, message):
+        config = parse_config(cfg())
+        with pytest.raises(error, match=message):
+            replace(config, **changes)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((0, 12, "logspace"), ArgumentError, "matrix.m must be an integer >= 1"),
+        ((12, True, "logspace"), ArgumentError, "matrix.n must be an integer >= 1"),
+        ((12, 12.0, "logspace"), ArgumentError, "matrix.n must be an integer >= 1"),
+        ((12, 12, "magic"), ConfigError, "profile kind"),
+        ((12, 12, "logspace", 0.0, 1.0), ConfigError, "interval"),
+        ((12, 12, "logspace", 2.0, 1.0), ConfigError, "interval"),
+        ((12, 12, "logspace", 1.0, math.inf), ConfigError, "finite"),
+        ((12, 12, "logspace", math.nan, 1.0), ConfigError, "interval"),
+    ])
+    def test_matrix_spec_checked_when_made(self, args, error, message):
+        with pytest.raises(error, match=message):
+            MatrixSpec(*args)
+
+    def test_counts_in_json_refused_by_the_count_rule(self):
+        with pytest.raises(ArgumentError, match="k_max must be an integer >= 1, got 0"):
+            parse_config(cfg(k_max=0))
+        raw = cfg()
+        raw["matrix"]["n"] = 0
+        with pytest.raises(ArgumentError, match="matrix.n must be an integer >= 1, got 0"):
+            parse_config(raw)
+
+    def test_replace_rebuilds_the_poles_and_run_uses_them(self, tmp_path, monkeypatch):
+        config = parse_config(cfg(poles={"kind": "shift_invert"}, bounds=["rational"]))
+        shorter = replace(config, k_max=4, matrix=MatrixSpec(12, 12, "logspace", 1.0, 2.0))
+        assert tuple(shorter._poles) == (-2.0,) * 4
+        # run and evaluate_bounds build no pole sequence of their own
+        monkeypatch.setattr(harness, "build_poles", None)
+        manifest = json.loads(Path(run(shorter, str(tmp_path))["manifest"]).read_text())
+        assert manifest["pole_values"] == [-2.0] * 4
+        assert len(read_dat(evaluate_bounds(shorter, str(tmp_path))["traces"]
+                            ["bound_rational"])) == 4
 
 
 class TestEmitDat:

@@ -1,15 +1,20 @@
 """The CGS2 kernel, the growing basis block, the breakdown rule, the bordered
-SVD update and the entry checks the engines share."""
+SVD update, the entry checks the engines share and the one rule for counts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmfkrylov import (ArgumentError, LinearOperator, builtin, gk_approximate, gk_init,
-                       gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose, krylov,
-                       polynomial_poles, rational_gmf_approximate,
-                       reconstruct_dense, relative_error, rgk_run, si_optimal_pole)
-from gmfkrylov.krylov import BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize
+from gmfkrylov import (ArgumentError, LinearOperator, builtin, extended_poles, gk_approximate,
+                       gk_init, gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose,
+                       krylov, odd_monomial, polynomial_bound_curve, polynomial_poles,
+                       quasi_optimal_rational_bound, rational_bound_curve,
+                       rational_gmf_approximate, reconstruct_dense, relative_error, rgk_run,
+                       si_closed_form_bound, si_optimal_pole, si_style_bound, singular_profile,
+                       synthesize_test_matrix)
+from gmfkrylov.krylov import (BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize,
+                              require_count)
+from gmfkrylov.poles import require_poles
 from gmfkrylov.rectangular import ENGINES as TABLE
 
 from conftest import explicit_profile_problem, seeded_problem
@@ -152,6 +157,52 @@ def test_engines_check_inputs_before_any_product(engine, case):
     with pytest.raises(ArgumentError):
         ENGINES[engine](op, b, poles, k_max, reference=ref)
     assert products == []
+
+
+# every count the package takes, as a call of the count alone, and the least
+# value the count takes
+COUNTS = {
+    "polynomial_poles": (lambda k: polynomial_poles(k), 1),
+    "extended_poles": (lambda k: extended_poles(k), 1),
+    "si_optimal_pole": (lambda k: si_optimal_pole(0.1, 10.0, k), 1),
+    "require_poles": (lambda k: require_poles(polynomial_poles(3), k), 1),
+    "singular_profile": (lambda k: singular_profile("logspace", k, 1.0, 2.0), 1),
+    "odd_monomial": (lambda k: odd_monomial(k), 1),
+    "operator_rows": (lambda k: LinearOperator.from_callables(k, 2, np.negative, np.negative), 1),
+    "operator_cols": (lambda k: LinearOperator.from_callables(2, k, np.negative, np.negative), 1),
+    "synthesize_m": (lambda k: synthesize_test_matrix(k, 1, singular_profile(
+        "logspace", 1, 1.0, 2.0), 0), 1),
+    "synthesize_n": (lambda k: synthesize_test_matrix(1, k, singular_profile(
+        "logspace", 1, 1.0, 2.0), 0), 1),
+    "polynomial_bound_curve": (lambda k: polynomial_bound_curve(F, 0.1, 10.0, k), 1),
+    "rational_bound_curve": (lambda k: rational_bound_curve(
+        F, polynomial_poles(3), 0.1, 10.0, k), 1),
+    "quasi_optimal_rational_bound": (lambda k: quasi_optimal_rational_bound(
+        F, polynomial_poles(3), 0.1, 10.0, k), 1),
+    "si_style_bound": (lambda k: si_style_bound(0.1, 10.0, -1.0, 1.0, k), 0),
+    "si_closed_form_bound": (lambda k: si_closed_form_bound(0.1, 10.0, 1.0, k), 0),
+}
+
+
+@pytest.mark.parametrize("value", ["below", 2.5, True, np.True_, 2.0, "2"])
+@pytest.mark.parametrize("name", COUNTS)
+def test_every_count_takes_one_rule(name, value):
+    # an integer of at least its least value, never a bool, a float (even a
+    # whole one) or a string: refused with ArgumentError, before any work
+    call, least = COUNTS[name]
+    with pytest.raises(ArgumentError, match="must be an integer >="):
+        call(least - 1 if value == "below" else value)
+    call(least)
+    call(np.int64(least + 1))
+
+
+@pytest.mark.parametrize("least", [0, 1, 3])
+def test_require_count_returns_an_int(least):
+    for value in (least, np.int32(least), np.uint64(least + 2)):
+        count = require_count("k", value, least=least)
+        assert type(count) is int and count == value
+    with pytest.raises(ArgumentError, match=f"k must be an integer >= {least}, got {least - 1}"):
+        require_count("k", least - 1, least=least)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

@@ -242,6 +242,22 @@ class TestShiftedGramSolve:
             assert operator.shifted_grams == {}
         assert not calls
 
+    @pytest.mark.parametrize("xi", ["a", "-1.0", None, [-1.0], 1j])
+    def test_shift_that_is_no_number_rejected(self, xi):
+        # a string of a number is no number either: "-1.0" is not the shift -1
+        op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
+        with pytest.raises(ArgumentError, match="xi"):
+            ShiftedGram(op, xi)
+        with pytest.raises(ArgumentError, match="xi"):
+            solve_shifted_gram(op, xi, b)
+        assert op.shifted_grams == {}
+
+    @pytest.mark.parametrize("rtol", ["x", "1e-10", None, 1e-10j])
+    def test_rtol_that_is_no_number_rejected(self, rtol):
+        op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
+        with pytest.raises(ArgumentError, match="rtol"):
+            solve_shifted_gram(op, -1.0, b, rtol=rtol)
+
     # the dense check multiplies by the cached A^T A that was factored, so it
     # measures the LU's backward error; these tests judge it with A itself
     @pytest.mark.parametrize("m, n", SHAPES)

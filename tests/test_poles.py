@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gmfkrylov import (INF, ArgumentError, PoleSequence, extended_poles,
-                       load_user_poles, polynomial_poles, rho_branches,
-                       si_optimal_pole, si_style_bound)
+from gmfkrylov import (INF, ArgumentError, PoleSequence, builtin, extended_poles,
+                       load_user_poles, polynomial_poles, rational_gmf_approximate,
+                       rho_branches, si_optimal_pole, si_style_bound)
+from gmfkrylov.poles import require_poles
+
+from conftest import seeded_problem
 
 
 def test_polynomial_poles():
@@ -61,6 +65,30 @@ def test_pole_file_reads_infinity_in_any_spelling(tmp_path):
     path.write_text("-1\nNaN\n", encoding="ascii")
     with pytest.raises(ArgumentError, match="NaN pole"):
         load_user_poles(path)
+
+
+@pytest.mark.parametrize("poles", ["12", "abc", b"12", "", 5, None, [1.0, "2"], [1.0, None],
+                                   [np.array([1.0, 2.0])]],
+                         ids=["digits", "letters", "bytes", "empty_string", "number", "none",
+                              "string_entry", "none_entry", "array_entry"])
+def test_poles_are_a_sequence_of_numbers(poles):
+    # a string is no pole sequence, even one of digits: "12" is not (1.0, 2.0)
+    for make in (PoleSequence, require_poles):
+        with pytest.raises(ArgumentError, match="sequence of numbers"):
+            make(poles)
+
+
+def test_numbers_of_any_real_type_are_poles():
+    seq = PoleSequence([np.float32(-0.5), np.int64(-2), -3, np.inf, Fraction(-1, 4)])
+    assert seq.poles == (-0.5, -2.0, -3.0, INF, -0.25)
+    assert all(type(xi) is float for xi in seq)
+    assert require_poles(np.array([-1.0, INF]), 3).poles == (-1.0, INF)
+
+
+def test_engine_refuses_a_string_of_poles():
+    op, b = seeded_problem(6, 6, "logspace", 0.5, 3.0, 0)
+    with pytest.raises(ArgumentError, match="sequence of numbers"):
+        rational_gmf_approximate(builtin("sqrt"), op, b, "12", 3)
 
 
 def test_empty_pole_file(tmp_path):

@@ -195,6 +195,34 @@ class TestFallback:
         assert d3 == pytest.approx(np.linalg.norm(resid), rel=1e-12)
 
 
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_fallback_projects_onto_the_whole_history(self, k):
+        # a vanished beta_{k-2} (here exactly 0): x_k is the projection of A q_k
+        # onto span(p_1..p_{k-1}), not the rank-one update of x_{k-1}, and p_k
+        # is orthogonal to every stored column
+        rng = np.random.default_rng(k)
+        history, _ = np.linalg.qr(rng.standard_normal((40, k - 1)))
+        Aq = history @ rng.standard_normal(k - 1) + rng.standard_normal(40)
+        x_prev = rng.standard_normal(40)    # unread by the fallback
+        p, d, beta, gamma, x, used = rgk_step(Aq, history.T, x_prev, 0.0)
+        assert used
+        projection = history @ (history.T @ Aq)
+        assert np.linalg.norm(x - projection) <= 1e-14 * np.linalg.norm(Aq)
+        assert np.abs(history.T @ p).max() <= 1e-14
+        assert d == pytest.approx(np.linalg.norm(Aq - projection), rel=1e-14)
+        assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-15)
+        assert beta == Aq @ history[:, -1] and gamma == Aq @ history[:, -2]
+
+    def test_fallback_fires_at_its_threshold_only(self):
+        rng = np.random.default_rng(0)
+        history, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+        Aq = rng.standard_normal(20)
+        x_prev = history[:, -1].copy()
+        limit = short_recurrence.BETA_FALLBACK_RTOL * np.linalg.norm(Aq)
+        for beta_prev, fallback in ((limit, True), (-limit, True), (2.0 * limit, False)):
+            *_, used = rgk_step(Aq, history.T, x_prev, beta_prev)
+            assert used == fallback, beta_prev
+
 def _stored_columns(monkeypatch):
     """The p_k of every short-recurrence step, in order."""
     ps, step = [], short_recurrence.rgk_step
