@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ArgumentError
 from .functions import companion_g
-from .krylov import cgs2, normalize, require_count
-from .poles import require_poles
+from .krylov import cgs2, normalize, require_count, require_number
+from .poles import require_interval, require_poles
 
 ELLIPSE_SAMPLES = 4096
 RATIONAL_GRID = 2000
@@ -36,6 +36,14 @@ def _ellipse_points(rho, a, b):
     unit = 0.5 * (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho)
     a2, b2 = a ** 2, b ** 2
     return 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * unit
+
+
+def _require_norm_b(norm_b):
+    """||b|| as a float, once it is a finite, nonnegative real number."""
+    norm_b = require_number("norm_b", norm_b)
+    if not 0.0 <= norm_b < math.inf:
+        raise ArgumentError(f"norm_b must be finite and nonnegative, got {norm_b}")
+    return norm_b
 
 
 @dataclass(frozen=True)
@@ -84,9 +92,10 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, norm_b=1.0):
     reported, which is how such curves are usually overlaid on convergence
     plots.
     """
-    a, b = float(sigma_n), float(sigma_1)
-    if not (0 < a < b):
-        raise ArgumentError("need 0 < sigma_n < sigma_1")
+    a, b = require_number("sigma_n", sigma_n), require_number("sigma_1", sigma_1)
+    if not 0 < a < b < math.inf:
+        raise ArgumentError("need 0 < sigma_n < sigma_1 < inf")
+    norm_b = _require_norm_b(norm_b)
     rho_max = (b + a) / (b - a)
     ks = np.arange(1, require_count("k_max", k_max) + 1)
     constants = {"rho_max": rho_max}
@@ -114,9 +123,7 @@ def rho_of(sigma_min, sigma_max, xi):
 
 def rho_branches(sigma_min, sigma_max, xi):
     """The two branches whose maximum is the Shift-and-Invert ratio rho."""
-    s, S, xi = float(sigma_min), float(sigma_max), float(xi)
-    if not (0 < s <= S):
-        raise ArgumentError("need 0 < sigma_min <= sigma_max")
+    (s, S), xi = require_interval(sigma_min, sigma_max), require_number("xi", xi)
     if not -math.inf < xi < 0:
         raise ArgumentError("the Shift-and-Invert pole must be finite and negative")
     rS = math.sqrt(S * S - xi)
@@ -127,6 +134,7 @@ def rho_branches(sigma_min, sigma_max, xi):
 
 def si_style_bound(sigma_min, sigma_max, xi, M, k):
     """Approximation-theory bound 2 M rho^k / (1 - rho)."""
+    M = require_number("M", M)
     if not M > 0:
         raise ArgumentError("M must be positive")
     rho = rho_of(sigma_min, sigma_max, xi)
@@ -135,9 +143,8 @@ def si_style_bound(sigma_min, sigma_max, xi, M, k):
 
 def si_closed_form_bound(sigma_min, sigma_max, M, k, norm_b=1.0):
     """2 ||b|| M sqrt(sigma_max/sigma_min) exp(-2 k sqrt(sigma_min/sigma_max))."""
-    s, S = float(sigma_min), float(sigma_max)
-    if not (0 < s <= S):
-        raise ArgumentError("need 0 < sigma_min <= sigma_max")
+    (s, S), M = require_interval(sigma_min, sigma_max), require_number("M", M)
+    norm_b = _require_norm_b(norm_b)
     if not M > 0:
         raise ArgumentError("M must be positive")
     return (2.0 * norm_b * M * math.sqrt(S / s)
@@ -146,7 +153,7 @@ def si_closed_form_bound(sigma_min, sigma_max, M, k, norm_b=1.0):
 
 def sample_h_sup(f, xi):
     """M = sup |h| on [0, 1/(-xi)] with h(t) = g(1/t + xi), g = f(sqrt z)/sqrt z."""
-    xi = float(xi)
+    xi = require_number("xi", xi)
     if not -math.inf < xi < 0:
         raise ArgumentError(f"xi must be a finite negative number, got {xi}")
     g = companion_g(f)
@@ -213,9 +220,7 @@ def _rational_bound_values(f, poles, sigma_n, sigma_1, ks, norm_b):
     Column j of the grid basis depends only on columns 0..j-1, so the leading
     k columns of the basis built for max(ks) are the basis built for k.
     """
-    a, b = float(sigma_n), float(sigma_1)
-    if not (0 < a <= b):
-        raise ArgumentError("need 0 < sigma_n <= sigma_1")
+    (a, b), norm_b = require_interval(sigma_n, sigma_1), _require_norm_b(norm_b)
     poles = require_poles(poles, max(ks))
     z = _chebyshev_grid(a, b, RATIONAL_GRID)
     basis = _grid_rational_basis(z * z, poles, max(ks))

@@ -20,7 +20,7 @@ from .bounds import (polynomial_bound_curve, rational_bound_curve, sample_h_sup,
                      si_closed_form_bound, si_style_bound)
 from .errors import ConfigError
 from .functions import builtin
-from .krylov import require_count
+from .krylov import require_count, require_number
 from .operators import (blas_thread_counts, one_blas_thread, singular_profile,
                         synthesize_test_matrix)
 from .poles import (PoleSequence, extended_poles, load_user_poles,
@@ -53,7 +53,8 @@ class MatrixSpec:
         require_count("matrix.m", self.m)
         require_count("matrix.n", self.n)
         _require(self.kind in ("chebyshev2", "logspace"), f"unknown profile kind {self.kind!r}")
-        _require(0 < self.lo <= self.hi < math.inf,
+        lo, hi = require_number("matrix.lo", self.lo), require_number("matrix.hi", self.hi)
+        _require(0 < lo <= hi < math.inf,
                  f"profile interval [{self.lo}, {self.hi}] must be positive and finite")
 
 

@@ -96,6 +96,13 @@ def require_count(name, value, least=1):
     raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_number(name, value):
+    """``value`` as a float, once it is a real number, not a bool (a string is none)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ArgumentError(f"{name} must be a real number, got {value!r}")
+
+
 def require_inputs(op, b, k_max, reference=None):
     """k_max as an int, once b is a finite vector of length n, the reference
     (if given) a finite vector of length m and k_max a count (``require_count``):

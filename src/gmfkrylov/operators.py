@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ArgumentError, SolveFailure
-from .krylov import Rows, cgs2, normalize, require_count
+from .krylov import Rows, cgs2, normalize, require_count, require_number
 
 GRAM_SOLVE_RTOL = 1e-10
 
@@ -336,7 +336,8 @@ class ShiftedGram:
             return V @ ((v @ V) / gap)
         if not factor:
             raise SolveFailure(f"shifted Gram solve residual inf: zero pivot, xi={self.xi}")
-        return scipy.linalg.lu_solve(factor, v, check_finite=False)
+        x, _ = scipy.linalg.lapack.dgetrs(*factor, v)
+        return x
 
     def solve(self, v, rtol=GRAM_SOLVE_RTOL, basis=None):
         """x with (A^T A - xi I) x = v, its residual checked at ``rtol`` in (0, 1);
@@ -432,7 +433,7 @@ def singular_profile(kind, count, lo, hi):
     ``logspace`` is geometric (requires lo > 0).
     """
     count = require_count("count", count)
-    lo, hi = float(lo), float(hi)
+    lo, hi = require_number("lo", lo), require_number("hi", hi)
     if not (0 <= lo <= hi) or not np.isfinite(hi):
         raise ArgumentError(f"invalid interval [{lo}, {hi}]")
     if kind == "chebyshev2":
@@ -453,11 +454,14 @@ def singular_profile(kind, count, lo, hi):
 
 
 def _haar_from_rng(n, rng):
-    B = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(B)
+    """Q of the QR of a Gaussian draw, column j signed by R_jj; only Q outlives
+    the QR: an n-by-n block freed later stays resident on glibc's heap (README)."""
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     signs = np.sign(np.diag(R))
+    del R
     signs[signs == 0] = 1.0
-    return Q * signs
+    Q *= signs
+    return Q
 
 
 def _as_seed_sequence(seed):

@@ -10,7 +10,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .krylov import require_count
+from .krylov import require_count, require_number
 
 INF = math.inf
 
@@ -50,7 +50,7 @@ class PoleSequence:
 
     def validate_interval(self, sigma_min, sigma_max):
         """Reject finite poles inside [sigma_min^2, sigma_max^2]."""
-        lo, hi = float(sigma_min) ** 2, float(sigma_max) ** 2
+        lo, hi = (sigma ** 2 for sigma in require_interval(sigma_min, sigma_max))
         for xi in self.poles:
             if math.isfinite(xi) and xi != 0.0 and lo <= xi <= hi:
                 raise ArgumentError(
@@ -80,11 +80,18 @@ def extended_poles(k):
                         kind="extended")
 
 
+def require_interval(sigma_min, sigma_max):
+    """(sigma_min, sigma_max) as floats, once both are numbers with
+    0 < sigma_min <= sigma_max < inf."""
+    s, S = require_number("sigma_min", sigma_min), require_number("sigma_max", sigma_max)
+    if not 0 < s <= S < math.inf:
+        raise ArgumentError(f"need 0 < sigma_min <= sigma_max < inf, got [{s}, {S}]")
+    return s, S
+
+
 def si_optimal_pole(sigma_min, sigma_max, k):
     """k copies of the Shift-and-Invert pole xi = -sigma_min * sigma_max."""
-    sigma_min, sigma_max = float(sigma_min), float(sigma_max)
-    if not (0 < sigma_min <= sigma_max):
-        raise ArgumentError("need 0 < sigma_min <= sigma_max")
+    sigma_min, sigma_max = require_interval(sigma_min, sigma_max)
     xi = -sigma_min * sigma_max
     return PoleSequence((xi,) * require_count("k", k), kind="shift_invert")
 

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmfkrylov import (ArgumentError, builtin, gk_approximate, gmf_apply_reference,
-                       polynomial_bound_curve, polynomial_poles,
+from gmfkrylov import (ArgumentError, PoleSequence, builtin, gk_approximate,
+                       gmf_apply_reference, polynomial_bound_curve, polynomial_poles,
                        quasi_optimal_rational_bound, rational_bound_curve,
                        rational_gmf_approximate, rho_branches, rho_of, sample_h_sup,
                        si_closed_form_bound, si_optimal_pole, si_style_bound)
@@ -162,11 +162,48 @@ class TestShiftInvertBound:
         with pytest.raises(ArgumentError, match="finite and negative"):
             si_style_bound(0.1, 10.0, xi, 1.0, 3)
 
+    @pytest.mark.parametrize("norm_b", [math.nan, math.inf, -math.inf, -1.0, "1", None, True])
+    @pytest.mark.parametrize("bound", ["polynomial", "si_closed_form", "quasi_optimal",
+                                       "rational_curve"])
+    def test_bounds_need_a_finite_nonnegative_norm_b(self, bound, norm_b):
+        # a NaN ||b|| gave a NaN bound (si_closed_form_bound, polynomial_bound_curve)
+        call = {
+            "polynomial": lambda nb: polynomial_bound_curve(builtin("sqrt"), 0.1, 10.0, 3,
+                                                            norm_b=nb).values,
+            "si_closed_form": lambda nb: si_closed_form_bound(0.1, 10.0, 1.0, 3, norm_b=nb),
+            "quasi_optimal": lambda nb: quasi_optimal_rational_bound(
+                builtin("sqrt"), si_optimal_pole(0.1, 10.0, 3), 0.1, 10.0, 3, norm_b=nb),
+            "rational_curve": lambda nb: rational_bound_curve(
+                builtin("sqrt"), si_optimal_pole(0.1, 10.0, 3), 0.1, 10.0, 3, norm_b=nb).values,
+        }[bound]
+        with pytest.raises(ArgumentError, match="norm_b must be"):
+            call(norm_b)
+        assert np.all(np.asarray(call(0)) == 0.0)
+        assert np.all(np.asarray(call(np.float64(2.0))) == 2.0 * np.asarray(call(1.0)))
+
     def test_h_supremum_for_log_function(self):
         # g(w) = log(1 + w^(1/4)) / w^(1/4) has supremum 1 at w -> 0
         M = sample_h_sup(builtin("sqrt_log1p_sqrt"), -1.0)
         assert M == pytest.approx(1.0, rel=1e-3)
         assert M <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("interval", [(0.1, math.inf), (math.nan, 10.0), (0.1, math.nan),
+                                      (0.0, 10.0), (10.0, 0.1)])
+@pytest.mark.parametrize("call", [
+    lambda s, S: si_optimal_pole(s, S, 3),
+    lambda s, S: PoleSequence([-1.0]).validate_interval(s, S),
+    lambda s, S: rho_of(s, S, -1.0),
+    lambda s, S: si_closed_form_bound(s, S, 1.0, 3),
+    lambda s, S: polynomial_bound_curve(builtin("sqrt"), s, S, 2),
+    lambda s, S: rational_bound_curve(builtin("sqrt"), polynomial_poles(3), s, S, 2),
+], ids=["si_optimal_pole", "validate_interval", "rho_of", "si_closed_form_bound",
+        "polynomial_bound_curve", "rational_bound_curve"])
+def test_interval_is_positive_ordered_and_finite(call, interval):
+    # sigma_max = inf made si_optimal_pole's poles -inf, the pole at infinity,
+    # rho_of returned nan, and a NaN end let validate_interval pass any pole
+    with pytest.raises(ArgumentError, match="need 0 < sigma"):
+        call(*interval)
 
 
 class TestQuasiOptimalRationalBound:

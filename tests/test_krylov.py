@@ -1,19 +1,25 @@
 """The CGS2 kernel, the growing basis block, the breakdown rule, the bordered
-SVD update, the entry checks the engines share and the one rule for counts."""
+SVD update, the entry checks the engines share and the one rule each for
+counts and for real numbers."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmfkrylov import (ArgumentError, LinearOperator, builtin, extended_poles, gk_approximate,
-                       gk_init, gk_step, gmf_apply_reference, gmf_dense, gmf_via_transpose,
-                       krylov, odd_monomial, polynomial_bound_curve, polynomial_poles,
-                       quasi_optimal_rational_bound, rational_bound_curve,
-                       rational_gmf_approximate, reconstruct_dense, relative_error, rgk_run,
-                       si_closed_form_bound, si_optimal_pole, si_style_bound, singular_profile,
+from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, builtin, extended_poles,
+                       gk_approximate, gk_init, gk_step, gmf_apply_reference, gmf_dense,
+                       gmf_via_transpose, krylov, odd_monomial, polynomial_bound_curve,
+                       polynomial_poles, quasi_optimal_rational_bound, rational_bound_curve,
+                       rational_gmf_approximate, reconstruct_dense, relative_error,
+                       rho_branches, rgk_run, sample_h_sup, si_closed_form_bound,
+                       si_optimal_pole, si_style_bound, singular_profile,
                        synthesize_test_matrix)
+from gmfkrylov.harness import MatrixSpec
 from gmfkrylov.krylov import (BREAKDOWN_RTOL, BorderedSvd, Rows, cgs2, normalize,
-                              require_count)
+                              require_count, require_number)
 from gmfkrylov.poles import require_poles
 from gmfkrylov.rectangular import ENGINES as TABLE
 
@@ -194,6 +200,57 @@ def test_every_count_takes_one_rule(name, value):
         call(least - 1 if value == "below" else value)
     call(least)
     call(np.int64(least + 1))
+
+
+# every real-number argument of an interval, a pole, xi or M, as a call of the
+# number alone, and a value the call takes
+NUMBERS = {
+    "si_optimal_pole_min": (lambda x: si_optimal_pole(x, 10.0, 2), 0.1),
+    "si_optimal_pole_max": (lambda x: si_optimal_pole(0.1, x, 2), 10.0),
+    "validate_interval_min": (lambda x: PoleSequence([-1.0]).validate_interval(x, 10.0), 0.1),
+    "validate_interval_max": (lambda x: PoleSequence([-1.0]).validate_interval(0.1, x), 10.0),
+    "rho_branches_min": (lambda x: rho_branches(x, 10.0, -1.0), 0.1),
+    "rho_branches_max": (lambda x: rho_branches(0.1, x, -1.0), 10.0),
+    "rho_branches_xi": (lambda x: rho_branches(0.1, 10.0, x), -1.0),
+    "si_style_bound_xi": (lambda x: si_style_bound(0.1, 10.0, x, 1.0, 3), -1.0),
+    "si_style_bound_M": (lambda x: si_style_bound(0.1, 10.0, -1.0, x, 3), 1.0),
+    "si_closed_form_bound_min": (lambda x: si_closed_form_bound(x, 10.0, 1.0, 3), 0.1),
+    "si_closed_form_bound_max": (lambda x: si_closed_form_bound(0.1, x, 1.0, 3), 10.0),
+    "si_closed_form_bound_M": (lambda x: si_closed_form_bound(0.1, 10.0, x, 3), 1.0),
+    "sample_h_sup": (lambda x: sample_h_sup(F, x), -1.0),
+    "polynomial_bound_curve_min": (lambda x: polynomial_bound_curve(F, x, 10.0, 2), 0.1),
+    "polynomial_bound_curve_max": (lambda x: polynomial_bound_curve(F, 0.1, x, 2), 10.0),
+    "rational_bound_curve_min": (lambda x: rational_bound_curve(
+        F, polynomial_poles(3), x, 10.0, 2), 0.1),
+    "rational_bound_curve_max": (lambda x: rational_bound_curve(
+        F, polynomial_poles(3), 0.1, x, 2), 10.0),
+    "singular_profile_lo": (lambda x: singular_profile("logspace", 3, x, 10.0), 0.1),
+    "singular_profile_hi": (lambda x: singular_profile("logspace", 3, 0.1, x), 10.0),
+    "matrix_spec_lo": (lambda x: MatrixSpec(3, 3, "logspace", x, 10.0), 0.1),
+    "matrix_spec_hi": (lambda x: MatrixSpec(3, 3, "logspace", 0.1, x), 10.0),
+}
+
+
+@pytest.mark.parametrize("value", ["0.1", "abc", True, np.True_, None, [1.0], 1j])
+@pytest.mark.parametrize("name", NUMBERS)
+def test_every_real_number_takes_one_rule(name, value):
+    # a real number, never a bool, a string, a complex number or a list:
+    # refused with ArgumentError, not cast by float() (si_optimal_pole("0.1",
+    # "10", 2) gave the poles (-1, -1)) nor left to a bare ValueError/TypeError
+    call, good = NUMBERS[name]
+    with pytest.raises(ArgumentError, match="must be a real number"):
+        call(value)
+    call(good)
+    call(np.float32(good))
+    call(Fraction(good))
+
+
+def test_require_number_returns_a_float():
+    for value in (2, np.int64(2), np.float32(0.5), Fraction(1, 4), -math.inf, math.nan):
+        number = require_number("x", value)
+        assert type(number) is float and (number == value or math.isnan(value))
+    with pytest.raises(ArgumentError, match="x must be a real number, got '1'"):
+        require_number("x", "1")
 
 
 @pytest.mark.parametrize("least", [0, 1, 3])

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import gc
 import math
@@ -562,6 +563,32 @@ class TestSynthesize:
     def test_profile_length_mismatch(self):
         with pytest.raises(ArgumentError):
             synthesize_test_matrix(4, 4, SingularProfile(np.ones(3)), 0)
+
+    @pytest.mark.parametrize("one_thread", [False, True], ids=["default_pool", "one_thread"])
+    @pytest.mark.parametrize("m,n", [(300, 300), (400, 260)])
+    def test_bits_of_the_plain_haar_formula(self, m, n, one_thread):
+        # the synthesis signs Q in place and lets the draw and R go early;
+        # A, U and V keep the bits of the plain formula written out here, at
+        # the default numpy BLAS pool and at one thread (at these sizes a
+        # pool of two threads rounds A differently from one)
+        def plain_haar(size, rng):
+            B = rng.standard_normal((size, size))
+            Q, R = np.linalg.qr(B)
+            signs = np.sign(np.diag(R))
+            signs[signs == 0] = 1.0
+            return Q * signs
+
+        prof = singular_profile("logspace", min(m, n), 0.1, 10.0)
+        r = min(m, n)
+        with operators.one_blas_thread("numpy") if one_thread else contextlib.nullcontext():
+            op = synthesize_test_matrix(m, n, prof, 3)
+            kid_u, kid_v = np.random.SeedSequence(3).spawn(2)
+            U = plain_haar(m, np.random.default_rng(kid_u))[:, :r]
+            V = plain_haar(n, np.random.default_rng(kid_v))[:, :r]
+            A = (U * prof.values) @ V.T
+        assert np.array_equal(op.factors[0], U)
+        assert np.array_equal(op.factors[2], V)
+        assert np.array_equal(op.dense, A)
 
 
 class TestSingularProfile:
