@@ -72,15 +72,12 @@ class ExperimentConfig:
     poles: dict
     bounds: tuple = ()
     compare_full: bool = False
-    transpose_inner: str = "rational_full"
     output_dir: str = "out"
 
     def __post_init__(self):
         _require(os.path.basename(self.name) == self.name, "name must be a file name, not a path")
         require_count("seed", self.seed, least=0)
         _require(self.method in METHODS, f"method must be one of {METHODS}")
-        _require(self.transpose_inner in ENGINES,
-                 f"transpose_inner must be one of {tuple(ENGINES)}")
         require_count("k_max", self.k_max)
         builtin(self.function)   # raises on unknown names
         for tag in self.bounds:
@@ -97,7 +94,7 @@ class ExperimentConfig:
 
         # xi, the pole file and its interval are checked here, once. A zero pole
         # solves with the Gram matrix itself, which is singular for a wide A
-        # (A^T A) or, under the transpose trick's inner method, for a tall one
+        # (A^T A) or, under the transpose trick's inner run, for a tall one
         # (A A^T): refuse it before the matrix and the oracle are built
         poles, (m, n) = build_poles(self), (self.matrix.m, self.matrix.n)
         if poles.has_zero:
@@ -158,11 +155,8 @@ def parse_config(raw, base_dir="."):
         *(_read(mat, f, "matrix.") for f in (m, n)),
         *(_read(mat.get("profile"), f, "matrix.profile.") for f in profile))
     # a key the method never reads is refused where the config gives it
-    transposed = c["method"] == "transpose_trick"
-    unread = [key for key, read in (("compare_full", c["method"] == "rational_short"),
-                                    ("transpose_inner", transposed)) if key in raw and not read]
-    _require(not unread, f"method {c['method']!r}" + f" with transpose_inner "
-             f"{c['transpose_inner']!r}" * transposed + f" does not read config keys {unread}")
+    _require("compare_full" not in raw or c["method"] == "rational_short",
+             f"method {c['method']!r} does not read config keys ['compare_full']")
     if type(c["poles"].get("path")) is str:
         c["poles"]["path"] = os.path.join(base_dir, c["poles"]["path"])   # kept if absolute
     return ExperimentConfig(**c)
@@ -240,9 +234,7 @@ def run(config, output_dir=None):
         y_ref = gmf_apply_factors(f, *op.factors, b)
 
         if config.method == "transpose_trick":
-            ys, trace = gmf_via_transpose(
-                f, op, b, config.transpose_inner, poles=poles, k_max=config.k_max,
-                reference=y_ref)
+            ys, trace = gmf_via_transpose(f, op, b, poles, config.k_max, reference=y_ref)
         else:
             ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
         files = {"err": trace.pairs()}

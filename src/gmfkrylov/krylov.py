@@ -103,13 +103,14 @@ def require_number(name, value):
     raise ArgumentError(f"{name} must be a real number, got {value!r}")
 
 
-def require_inputs(op, b, k_max, reference=None):
+def require_inputs(op, b, k_max, reference=None, size=None):
     """k_max as an int, once b is a finite vector of length n, the reference
-    (if given) a finite vector of length m and k_max a count (``require_count``):
-    every engine checks these before its first operator product."""
+    (if given) a finite vector of length ``size`` (default m) and k_max a count
+    (``require_count``): every engine checks these before its first operator
+    product."""
     _require_vector("b", b, op.cols)
     if reference is not None:
-        _require_vector("reference", reference, op.rows)
+        _require_vector("reference", reference, op.rows if size is None else size)
     return require_count("k_max", k_max)
 
 
@@ -241,7 +242,7 @@ def _secular(d, z):
     return roots, (zh / DS).T
 
 
-def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False):
+def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, basis=None):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
 
     ``step(P, z)`` is the engine's basis step: given the rows x (k-1) block of
@@ -250,6 +251,8 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False):
     (breakdown or invariance). ``drift=True`` also builds P_k^T P_k, one
     O(rows k) column per step, and hands it to the trace, whose
     ``orthogonality_drift`` takes ||I - P_k^T P_k||_2 when first read.
+    ``basis``, the ``Rows`` that hold q_1..q_k once step k returns, makes
+    y_k = ||b|| Q_k B_k^T f◇(B_k) e_1 instead: O(k^2) plus one O(n k) product.
     Returns (ys, trace).
     """
     _, nb = start_vector(b)
@@ -270,7 +273,8 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False):
         if z is None:           # the dense SVD of B_k from here on
             svd = None
             z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
-        ys.append(nb * (P[:, :k] @ z))
+        ys.append(nb * (P[:, :k] @ z if basis is None
+                        else (B[:k, :k].T @ z) @ basis.filled))
     return ys, error_trace(ys, reference, None if gram is None else gram[:k, :k])
 
 

@@ -297,9 +297,9 @@ class ShiftedGram:
     """
 
     def __init__(self, op, xi):
-        if not (isinstance(xi, numbers.Real) and np.isfinite(xi)):
+        self.xi = require_number("shift xi", xi)
+        if not np.isfinite(self.xi):
             raise ArgumentError(f"shift xi must be a finite number, got {xi!r}")
-        self.xi = float(xi)
         self.op = weakref.proxy(op)  # op holds self: a cycle would delay freeing op
         self._lu = None            # (lu, piv) once factored; False at a zero pivot;
                                    # None again once op.gram_eigh is taken
@@ -307,7 +307,8 @@ class ShiftedGram:
     @classmethod
     def of(cls, op, xi):
         """The solver ``op`` keeps for xi, made at its first use."""
-        solver = op.shifted_grams.get(xi) if isinstance(xi, numbers.Real) else None
+        xi = require_number("shift xi", xi)   # True is no key for the shift 1.0
+        solver = op.shifted_grams.get(xi)
         if solver is None:
             solver = op.shifted_grams[xi] = cls(op, xi)
         return solver

@@ -6,7 +6,6 @@ infinity (a plain multiplication step); 0.0 denotes a pure Gram solve.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .errors import ArgumentError
@@ -24,13 +23,14 @@ class PoleSequence:
 
     def __post_init__(self):
         try:
-            poles = None if isinstance(self.poles, (str, bytes)) else tuple(self.poles)
-        except TypeError:
+            poles = None if isinstance(self.poles, (str, bytes)) else tuple(
+                require_number("pole", xi) for xi in self.poles)
+        except (TypeError, ArgumentError):
             poles = None
-        if poles is None or not all(isinstance(xi, numbers.Real) for xi in poles):
+        if poles is None:
             raise ArgumentError(f"poles must be a sequence of numbers, not {self.poles!r}")
         # -inf and inf are one point, the pole at infinity: 1/xi = 0 for both
-        poles = tuple(INF if xi == -INF else xi for xi in map(float, poles))
+        poles = tuple(INF if xi == -INF else xi for xi in poles)
         if any(math.isnan(xi) for xi in poles):
             raise ArgumentError("NaN pole")
         object.__setattr__(self, "poles", poles)

@@ -180,8 +180,11 @@ class GramLanczos:
         return q_new
 
 
-def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
+def rational_gmf_approximate(f, op, b, poles, k_max, reference=None, q_side=False):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 from the rational subspace.
+
+    ``q_side=True`` returns y_k = ||b|| Q_k B_k^T f◇(B_k) e_1 from the engine's
+    own Q_k instead, and ``reference`` is then of length n (the transpose trick).
 
     On a matrix-free operator the ``ShiftedGram`` solves of step k are
     relaxed (Simoncini & Szyld 2003; van den Eshof & Sleijpen 2004) to the
@@ -194,7 +197,7 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
     ``KrylovBasis`` grows for a solve. Dense payloads and ``rgk_run`` keep
     GRAM_SOLVE_RTOL.
     """
-    k_max = require_inputs(op, b, k_max, reference)
+    k_max = require_inputs(op, b, k_max, reference, op.cols if q_side else op.rows)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")
 
     def step(P, z):
@@ -209,4 +212,5 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None):
         p, d = normalize(w, np.linalg.norm(Aq))
         return p, np.append(coeffs, d)
 
-    return approximation_loop(f, b, op.rows, k_max, step, reference)
+    return approximation_loop(f, b, op.rows, k_max, step, reference,
+                              basis=eng.columns if q_side else None)

@@ -9,18 +9,22 @@ looks its engine up by module name when called and stores no function
 object, so a profiler that rebinds ``rational_gmf_approximate`` and
 ``rgk_run`` sees the calls made through the table.
 
-Directly projecting a wide A traps spurious near-zero singular values in the
-projected matrix, which functions with large derivative at 0 amplify. Writing
-y = (A^+)^T w with w = f◇(A^T) A b runs the Krylov method on A^T instead
-(whose Gram matrix A A^T is positive definite when sigma_m > 0) and recovers
-y from the least squares problem min ||A^T y - w||.
+Projecting a wide A directly traps spurious near-zero singular values in the
+projected matrix, which functions with large derivative at 0 amplify. The
+transpose trick, f◇(A) b = h(A A^T) A b with h(lambda) = f(sqrt lambda)/sqrt
+lambda (Arrigo, Benzi & Fenu 2016), runs the full engine on A^T from c = A b,
+so A^T Q_k = P_k B_k. With g(sigma) = f(sigma)/sigma^2 the run's own Q_k gives
+y_k = ||c|| Q_k B_k^T g◇(B_k) e_1 = ||c|| Q_k B_k^+ f◇(B_k) e_1, the
+minimum-norm solution of A^T y = ||c|| P_k f◇(B_k) e_1 (Q_k lies in range(A)).
+A enters only through products, so a matrix-free operator works too.
 """
 
 import numpy as np
 
 from .errors import ArgumentError
-from .krylov import error_trace, require_inputs
+from .krylov import require_inputs
 from .rational import rational_gmf_approximate
+from .reference import RANK_RTOL
 from .short_recurrence import rgk_run
 
 
@@ -33,28 +37,22 @@ ENGINES = {
 }
 
 
-def gmf_via_transpose(f, op, b, method, poles, k_max=20, reference=None):
-    """Approximate f◇(A) b through f◇(A^T) (A b) and a least squares solve.
+def gmf_via_transpose(f, op, b, poles, k_max=20, reference=None):
+    """Approximate f◇(A) b by the transpose trick; returns (ys, trace).
 
-    ``method`` names the inner engine in ``ENGINES``, run on ``poles``. The
-    least squares factor (a pseudoinverse of A^T) is formed once from the
-    dense payload and reused across all iterations; rank deficiency is
-    handled by the minimum-norm solution. Returns (ys, trace).
+    g is f(sigma)/sigma^2 on sigma > RANK_RTOL sigma_max(B_k), the rank cut of
+    ``gmf_apply_factors``, and 0 elsewhere; f sees only the kept sigma.
     """
-    if not isinstance(method, str) or method not in ENGINES:
-        raise ArgumentError(f"method must be one of {tuple(ENGINES)}")
-    if op.dense is None:
-        raise ArgumentError("the transpose trick needs a dense payload at desk scale")
     k_max = require_inputs(op, b, k_max, reference)
-    b = np.asarray(b, dtype=float)
-
-    op_t = op.transpose()
-    c = op.apply(b)
+    c = op.apply(np.asarray(b, dtype=float))
     if not np.any(c):
         raise ArgumentError("A b = 0: nothing to approximate")
 
-    ws, _ = ENGINES[method](f, op_t, c, poles, k_max)
+    def g(sigma):
+        keep = sigma > RANK_RTOL * sigma.max(initial=0.0)
+        out = np.zeros_like(sigma)
+        out[keep] = f(sigma[keep]) / sigma[keep] ** 2
+        return out
 
-    lsq = np.linalg.pinv(op.dense.T)   # min-norm solve of A^T y = w, reused per k
-    ys = [lsq @ w for w in ws]
-    return ys, error_trace(ys, reference)
+    return rational_gmf_approximate(g, op.transpose(), c, poles, k_max, reference,
+                                    q_side=True)

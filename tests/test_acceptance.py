@@ -56,8 +56,7 @@ def test_criterion_01_oracle_equivalence_at_invariance():
     errs["rational_full"] = tr.errors[-1]
     _, _, tr = rgk_run(f, op, b, poles, 30, reference=ref)
     errs["rational_short"] = tr.errors[-1]
-    _, tr = gmf_via_transpose(f, op, b, "rational_full", poles=poles, k_max=30,
-                              reference=ref)
+    _, tr = gmf_via_transpose(f, op, b, poles=poles, k_max=30, reference=ref)
     errs["transpose_trick"] = tr.errors[-1]
     worst = max(errs.values())
     report("1", worst <= 1e-9,
@@ -230,8 +229,8 @@ def test_criterion_11_rectangular_transpose_trick():
     ref = gmf_apply_reference(f, op.dense, b)
     poles = si_optimal_pole(1e-2, 10.0, 100)
     _, tr_direct = rational_gmf_approximate(f, op, b, poles, 100, reference=ref)
-    _, tr_transpose = gmf_via_transpose(f, op, b, "rational_full", poles=poles,
-                                        k_max=100, reference=ref)
+    _, tr_transpose = gmf_via_transpose(f, op, b, poles=poles, k_max=100,
+                                        reference=ref)
     e_t, e_d = tr_transpose.errors[-1], tr_direct.errors[-1]
     report("11", e_t <= 1e-9 and e_t < e_d,
            "transpose %.2e (<=1e-9), direct %.2e" % (e_t, e_d))

@@ -102,29 +102,33 @@ class TestConfigValidation:
         assert poles[0] == pytest.approx(-0.5 * 4.0)
         assert len(poles) == config.k_max
 
-    @pytest.mark.parametrize("inner", ["rational_full", "rational_short"])
-    def test_transpose_with_golub_kahan_inner(self, inner):
-        config = parse_config(cfg(method="transpose_trick", transpose_inner=inner))
+    def test_transpose_with_golub_kahan_inner(self):
+        config = parse_config(cfg(method="transpose_trick"))
         assert set(build_poles(config)) == {float("inf")}
 
     @pytest.mark.parametrize("overrides", [
-        {"method": "transpose_trick", "transpose_inner": "rational_short"},
         {"method": "rational_short", "poles": {"kind": "shift_invert"}, "compare_full": True},
-    ], ids=["transpose_inner", "short_compare_full"])
+    ], ids=["short_compare_full"])
     def test_keys_accepted_where_read(self, overrides):
         config = parse_config(cfg(**overrides))
         for key in overrides.keys() - {"poles"}:
             assert getattr(config, key) == overrides[key], key
 
     def test_unread_keys_named(self):
-        raw = cfg(method="transpose_trick", transpose_inner="rational_short",
-                  poles={"kind": "shift_invert"}, compare_full=False)
-        with pytest.raises(ConfigError, match=r"method 'transpose_trick' with transpose_inner "
-                           r"'rational_short' does not read config keys \['compare_full'\]"):
+        raw = cfg(method="transpose_trick", poles={"kind": "shift_invert"}, compare_full=False)
+        with pytest.raises(ConfigError, match=r"method 'transpose_trick' does not read "
+                           r"config keys \['compare_full'\]"):
             parse_config(raw)
-        raw = cfg(compare_full=True, transpose_inner="rational_full")
+        raw = cfg(compare_full=True)
         with pytest.raises(ConfigError, match=r"method 'rational_full' does not read config "
-                           r"keys \['compare_full', 'transpose_inner'\]"):
+                           r"keys \['compare_full'\]"):
+            parse_config(raw)
+
+    # the transpose trick runs one inner engine, so it has no key to choose it
+    @pytest.mark.parametrize("method", ["transpose_trick", "rational_full"])
+    def test_transpose_inner_is_an_unknown_key(self, method):
+        raw = cfg(method=method, transpose_inner="rational_full")
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['transpose_inner'\]"):
             parse_config(raw)
 
     @staticmethod
@@ -134,7 +138,7 @@ class TestConfigValidation:
         return raw
 
     # a zero pole solves with A^T A (A A^T for the transpose trick's inner
-    # method), singular for a wide (tall) matrix
+    # run), singular for a wide (tall) matrix
     @pytest.mark.parametrize("method,m,n", [("rational_full", 12, 20),
                                             ("rational_short", 12, 20),
                                             ("transpose_trick", 20, 12)])
@@ -151,13 +155,11 @@ class TestConfigValidation:
         (tmp_path / "p.txt").write_text("inf\n-1.5\n-2\n", encoding="ascii")
         parse_config(raw, base_dir=str(tmp_path))
 
-    @pytest.mark.parametrize("method,m,n,inner", [("rational_full", 20, 12, "rational_full"),
-                                                  ("transpose_trick", 12, 20, "rational_short"),
-                                                  ("transpose_trick", 12, 12, "rational_full")])
-    def test_zero_pole_with_nonsingular_gram_accepted(self, method, m, n, inner):
-        # transpose_inner is given only where the method reads it
-        given = {"transpose_inner": inner} if method == "transpose_trick" else {}
-        parse_config(self.sized(m, n, method=method, poles={"kind": "extended"}, **given))
+    @pytest.mark.parametrize("method,m,n", [("rational_full", 20, 12),
+                                            ("transpose_trick", 12, 20),
+                                            ("transpose_trick", 12, 12)])
+    def test_zero_pole_with_nonsingular_gram_accepted(self, method, m, n):
+        parse_config(self.sized(m, n, method=method, poles={"kind": "extended"}))
 
 
 class TestConfigCheckedWhenMade:
@@ -172,7 +174,9 @@ class TestConfigCheckedWhenMade:
 
     @pytest.mark.parametrize("changes,error,message", [
         ({"method": "warp"}, ConfigError, "method must be one of"),
-        ({"transpose_inner": "gk"}, ConfigError, "transpose_inner must be one of"),
+        ({"method": "transpose_trick", "poles": {"kind": "extended"},
+          "matrix": MatrixSpec(12, 8, "logspace", 0.5, 4.0)}, ConfigError,
+         r"A A\^T of a 12x8 matrix is singular"),
         ({"name": "../escaped"}, ConfigError, "file name"),
         ({"bounds": ("9.99",)}, ConfigError, "bound tag"),
         ({"function": "cosh"}, ArgumentError, "unknown function"),
@@ -407,8 +411,7 @@ class TestCli:
     @pytest.mark.parametrize("overrides,message", [
         ({"poles": {"kind": "bogus"}}, "pole kind"),
         ({"poles": {"kind": "user_file"}}, "'path'"),
-        ({"method": "transpose_trick", "transpose_inner": "rational_short",
-          "poles": {"kind": "user_file"}}, "'path'"),
+        ({"method": "transpose_trick", "poles": {"kind": "user_file"}}, "'path'"),
         ({"poles": 5}, "pole spec"),
         ({"poles": DROP}, "missing config key 'poles'"),
         ({"poles": {}}, "pole kind"),
@@ -449,8 +452,9 @@ class TestCli:
         # keys the method never reads
         {"compare_full": True},
         {"method": "rational_full", "poles": {"kind": "shift_invert"}, "compare_full": True},
-        {"method": "transpose_trick", "transpose_inner": "rational_short",
-         "poles": {"kind": "shift_invert"}, "compare_full": False},
+        {"method": "transpose_trick", "poles": {"kind": "shift_invert"},
+         "compare_full": False},
+        # the transpose trick has one inner engine and no key to name it
         {"method": "rational_full", "poles": {"kind": "shift_invert"},
          "transpose_inner": "rational_full"},
         # Golub-Kahan is a pole spec: no engine name, alias or option of its own

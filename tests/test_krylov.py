@@ -100,9 +100,8 @@ def _direct(name):
                                                                reference=reference)
 
 
-def _transposed(name):
-    return lambda op, b, poles, k, reference=None: gmf_via_transpose(
-        F, op, b, name, poles=poles, k_max=k, reference=reference)
+def _transposed(op, b, poles, k, reference=None):
+    return gmf_via_transpose(F, op, b, poles=poles, k_max=k, reference=reference)
 
 
 def _golub_kahan(reorth):
@@ -110,10 +109,10 @@ def _golub_kahan(reorth):
         F, op, b, k, reorth=reorth, reference=reference)
 
 
-# every engine of the package table under one name, again inside the
-# transpose trick, and the library's Golub-Kahan entry, which takes no poles
+# every engine of the package table under one name, the transpose trick (the
+# full engine inside) and the library's Golub-Kahan entry, which takes no poles
 ENGINES = {**{name: _direct(name) for name in TABLE},
-           **{f"transpose_{name}": _transposed(name) for name in TABLE},
+           "transpose_rational_full": _transposed,
            "gk_reorth": _golub_kahan(True), "gk_short": _golub_kahan(False)}
 BAD_INPUTS = [(name, case) for case in ("k_max=0", "poles=None", "b=nan") for name in ENGINES
               if case != "poles=None" or not name.startswith("gk_")]

@@ -243,15 +243,25 @@ class TestShiftedGramSolve:
             assert operator.shifted_grams == {}
         assert not calls
 
-    @pytest.mark.parametrize("xi", ["a", "-1.0", None, [-1.0], 1j])
+    @pytest.mark.parametrize("xi", ["a", "-1.0", None, [-1.0], 1j, True, False])
     def test_shift_that_is_no_number_rejected(self, xi):
-        # a string of a number is no number either: "-1.0" is not the shift -1
+        # a string of a number is no number either: "-1.0" is not the shift -1,
+        # nor is True the shift 1.0
         op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
         with pytest.raises(ArgumentError, match="xi"):
             ShiftedGram(op, xi)
         with pytest.raises(ArgumentError, match="xi"):
             solve_shifted_gram(op, xi, b)
         assert op.shifted_grams == {}
+
+    def test_bool_finds_no_solver_of_an_equal_shift(self):
+        # False == 0.0 and hashes alike: a kept solver for 0.0 must not answer it
+        op, b = seeded_problem(20, 20, "logspace", 0.5, 4.0, 3)
+        solve_shifted_gram(op, 0.0, b)
+        with pytest.raises(ArgumentError, match="xi"):
+            ShiftedGram.of(op, False)
+        with pytest.raises(ArgumentError, match="xi"):
+            solve_shifted_gram(op, False, b)
 
     @pytest.mark.parametrize("rtol", ["x", "1e-10", None, 1e-10j])
     def test_rtol_that_is_no_number_rejected(self, rtol):

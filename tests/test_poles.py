@@ -68,11 +68,13 @@ def test_pole_file_reads_infinity_in_any_spelling(tmp_path):
 
 
 @pytest.mark.parametrize("poles", ["12", "abc", b"12", "", 5, None, [1.0, "2"], [1.0, None],
-                                   [np.array([1.0, 2.0])]],
+                                   [np.array([1.0, 2.0])], (True, -2.0), [-1.0, False]],
                          ids=["digits", "letters", "bytes", "empty_string", "number", "none",
-                              "string_entry", "none_entry", "array_entry"])
+                              "string_entry", "none_entry", "array_entry", "true_entry",
+                              "false_entry"])
 def test_poles_are_a_sequence_of_numbers(poles):
-    # a string is no pole sequence, even one of digits: "12" is not (1.0, 2.0)
+    # a string is no pole sequence, even one of digits: "12" is not (1.0, 2.0),
+    # and a bool is no pole: (True, -2.0) is not (1.0, -2.0)
     for make in (PoleSequence, require_poles):
         with pytest.raises(ArgumentError, match="sequence of numbers"):
             make(poles)
