@@ -58,13 +58,15 @@ class BoundCurve:
         return list(zip(self.ks.tolist(), self.values.tolist()))
 
 
-def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho):
-    """Constant C = M1 + M2 + (N1 + N2)/a on the ellipse of each rho of an array.
+def _chui_hasson_constants(f_eval, a, b, rho):
+    """Constant C = 2 (M + N/a) on the ellipse of each rho of an array, with
+    M = max |f2(sqrt z)| and N = max |f2(sqrt z)/sqrt z| sampled in one pass.
 
-    One pass samples every ellipse. ``f2_eval`` is the analytic continuation
-    of f to the right half-plane, evaluated at sqrt(z); ``f1_eval`` covers the
-    left half-plane, evaluated at -sqrt(z). C is +inf where a sample diverges
-    (e.g. at rho = (b+a)/(b-a), where the ellipse touches 0).
+    ``f_eval`` is f2, the continuation of f to the right half-plane. The odd
+    extension continues to the left one as f1(s) = -f2(-s), whose moduli at
+    -sqrt(z) are f2's at sqrt(z): its maxima M1, N1 equal M, N, so
+    C = M1 + M + (N1 + N)/a. C is +inf where a sample diverges (e.g. at
+    rho = (b+a)/(b-a), where the ellipse touches 0).
     """
     rho = np.asarray(rho, dtype=float)
     if not a < b:
@@ -76,11 +78,9 @@ def _chui_hasson_constants(f1_eval, f2_eval, a, b, rho):
         raise ArgumentError(f"rho must not exceed (b+a)/(b-a) = {rho_max:g}")
     root = np.sqrt(_ellipse_points(rho, a, b))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f2 = np.asarray(f2_eval(root), dtype=complex)
-        f1 = np.asarray(f1_eval(-root), dtype=complex)
-        M1, M2, N1, N2 = (np.max(np.abs(v), axis=-1)
-                          for v in (f1, f2, f1 / root, f2 / root))
-        C = M1 + M2 + (N1 + N2) / a
+        f2 = np.asarray(f_eval(root), dtype=complex)
+        M, N = (np.max(np.abs(v), axis=-1) for v in (f2, f2 / root))
+        C = 2.0 * (M + N / a)
     return np.where(np.isfinite(C), C, math.inf)
 
 
@@ -108,7 +108,7 @@ def polynomial_bound_curve(f, sigma_n, sigma_1, k_max, norm_b=1.0):
     rho_grid = np.geomspace(rho_max ** (1.0 / RHO_GRID_SIZE), rho_max, RHO_GRID_SIZE)
     # every ellipse is sampled in one pass; rho^-k stays a scalar power per
     # rho, since a broadcast power may round differently
-    C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho_grid)
+    C = _chui_hasson_constants(f.complex_eval, a, b, rho_grid)
     pref = 2.0 * C * norm_b * rho_grid / (rho_grid - 1.0)
     values = np.min([p * rho ** (-ks.astype(float)) for p, rho in zip(pref, rho_grid)], axis=0)
     constants["constant_mode"] = "included"

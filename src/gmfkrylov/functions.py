@@ -3,9 +3,10 @@
 Only positive arguments are ever evaluated; each function is implicitly
 treated as its odd extension. ``small_at_zero`` records whether f(z) vanishes
 faster than sqrt(z) at 0, which is when the companion g(z) = f(sqrt z)/sqrt z
-may be extended by g(0) = 0. Builtins additionally carry a complex evaluator
-(the analytic continuation to the right half-plane) so that the half-plane
-bound constants can be sampled; without it those constants are unavailable.
+may be extended by g(0) = 0. A builtin is one numpy formula, which on complex
+input is also the analytic continuation to the right half-plane, so that the
+half-plane bound constants can be sampled; a function without a complex
+evaluator has no such constants.
 """
 
 import re
@@ -47,10 +48,6 @@ class ScalarFunction:
         return np.asarray(self._complex_evaluate(np.asarray(s, dtype=complex)),
                           dtype=complex)
 
-    def complex_eval_left(self, s):
-        """Left half-plane continuation f1(s) = -f2(-s) of the odd extension."""
-        return -self.complex_eval(-np.asarray(s, dtype=complex))
-
     def __repr__(self):
         return f"ScalarFunction({self.name!r})"
 
@@ -82,30 +79,24 @@ def companion_g(f):
 def odd_monomial(ell):
     """f(z) = z^(2*ell - 1)."""
     p = 2 * require_count("ell", ell) - 1
-    return ScalarFunction(f"z^{p}", lambda z: z ** p,
-                          small_at_zero=True,
-                          complex_evaluate=lambda s: s ** p)
+
+    def power(z):
+        return z ** p
+
+    return ScalarFunction(f"z^{p}", power, True, power)
 
 
+# name: (numpy formula, small_at_zero); ``builtin`` uses the formula on real
+# input and, on complex input, as the continuation to the right half-plane
 _BUILTINS = {
-    "identity": lambda: ScalarFunction(
-        "identity", lambda z: z, True, lambda s: s),
-    "sqrt": lambda: ScalarFunction(
-        "sqrt", np.sqrt, False, np.sqrt),
-    "inv_quarter": lambda: ScalarFunction(
-        "inv_quarter", lambda z: z ** -0.25, False, lambda s: s ** -0.25),
-    "sqrt_log": lambda: ScalarFunction(
-        "sqrt_log", lambda z: np.sqrt(z) * np.log(z), False,
-        lambda s: np.sqrt(s) * np.log(s)),
-    "sinh": lambda: ScalarFunction(
-        "sinh", np.sinh, True, np.sinh),
-    "sin": lambda: ScalarFunction(
-        "sin", np.sin, True, np.sin),
-    "z_log_z": lambda: ScalarFunction(
-        "z_log_z", lambda z: z * np.log(z), True, lambda s: s * np.log(s)),
-    "sqrt_log1p_sqrt": lambda: ScalarFunction(
-        "sqrt_log1p_sqrt", lambda z: np.sqrt(z) * np.log1p(np.sqrt(z)), True,
-        lambda s: np.sqrt(s) * np.log(1.0 + np.sqrt(s))),
+    "identity": (lambda z: z, True),
+    "sqrt": (np.sqrt, False),
+    "inv_quarter": (lambda z: z ** -0.25, False),
+    "sqrt_log": (lambda z: np.sqrt(z) * np.log(z), False),
+    "sinh": (np.sinh, True),
+    "sin": (np.sin, True),
+    "z_log_z": (lambda z: z * np.log(z), True),
+    "sqrt_log1p_sqrt": (lambda z: np.sqrt(z) * np.log1p(np.sqrt(z)), True),
 }
 
 _MONOMIAL = re.compile(r"^z\^(\d+)$")
@@ -114,7 +105,8 @@ _MONOMIAL = re.compile(r"^z\^(\d+)$")
 def builtin(name):
     """Look up a builtin by name; "z^3", "z^5", ... select odd monomials."""
     if name in _BUILTINS:
-        return _BUILTINS[name]()
+        formula, small_at_zero = _BUILTINS[name]
+        return ScalarFunction(name, formula, small_at_zero, formula)
     m = _MONOMIAL.match(name)
     if m:
         p = int(m.group(1))

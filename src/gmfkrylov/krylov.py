@@ -245,6 +245,10 @@ def _secular(d, z):
 def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, basis=None):
     """Approximations y_k = ||b|| P_k f◇(B_k) e_1 for k = 1..k_max, with their trace.
 
+    At most min(len(b), rows + 1) steps run, the Krylov spaces' dimension (m + 1
+    for a wide A, whose b may leave range(A^T)): past it a basis vector is
+    roundoff that the breakdown test need not catch.
+
     ``step(P, z)`` is the engine's basis step: given the rows x (k-1) block of
     the columns of P produced so far and z = f◇(B_{k-1}) e_1 (None at k = 1),
     it returns (p_k, column k of B_k), or None once the engine stops
@@ -256,6 +260,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, bas
     Returns (ys, trace).
     """
     _, nb = start_vector(b)
+    k_max = min(k_max, len(b), rows + 1)
     P = np.zeros((rows, k_max), order="F")
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None

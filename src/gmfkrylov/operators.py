@@ -466,8 +466,10 @@ def _haar_from_rng(n, rng):
 
 
 def _as_seed_sequence(seed):
+    """A fresh SeedSequence for ``seed``: a copy of a SeedSequence, which stays unspawned."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
     return np.random.SeedSequence(seed)
 
 
@@ -475,7 +477,8 @@ def synthesize_test_matrix(m, n, profile, seed):
     """Dense A = U diag(profile) V^T with independent Haar factors U, V.
 
     The operator keeps ``factors = (U_r, profile, V_r)``, r = min(m, n): by
-    construction the SVD of A, so an oracle for it needs no second SVD.
+    construction the SVD of A, so an oracle for it needs no second SVD. One
+    ``seed`` (an int or a SeedSequence, which is not consumed) gives one matrix.
     """
     m, n = require_count("m", m), require_count("n", n)
     if len(profile) != min(m, n):

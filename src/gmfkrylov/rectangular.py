@@ -21,8 +21,7 @@ A enters only through products, so a matrix-free operator works too.
 
 import numpy as np
 
-from .errors import ArgumentError
-from .krylov import require_inputs
+from .krylov import error_trace, require_inputs
 from .rational import rational_gmf_approximate
 from .reference import RANK_RTOL
 from .short_recurrence import rgk_run
@@ -46,7 +45,10 @@ def gmf_via_transpose(f, op, b, poles, k_max=20, reference=None):
     k_max = require_inputs(op, b, k_max, reference)
     c = op.apply(np.asarray(b, dtype=float))
     if not np.any(c):
-        raise ArgumentError("A b = 0: nothing to approximate")
+        # f◇(A) b = U f(Sigma) V^T b = 0 exactly: one zero vector, as the
+        # direct engine returns
+        ys = [np.zeros(op.rows)]
+        return ys, error_trace(ys, reference)
 
     def g(sigma):
         keep = sigma > RANK_RTOL * sigma.max(initial=0.0)

@@ -9,6 +9,7 @@ from gmfkrylov import (ArgumentError, PoleSequence, builtin, gk_approximate,
                        quasi_optimal_rational_bound, rational_bound_curve,
                        rational_gmf_approximate, rho_branches, rho_of, sample_h_sup,
                        si_closed_form_bound, si_optimal_pole, si_style_bound)
+from gmfkrylov import bounds
 from gmfkrylov.bounds import ELLIPSE_SAMPLES, _chui_hasson_constants, _ellipse_points
 from gmfkrylov.harness import build_poles, load_config
 
@@ -29,9 +30,9 @@ class TestEllipse:
     def test_degenerate_interval_rejected(self):
         f = builtin("sqrt")
         with pytest.raises(ArgumentError):
-            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 2.0, 2.0, 1.1)
+            _chui_hasson_constants(f.complex_eval, 2.0, 2.0, 1.1)
         with pytest.raises(ArgumentError):
-            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 1.0, 2.0, 1.0)
+            _chui_hasson_constants(f.complex_eval, 1.0, 2.0, 1.0)
 
 
 class TestHalfPlaneConstant:
@@ -40,11 +41,23 @@ class TestHalfPlaneConstant:
         # the odd extension gives the same values on the left side
         a, b, rho = 0.5, 2.0, 1.2
         f = builtin("identity")
-        C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho)
+        C = _chui_hasson_constants(f.complex_eval, a, b, rho)
         z = _ellipse_points(rho, a, b)
         M2 = np.max(np.abs(np.sqrt(z)))
         expected = 2 * M2 + 2 * 1.0 / a
         assert C == pytest.approx(expected, rel=1e-12)
+
+    def test_constant_by_hand_on_four_samples(self, monkeypatch):
+        # a = 1, b = 3, rho = 3/2: the ellipse with foci 1, 9 is
+        # z = 5 + 4 (13/12 cos t + 5/12 i sin t), sampled at t = 0, pi/2, pi,
+        # 3 pi/2 as 28/3, 5 + 5i/3, 2/3, 5 - 5i/3. For f2(s) = s^3,
+        # |f2(sqrt z)| = |z|^(3/2) and |f2(sqrt z)/sqrt z| = |z|, both largest
+        # at z = 28/3, and the left half-plane repeats them: C = 2 (M + N/a)
+        monkeypatch.setattr(bounds, "ELLIPSE_SAMPLES", 4)
+        z = _ellipse_points(1.5, 1.0, 3.0)
+        assert z == pytest.approx([28 / 3, 5 + 5j / 3, 2 / 3, 5 - 5j / 3], rel=1e-15)
+        C = _chui_hasson_constants(lambda s: s ** 3, 1.0, 3.0, 1.5)
+        assert C == pytest.approx(2.0 * ((28 / 3) ** 1.5 + 28 / 3), rel=1e-14)
 
     def test_sqrt_blows_up_at_limit_rho(self):
         # at rho = (b+a)/(b-a) the ellipse touches 0 and the N-terms of sqrt
@@ -52,22 +65,20 @@ class TestHalfPlaneConstant:
         a, b = 0.5, 2.0
         rho_max = (b + a) / (b - a)
         f = builtin("sqrt")
-        C_near = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b,
-                                        0.9999 * rho_max + 0.0001)
-        C_mid = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b,
-                                       0.9 * rho_max + 0.1)
+        C_near = _chui_hasson_constants(f.complex_eval, a, b, 0.9999 * rho_max + 0.0001)
+        C_mid = _chui_hasson_constants(f.complex_eval, a, b, 0.9 * rho_max + 0.1)
         assert C_near > 3.0 * C_mid
         assert math.isfinite(C_mid)
 
     def test_divergent_sample_reports_infinity(self):
         diverging = lambda s: 1.0 / (s - s)   # inf at every sample
-        C = _chui_hasson_constants(diverging, diverging, 0.5, 2.0, 1.2)
+        C = _chui_hasson_constants(diverging, 0.5, 2.0, 1.2)
         assert math.isinf(C)
 
     def test_rho_above_limit_rejected(self):
         f = builtin("sqrt")
         with pytest.raises(ArgumentError):
-            _chui_hasson_constants(f.complex_eval_left, f.complex_eval, 0.5, 2.0, 2.0)
+            _chui_hasson_constants(f.complex_eval, 0.5, 2.0, 2.0)
 
 
 class TestPolynomialBound:
@@ -102,7 +113,7 @@ class TestPolynomialBound:
         ks = np.arange(1, k_max + 1).astype(float)
         per_rho = []
         for rho in curve.constants["rho_grid"]:
-            C = _chui_hasson_constants(f.complex_eval_left, f.complex_eval, a, b, rho)
+            C = _chui_hasson_constants(f.complex_eval, a, b, rho)
             per_rho.append(2.0 * C * nb * rho / (rho - 1.0) * rho ** (-ks))
         assert np.array_equal(curve.values, np.min(per_rho, axis=0))
 

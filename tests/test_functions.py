@@ -70,9 +70,19 @@ def test_complex_continuations():
     f = builtin("sqrt")
     s = np.array([1.0 + 1.0j])
     assert f.complex_eval(s) == pytest.approx(np.sqrt(s))
-    # odd extension to the left half-plane
-    assert f.complex_eval_left(-s) == pytest.approx(-np.sqrt(s))
     bare = ScalarFunction("bare", np.sqrt)
     assert not bare.has_complex
     with pytest.raises(EvaluationError):
         bare.complex_eval(s)
+
+
+@pytest.mark.parametrize("name", sorted(functions._BUILTINS) + ["z^3", "z^5"])
+def test_continuation_equals_real_values_on_positive_axis(name):
+    # one formula serves both: on s = z + 0i the continuation is f(z), to the
+    # accuracy of numpy's complex kernels (complex log1p is off by up to
+    # about 3e-15 relative near 0)
+    f = builtin(name)
+    z = np.geomspace(1e-3, 7e2 if name == "sinh" else 1e3, 61)
+    out = f.complex_eval(z + 0j)
+    assert np.all(out.imag == 0.0), name
+    assert np.all(np.abs(out.real - f(z)) <= 1e-14 * np.abs(f(z))), name

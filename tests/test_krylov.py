@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, builtin, extended_poles,
-                       gk_approximate, gk_init, gk_step, gmf_apply_reference, gmf_dense,
+from gmfkrylov import (ArgumentError, LinearOperator, PoleSequence, SingularProfile, builtin,
+                       extended_poles, gk_approximate, gk_init, gk_step, gmf_apply_factors,
+                       gmf_apply_reference, gmf_dense,
                        gmf_via_transpose, krylov, odd_monomial, polynomial_bound_curve,
                        polynomial_poles, quasi_optimal_rational_bound, rational_bound_curve,
                        rational_gmf_approximate, reconstruct_dense, relative_error,
@@ -386,6 +387,53 @@ class TestBreakdownAtInvariance:
         op, b = seeded_problem(20, 30, "chebyshev2", 0.5, 4.0, 3)
         ys, _ = rational_gmf_approximate(F, op, b, si_optimal_pole(0.5, 4.0, 26), 26)
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
+
+
+def probe_draw(index):
+    """Draw ``index`` of a randomized step-cap probe: from default_rng(12345),
+    m and n in 2..12, then singular values log-uniform from sigma_min in
+    [1e-3, 1] to sigma_max in [1, 31.6] (both taken), then a seed for the
+    matrix (and, plus one, for b). Returns (op, b, reference, poles) with the
+    SI poles of [sigma_min, sigma_max] for k_max = n + 2."""
+    rng = np.random.default_rng(12345)
+    for _ in range(index + 1):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(2, 13))
+        lo, hi = 10 ** rng.uniform(-3, 0), 10 ** rng.uniform(0, 1.5)
+        sigma = np.sort(10 ** rng.uniform(np.log10(lo), np.log10(hi), min(m, n)))[::-1]
+        sigma[0], sigma[-1] = hi, lo
+        seed = int(rng.integers(2 ** 32))
+    op = synthesize_test_matrix(m, n, SingularProfile(sigma), np.random.SeedSequence(seed))
+    b = np.random.default_rng(seed + 1).standard_normal(n)
+    return op, b, gmf_apply_factors(F, *op.factors, b), si_optimal_pole(lo, hi, n + 2)
+
+
+class TestStepCap:
+    """No run takes more steps than its Krylov spaces have dimensions.
+
+    Past n steps (tall or square A) or m + 1 (wide A) a basis vector is
+    roundoff. The short recurrence normalized it and ended far off the answer
+    it had reached (draw 0, 9 x 4: 1.8e-13 at k = 4, then 0.15 at k = 6); on a
+    wide A the full engine's secular equation met 0/0 (a RuntimeWarning).
+    """
+
+    @pytest.mark.parametrize("engine", sorted(TABLE))
+    @pytest.mark.parametrize("draw", [0, 4, 13])
+    def test_tall_or_square_run_ends_at_n(self, engine, draw):
+        op, b, ref, poles = probe_draw(draw)
+        assert op.rows >= op.cols
+        ys, _ = TABLE[engine](F, op, b, poles, op.cols + 2)
+        assert len(ys) == op.cols
+        assert relative_error(ys[-1], ref) <= 1e-11
+
+    # the short engine's wide runs still miss at the index (ROADMAP item 14)
+    @pytest.mark.parametrize("engine,tol", [("rational_full", 1e-13), ("rational_short", 1e-6)])
+    @pytest.mark.parametrize("draw", [2, 3, 36])
+    def test_wide_run_ends_by_m_plus_one(self, engine, tol, draw):
+        op, b, ref, poles = probe_draw(draw)
+        assert op.rows < op.cols
+        ys, _ = TABLE[engine](F, op, b, poles, op.cols + 2)
+        assert len(ys) <= op.rows + 1
+        assert relative_error(ys[-1], ref) <= tol
 
 
 def update_defects(B, f):

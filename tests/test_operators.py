@@ -550,6 +550,19 @@ class TestSynthesize:
             s = np.linalg.svd(op.dense, compute_uv=False)
             assert s == pytest.approx(prof.values, rel=1e-10)
 
+    def test_seed_sequence_is_not_consumed(self):
+        # a SeedSequence gives the same matrix at every call, and the one an
+        # int of the same entropy gives; the caller's sequence spawns nothing
+        prof = singular_profile("logspace", 5, 0.1, 10.0)
+        seed = np.random.SeedSequence(7)
+        first = synthesize_test_matrix(5, 5, prof, seed).dense
+        assert np.array_equal(synthesize_test_matrix(5, 5, prof, seed).dense, first)
+        assert np.array_equal(synthesize_test_matrix(5, 5, prof, 7).dense, first)
+        assert seed.n_children_spawned == 0
+        child = np.random.SeedSequence(7).spawn(1)[0]
+        assert np.array_equal(synthesize_test_matrix(5, 5, prof, child).dense,
+                              synthesize_test_matrix(5, 5, prof, child).dense)
+
     def test_desk_scale_chebyshev(self):
         # scaled-down analog of the large random matrices with Chebyshev
         # points of the second kind on [0.1, 10]

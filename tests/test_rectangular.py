@@ -116,6 +116,19 @@ def test_q_side_reference_is_of_length_n():
         rational_gmf_approximate(f, op, b, poles, 3, reference=np.ones(6), q_side=True)
 
 
+def test_zero_product_gives_the_direct_engine_answer():
+    # A b = 0 makes f◇(A) b = 0 exactly: the trick returns what the oracle
+    # and the direct engine return, one zero vector with a one-entry trace
+    op = LinearOperator.from_dense(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+    b, f, poles = np.array([0.0, 0.0, 1.0]), builtin("sqrt"), polynomial_poles(2)
+    ref = gmf_apply_reference(f, op.dense, b)
+    direct, direct_trace = rational_gmf_approximate(f, op, b, poles, 2, reference=ref)
+    ys, trace = gmf_via_transpose(f, op, b, poles=poles, k_max=2, reference=ref)
+    assert not np.any(ref)
+    assert len(ys) == len(direct) == 1 and np.array_equal(ys[0], direct[0])
+    assert trace.errors == direct_trace.errors == [0.0]
+
+
 def _pole_kinds(lo, hi, k):
     """Polynomial, shift-and-invert, and infinity alternating with -lo hi."""
     return (polynomial_poles(k), si_optimal_pole(lo, hi, k),
