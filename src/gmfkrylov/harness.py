@@ -75,6 +75,10 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _require(f.type is int or type(value) is f.type,
+                     f"{f.name} must be {_FIELD_TYPES.get(f.type)}, not {value!r}")
         _require(os.path.basename(self.name) == self.name, "name must be a file name, not a path")
         require_count("seed", self.seed, least=0)
         _require(self.method in METHODS, f"method must be one of {METHODS}")
@@ -107,6 +111,10 @@ class ExperimentConfig:
         object.__setattr__(self, "_poles", poles)
 
 
+# the type of every field but the counts (require_count), compared exactly,
+# and how a message names it
+_FIELD_TYPES = {str: "a string", bool: "true or false", dict: "a dict",
+                tuple: "a tuple of bound tags", MatrixSpec: "a MatrixSpec"}
 # the JSON types a field of each type takes, compared exactly so that a bool
 # is no integer, and how a message names them
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
@@ -121,7 +129,6 @@ def _read(obj, f, where=""):
     The value is stored as the field's type: an integer read for a float field
     becomes a float, a list read for the tuple field a tuple.
     """
-    _require(type(obj) is dict, f"{where.rstrip('.') or 'config'} must be a JSON object")
     if f.name not in obj:
         _require(f.default is not MISSING, f"missing config key {where + f.name!r}")
         return f.default
@@ -131,6 +138,14 @@ def _read(obj, f, where=""):
     _require(type(value) in accepted and (f.type is not float or abs(value) <= sys.float_info.max),
              f"{where + f.name} must be {what}, not {value!r}")
     return value if f.type is MatrixSpec else f.type(value)
+
+
+def _object(obj, keys, where=""):
+    """obj, once it is a JSON object that gives no key but ``keys``."""
+    _require(type(obj) is dict, f"{where.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(where + key for key in set(obj) - set(keys))
+    _require(not unknown, f"unknown config keys: {unknown}")
+    return obj
 
 
 def load_config(path):
@@ -145,15 +160,14 @@ def load_config(path):
 def parse_config(raw, base_dir="."):
     """The config of a JSON object: checks its types and unknown and unread keys and
     joins a pole file's path to ``base_dir``; the config checks the rest when made."""
-    _require(type(raw) is dict, "config must be a JSON object")
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
+    _object(raw, [f.name for f in fields(ExperimentConfig)])
     c = {f.name: _read(raw, f) for f in fields(ExperimentConfig)}
 
-    mat, (m, n, *profile) = c["matrix"], fields(MatrixSpec)
-    c["matrix"] = MatrixSpec(
-        *(_read(mat, f, "matrix.") for f in (m, n)),
-        *(_read(mat.get("profile"), f, "matrix.profile.") for f in profile))
+    m, n, *profile = fields(MatrixSpec)
+    mat = _object(c["matrix"], ("m", "n", "profile"), "matrix.")
+    spec = _object(mat.get("profile"), [f.name for f in profile], "matrix.profile.")
+    c["matrix"] = MatrixSpec(*(_read(mat, f, "matrix.") for f in (m, n)),
+                             *(_read(spec, f, "matrix.profile.") for f in profile))
     # a key the method never reads is refused where the config gives it
     _require("compare_full" not in raw or c["method"] == "rational_short",
              f"method {c['method']!r} does not read config keys ['compare_full']")

@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ArgumentError, SolveFailure
-from .krylov import Rows, cgs2, normalize, require_count, require_number
+from .krylov import Rows, normalize, require_count, require_number
 
 GRAM_SOLVE_RTOL = 1e-10
 
@@ -227,23 +227,33 @@ class KrylovBasis:
     """Lanczos basis Q of K(A^T A, q) shared by a matrix-free engine run's solves.
 
     K(A^T A - xi I, q) = K(A^T A, q) for every xi. A step is one ``gram_apply``
-    and CGS2 against all of Q, whose last coefficient and norm extend the
-    tridiagonal T_m of A^T A Q_m = Q_m T_m + beta_m q_{m+1} e_m^T. Q stops growing
-    at a vanished beta (``normalize``), at n columns, and once its m CGS2 steps,
-    O(n m) each, cost more than its m products: from there CG or MINRES costs
-    less. Both are costed at the fastest rate seen, so a stall does not stop Q.
+    M q_m (M = A^T A), the three-term step
+    w = M q_m - alpha_m q_m - beta_{m-1} q_{m-1} and one classical Gram-Schmidt
+    pass of w against all of Q (full reorthogonalization, Parlett 1980);
+    alpha_m = q_m^T M q_m and ||w|| extend the tridiagonal T_m of
+    M Q_m = Q_m T_m + beta_m q_{m+1} e_m^T. A pass that
+    leaves less than ||w|| / sqrt(2) removed more than roundoff and runs once
+    more (Kahan-Parlett; "twice is enough"): on clustered spectra w falls
+    below the roundoff earlier products left along Q. Each M q_i is kept
+    beside q_i (``products``), so a solve's residual takes no new product.
+    Q stops growing at a vanished beta (``normalize``), at n columns, and once
+    its m passes, O(n m) each, cost more than its m products: from there CG
+    or MINRES costs less. Both are costed at the fastest rate seen, so a
+    stall does not stop Q.
     """
 
     def __init__(self, op, q):
         self.op = op
         self.columns = Rows()
         self.columns.append(q)
+        self.products = Rows()     # M q_i for the first len(alpha) columns
         self.alpha, self.beta = [], []
-        self.product_s = self.cgs2_col_s = np.inf   # fastest product, CGS2 per column
+        self.product_s = self.pass_col_s = np.inf   # fastest product, pass per column
 
     def solve(self, xi, v, target):
-        """Q_m y, (T_m - xi I) y = Q_m^T v, Q grown while it may until |beta_m y_m -
-        q_{m+1}^T v| is at most ``target``; a singular T_m - xi I grows Q."""
+        """(Q_m y, M Q_m y), (T_m - xi I) y = Q_m^T v, Q grown while it may until
+        |beta_m y_m - q_{m+1}^T v| is at most ``target``; a singular T_m - xi I
+        grows Q. M Q_m y is read from the kept products, with no new one."""
         c, y = self.columns.filled @ v, np.zeros(0)
         while True:
             m, estimate = len(self.alpha), np.inf
@@ -254,18 +264,27 @@ class KrylovBasis:
                 if info == 0 and np.all(np.isfinite(y_m)):
                     y = y_m
                     estimate = abs(self.beta[-1] * y[-1] - c[m]) if c.size > m else 0.0
-            # c.size == m: Q is invariant; else compare m steps of CGS2 (1 + ... + m
+            # c.size == m: Q is invariant; else compare m passes (1 + ... + m
             # columns) with m products, each at the fastest rate seen
-            if estimate <= target or c.size == m or (m + 1) * self.cgs2_col_s > 2 * self.product_s:
-                return y @ self.columns.filled[:y.size]
+            if estimate <= target or c.size == m or (m + 1) * self.pass_col_s > 2 * self.product_s:
+                return y @ self.columns.filled[:y.size], y @ self.products.filled[:y.size]
+            Q = self.columns.filled
             start = time.perf_counter()
-            Mq = self.op.gram_apply(self.columns.filled[-1])
+            Mq = self.op.gram_apply(Q[-1])
             mid = time.perf_counter()
-            w, coeffs = cgs2(self.columns.filled.T, Mq)
+            alpha = Q[-1] @ Mq
+            w = Mq - alpha * Q[-1]
+            if self.beta:
+                w -= self.beta[-1] * Q[-2]
+            norm_w = np.linalg.norm(w)
+            w -= (Q @ w) @ Q
+            if np.linalg.norm(w) * np.sqrt(2) < norm_w:   # the pass removed more than roundoff
+                w -= (Q @ w) @ Q
             self.product_s = min(self.product_s, mid - start)
-            self.cgs2_col_s = min(self.cgs2_col_s, (time.perf_counter() - mid) / self.columns.size)
+            self.pass_col_s = min(self.pass_col_s, (time.perf_counter() - mid) / self.columns.size)
             q, beta = normalize(w, np.linalg.norm(Mq))
-            self.alpha.append(coeffs[-1])
+            self.products.append(Mq)
+            self.alpha.append(alpha)
             self.beta.append(beta)
             if beta and self.columns.size < self.op.cols:   # n columns span R^n
                 self.columns.append(q)
@@ -289,7 +308,9 @@ class ShiftedGram:
     ``0.5 * rtol * ||v||`` and no smaller, and one that does not lower the
     residual ends the refinement with the best iterate. ``solve`` checks every
     return: against the factored A^T A on a dense payload (one n-by-n product,
-    the factor's backward error), else with two operator products.
+    the factor's backward error), else, for the basis pass, with the products
+    A^T A Q the basis keeps, and for a CG or MINRES pass with two operator
+    products.
     ``factor_solve`` skips the check, for a caller that checks with
     ``require``. A residual above ``rtol * ||v||``, an exactly zero pivot or an
     exactly zero lambda - xi raises SolveFailure: xi is singular or too close
@@ -362,14 +383,15 @@ class ShiftedGram:
             def shifted_mv(y):
                 return op.gram_apply(y) - xi * y
 
+            # dtype given, so scipy does not probe it with a product
             lin = scipy.sparse.linalg.LinearOperator(
-                (op.cols, op.cols), matvec=shifted_mv)
+                (op.cols, op.cols), matvec=shifted_mv, dtype=float)
             solver = scipy.sparse.linalg.cg if xi <= 0 else scipy.sparse.linalg.minres
             target = 0.5 * rtol * nv
             x, r, residual = np.zeros(op.cols), v, nv
             if basis is not None:
-                x0 = basis.solve(xi, v, target)
-                r0 = v - shifted_mv(x0)
+                x0, Mx0 = basis.solve(xi, v, target)
+                r0 = v - (Mx0 - xi * x0)
                 res0 = np.linalg.norm(r0)
                 if res0 < residual:
                     x, r, residual = x0, r0, res0

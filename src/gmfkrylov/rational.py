@@ -194,8 +194,9 @@ def rational_gmf_approximate(f, op, b, poles, k_max, reference=None, q_side=Fals
     |z_last| / ||z||: a residual of tau_k ||v|| adds at most about
     kappa GRAM_SOLVE_RTOL to their relative error, kappa = (sigma_max^2 - xi)
     / (sigma_min^2 - xi). tau_k also bounds how far the engine's shared
-    ``KrylovBasis`` grows for a solve. Dense payloads and ``rgk_run`` keep
-    GRAM_SOLVE_RTOL.
+    ``KrylovBasis`` grows for a solve; a solve that the basis meets costs the
+    basis's growth products and no other, its residual read from the products
+    the basis keeps. Dense payloads and ``rgk_run`` keep GRAM_SOLVE_RTOL.
     """
     k_max = require_inputs(op, b, k_max, reference, op.cols if q_side else op.rows)
     eng = GramLanczos(op, b, require_poles(poles, k_max), orthogonalize="full")

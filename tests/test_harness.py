@@ -49,6 +49,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config(cfg(extra=1))
 
+    # a typo inside matrix or its profile is refused, not read as the
+    # default: "high" for "hi" would synthesize another matrix
+    @pytest.mark.parametrize("where,key", [((), "nn"), (("profile",), "hi2"),
+                                           (("profile",), "high")],
+                             ids=["matrix.nn", "matrix.profile.hi2", "matrix.profile.high"])
+    def test_unknown_key_inside_matrix_named_by_its_path(self, where, key):
+        raw = json.loads((CONFIGS / "rational_si_wide.json").read_text(encoding="utf-8"))
+        obj = raw["matrix"]
+        for name in where:
+            obj = obj[name]
+        obj[key] = 3
+        path = ".".join(("matrix", *where, key))
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{path}'\]"):
+            parse_config(raw)
+
     def test_missing_key(self):
         raw = cfg()
         del raw["seed"]
@@ -189,6 +204,11 @@ class TestConfigCheckedWhenMade:
         ({"k_max": 2.5}, ArgumentError, "k_max must be an integer >= 1"),
         ({"seed": -1}, ArgumentError, "seed must be an integer >= 0"),
         ({"seed": 3.0}, ArgumentError, "seed must be an integer >= 0"),
+        ({"name": 5}, ConfigError, "name must be a string, not 5"),
+        ({"function": 5}, ConfigError, "function must be a string, not 5"),
+        ({"poles": ["x"]}, ConfigError, r"poles must be a dict, not \['x'\]"),
+        ({"compare_full": "yes"}, ConfigError, "compare_full must be true or false"),
+        ({"output_dir": 7}, ConfigError, "output_dir must be a string, not 7"),
     ])
     def test_replace_runs_every_check(self, changes, error, message):
         config = parse_config(cfg())

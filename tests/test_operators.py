@@ -211,7 +211,7 @@ class TestShiftedGramSolve:
     def test_krylov_basis_stops_at_n_columns(self):
         # a non-finite product gives a NaN beta, which no breakdown test
         # catches; the basis still stops at n columns and the solve returns.
-        # The product sleeps so that CGS2 never outweighs it.
+        # The product sleeps so that the passes never outweigh it.
         n = 6
 
         def matvec(v):

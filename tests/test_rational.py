@@ -406,7 +406,7 @@ def _matrix_free(op, product_s=0.0):
     """from_callables twin of op's dense payload, and the list its apply calls grow.
 
     ``product_s`` > 0 sleeps that long in each product, as a costly A would:
-    then CGS2 never outweighs the products and the shared basis grows as far
+    then the basis's passes never outweigh the products and it grows as far
     as the solves ask."""
     A, calls = op.dense, []
 
@@ -541,8 +541,8 @@ class TestMatrixFreeEngines:
         _, free = rational_gmf_approximate(f, mf, b, poles, 12, reference=y)
         assert _relative_gap(free, dense) <= 1e-6
 
-    def test_basis_stops_where_cgs2_outweighs_the_products(self, bases):
-        # a diagonal A costs O(n) a product, far below CGS2's O(n m) a step: the
+    def test_basis_stops_where_its_passes_outweigh_the_products(self, bases):
+        # a diagonal A costs O(n) a product, far below a pass's O(n m) a step: the
         # basis stops within a few columns and CG refines each solve from its
         # projection. The answers agree with a run whose products sleep 1 ms,
         # where the basis grows further.
@@ -584,3 +584,74 @@ class TestMatrixFreeEngines:
                                             reference=gmf_apply_factors(f, *op.factors, b))
         assert bases[0].columns.size == 20 and bases[0].beta[-1] == 0.0
         assert trace.errors[-1] <= 1e-13
+
+    def test_solve_the_basis_meets_takes_only_its_growth_products(self, problem):
+        # the basis pass reads its residual from the products the basis keeps,
+        # and scipy is given the dtype it would otherwise probe with a product:
+        # a solve costs the basis's growth and nothing else
+        _, op, _, b, _, _ = problem
+        mf, calls = _matrix_free(op, product_s=1e-3)
+        basis, M = KrylovBasis(mf, b / np.linalg.norm(b)), op.dense.T @ op.dense
+        for xi, rtol in ((-1.0, GRAM_SOLVE_RTOL), (-0.3, 1e-6), (-1.0, 1e-8)):
+            x = solve_shifted_gram(mf, xi, b, rtol, basis)
+            assert len(calls) == len(basis.alpha)
+            assert np.linalg.norm(M @ x - xi * x - b) <= rtol * np.linalg.norm(b)
+        assert basis.columns.size < op.cols
+
+    def test_kept_products_give_the_true_residual(self, problem, bases):
+        # over a full run, M Q y from the kept products agrees with a fresh
+        # product of each basis solve's x0
+        f, op, _, b, poles, y = problem
+        A, gaps = op.dense, []
+        solve = KrylovBasis.solve
+
+        def checked(basis, xi, v, target):
+            x0, Mx0 = solve(basis, xi, v, target)
+            gaps.append(np.linalg.norm(Mx0 - A.T @ (A @ x0)) / np.linalg.norm(v))
+            return x0, Mx0
+
+        mf = _matrix_free(op, product_s=1e-3)[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KrylovBasis, "solve", checked)
+            rational_gmf_approximate(f, mf, b, poles, self.K, reference=y)
+        assert len(gaps) == self.K and max(gaps) <= 1e-12
+
+    @staticmethod
+    def _check_lanczos(basis, M):
+        """Q orthonormal and T_m = Q_m^T M Q_m, both to roundoff of ||M||."""
+        Q, m = basis.columns.filled, len(basis.alpha)
+        T = (np.diag(basis.alpha) + np.diag(basis.beta[:m - 1], 1)
+             + np.diag(basis.beta[:m - 1], -1))
+        assert np.linalg.norm(Q @ Q.T - np.eye(len(Q)), 2) <= 1e-13
+        norm_M = np.linalg.norm(M(np.eye(Q.shape[1])), 2)
+        assert np.linalg.norm(T - Q[:m] @ M(Q[:m].T), 2) <= 1e-13 * norm_M
+
+    def test_basis_stays_orthogonal_on_the_benchmark_problem(self, bases):
+        # the three-term step and one pass keep Q as orthogonal as two full
+        # passes did, on a 1000 x 1000 problem with 30 SI poles
+        op, b = seeded_problem(1000, 1000, "logspace", 0.1, 10.0, 1)
+        A, f = op.dense, builtin("sqrt")
+        rational_gmf_approximate(f, _matrix_free(op)[0], b, si_optimal_pole(0.1, 10.0, 30), 30)
+        assert bases[0].columns.size > 100
+        self._check_lanczos(bases[0], lambda X: A.T @ (A @ X))
+
+    def test_basis_stays_orthogonal_as_beta_nears_breakdown(self):
+        # four clusters of width 1e-12 from 1e-4 to 100: once the clusters are
+        # found, the three-term step's w can be smaller than the roundoff that
+        # earlier, larger products leave along Q and still pass the breakdown
+        # test, which is relative to ||M q_m||; a second pass removes what the
+        # first leaves (one pass alone gave ||Q Q^T - I|| = 4)
+        n, rng = 240, np.random.default_rng(0)
+        d = np.repeat([1e-4, 1e-2, 1.0, 100.0], n // 4) * (1 + 1e-12 * rng.uniform(-1, 1, n))
+
+        def matvec(v):
+            time.sleep(1e-4)
+            return np.sqrt(d) * v
+
+        b = rng.standard_normal(n)
+        basis = KrylovBasis(LinearOperator.from_callables(n, n, matvec, lambda u: np.sqrt(d) * u),
+                            b / np.linalg.norm(b))
+        basis.solve(-1.0, b, 0.0)
+        beta = np.array(basis.beta)
+        assert basis.columns.size > 200 and beta[beta > 0].min() <= 1e-16 * d.max()
+        self._check_lanczos(basis, lambda X: d[:, None] * X)
