@@ -238,7 +238,9 @@ def run(config, output_dir=None):
     Outputs are deterministic per seed: re-running the same configuration
     reproduces byte-identical trace files. The run computes with numpy's
     OpenBLAS pool at one thread, so the thread count the process was started
-    with does not change them.
+    with does not change them. The synthesis factors U and V are the oracle's
+    alone: the run releases them once the oracle has read them, before any
+    engine runs.
     """
     with one_blas_thread("numpy"):
         poles = config._poles
@@ -246,6 +248,7 @@ def run(config, output_dir=None):
         f = builtin(config.function)
         # the Haar factors are the SVD of A by construction: no dense SVD of A
         y_ref = gmf_apply_factors(f, *op.factors, b)
+        op.factors = None
 
         if config.method == "transpose_trick":
             ys, trace = gmf_via_transpose(f, op, b, poles, config.k_max, reference=y_ref)

@@ -130,14 +130,15 @@ class LinearOperator:
 
     def share_gram_eigh(self):
         """Take, once, A^T A = V diag(lambda) V^T (requires a dense payload),
-        with which every ``ShiftedGram`` of the operator solves from then on,
-        and release their LUs. Concurrent callers build it once, under the
-        operator's lock."""
+        with which every ``ShiftedGram`` of the operator solves from then on.
+        Their LUs are released first, so that none is alive beside the
+        eigendecomposition's n-by-n blocks. Concurrent callers build it once,
+        under the operator's lock."""
         with self._gram_eigh_lock:
             if self.gram_eigh is None:
-                self.gram_eigh = np.linalg.eigh(self.gram_matrix())
                 for solver in list(self.shifted_grams.values()):
                     solver._lu = None
+                self.gram_eigh = np.linalg.eigh(self.gram_matrix())
         return self.gram_eigh
 
 
@@ -337,7 +338,11 @@ class ShiftedGram:
     def factor_solve(self, v):
         """x from the dense factor alone, its residual left to the caller."""
         op = self.op
-        if op.gram_eigh is None and self._lu is None:
+        # read together, so a solve never sees an LU released for an
+        # eigendecomposition still being built (it waits for that instead)
+        with op._gram_eigh_lock:
+            eigh, factor = op.gram_eigh, self._lu
+        if eigh is None and factor is None:
             # one Fortran-ordered copy, shifted on its diagonal and factored
             # in place: the LU is that of G - xi I without an n-by-n identity
             shifted = np.array(op.gram_matrix(), order="F")
@@ -345,12 +350,13 @@ class ShiftedGram:
             with one_blas_thread("scipy"):
                 lu, piv, info = scipy.linalg.lapack.dgetrf(shifted, overwrite_a=True)
             # kept only while no shared eigendecomposition has been taken meanwhile
+            factor = False if info else (lu, piv)
             with op._gram_eigh_lock:
-                if op.gram_eigh is None:
-                    self._lu = False if info else (lu, piv)
-        factor = self._lu
-        if op.gram_eigh is not None:
-            lam, V = op.gram_eigh
+                eigh = op.gram_eigh
+                if eigh is None:
+                    self._lu = factor
+        if eigh is not None:
+            lam, V = eigh
             gap = lam - self.xi
             if not np.all(gap):
                 raise SolveFailure(f"shifted Gram solve residual inf: xi={self.xi} "
@@ -477,14 +483,21 @@ def singular_profile(kind, count, lo, hi):
 
 
 def _haar_from_rng(n, rng):
-    """Q of the QR of a Gaussian draw, column j signed by R_jj; only Q outlives
-    the QR: an n-by-n block freed later stays resident on glibc's heap (README)."""
+    """Q of the QR of a Gaussian draw, column j signed by R_jj, column-major; only
+    Q outlives the QR, signed and transposed in place: an n-by-n block freed
+    later stays resident on glibc's heap (README)."""
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     signs = np.sign(np.diag(R))
     del R
     signs[signs == 0] = 1.0
     Q *= signs
-    return Q
+    block = 64   # Q's memory gets Q^T one block pair at a time
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            upper = Q[i:i + block, j:j + block].copy()
+            Q[i:i + block, j:j + block] = Q[j:j + block, i:i + block].T
+            Q[j:j + block, i:i + block] = upper.T
+    return Q.T
 
 
 def _as_seed_sequence(seed):
@@ -499,20 +512,22 @@ def synthesize_test_matrix(m, n, profile, seed):
     """Dense A = U diag(profile) V^T with independent Haar factors U, V.
 
     The operator keeps ``factors = (U_r, profile, V_r)``, r = min(m, n): by
-    construction the SVD of A, so an oracle for it needs no second SVD. One
-    ``seed`` (an int or a SeedSequence, which is not consumed) gives one matrix.
+    construction the SVD of A, so an oracle for it needs no second SVD. U and V
+    are column-major, the layout in which the oracle, reading them in place,
+    rounds as the shipped traces were recorded. One ``seed`` (an int or a
+    SeedSequence, which is not consumed) gives one matrix.
     """
     m, n = require_count("m", m), require_count("n", n)
     if len(profile) != min(m, n):
         raise ArgumentError(
             f"profile length {len(profile)} != min(m, n) = {min(m, n)}")
     kid_u, kid_v = _as_seed_sequence(seed).spawn(2)
-    U = _haar_from_rng(m, np.random.default_rng(kid_u))
-    V = _haar_from_rng(n, np.random.default_rng(kid_v))
     r = min(m, n)
-    A = (U[:, :r] * profile.values) @ V[:, :r].T
+    U = _haar_from_rng(m, np.random.default_rng(kid_u))[:, :r]
+    V = _haar_from_rng(n, np.random.default_rng(kid_v))[:, :r]
+    A = (U * profile.values) @ V.T
     op = LinearOperator.from_dense(A)
-    op.factors = (U[:, :r], profile.values, V[:, :r])
+    op.factors = (U, profile.values, V)
     return op
 
 

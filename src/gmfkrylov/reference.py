@@ -27,11 +27,14 @@ class CompactSvd:
 
 
 def _truncated(U, s, Vt, rtol=RANK_RTOL):
-    """CompactSvd of U diag(s) Vt with the singular values s <= rtol * s_1 dropped."""
+    """CompactSvd of U diag(s) Vt with the singular values s <= rtol * s_1 dropped:
+    views of U, s and Vt when none is, copies of the kept parts when some are."""
     if s.size and s[0] > 0:
         keep = s > rtol * s[0]
     else:
         keep = np.zeros(s.shape, dtype=bool)
+    if keep.all():
+        return CompactSvd(U, s, Vt.T)
     return CompactSvd(U[:, keep], s[keep], Vt[keep].T)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -561,6 +562,37 @@ class TestSynthesisReference:
         ref = gmf_apply_reference(f, op.dense, b)
         y = gmf_apply_factors(f, *op.factors, b)
         assert np.linalg.norm(y - ref) <= 2e-14 * np.linalg.norm(ref)
+
+    def test_run_releases_the_factors_after_the_oracle(self, tmp_path, monkeypatch):
+        # the engines read A only: the run keeps no reference to U and V
+        ops, synth = [], harness.synthesize
+
+        def synthesized(config):
+            op, b = synth(config)
+            ops.append(op)
+            return op, b
+
+        monkeypatch.setattr(harness, "synthesize", synthesized)
+        run(load_config(CONFIGS / "rational_optpoles_wide.json"), output_dir=str(tmp_path))
+        assert ops[0].dense is not None and ops[0].factors is None
+
+    @pytest.mark.parametrize("name", ["rational_optpoles_wide", "short_vs_full"])
+    def test_run_footprint(self, tmp_path, name):
+        # the traced peak of a whole run at 400 x 400, in n^2 doubles: the
+        # synthesis's QR transient (5.13) sets it, not the factors kept beside
+        # an LU and the shared eigendecomposition (6.32 and 6.16 when the run
+        # held them); tracemalloc counts numpy's buffers on every host alike
+        n = 400
+        config = load_config(CONFIGS / f"{name}.json")
+        config = replace(config, matrix=replace(config.matrix, m=n, n=n))
+        run(config, output_dir=str(tmp_path / "warm"))
+        tracemalloc.start()
+        try:
+            run(config, output_dir=str(tmp_path / "traced"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * n * n * 8
 
     def test_pole_file_read_once(self, tmp_path, monkeypatch):
         calls = []

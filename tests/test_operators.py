@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import sys
+import threading
 import time
 import warnings
 import weakref
@@ -327,6 +328,43 @@ class TestSharedEigendecomposition:
         assert (len(factors), len(eighs)) == (1, 1)
         assert all(solver._lu is None for solver in op.shifted_grams.values())
 
+    def test_lus_are_released_before_the_eigh_is_built(self, monkeypatch):
+        # no LU is alive beside the eigendecomposition's n-by-n blocks
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        for xi in (-1.0, -2.0):
+            solve_shifted_gram(op, xi, b)
+        assert all(solver._lu for solver in op.shifted_grams.values())
+        holding, eigh = [], np.linalg.eigh
+
+        def recorded(*args, **kwargs):
+            holding.append([xi for xi, solver in op.shifted_grams.items() if solver._lu])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        op.share_gram_eigh()
+        assert holding == [[]]
+
+    def test_solve_waits_for_an_eigh_being_built(self, monkeypatch):
+        # a solve that starts while the shared eigendecomposition is built,
+        # its LU already released, waits for it: it neither factors an LU
+        # that would be dropped nor fails on the released one
+        op, b = seeded_problem(50, 50, "logspace", 0.5, 4.0, 11)
+        x_lu = solve_shifted_gram(op, -1.0, b)
+        factors, eigh, xs = record_factors(monkeypatch), np.linalg.eigh, []
+        other = threading.Thread(target=lambda: xs.append(solve_shifted_gram(op, -1.0, b)))
+
+        def solve_meanwhile(*args, **kwargs):
+            other.start()
+            other.join(timeout=0.5)   # it cannot end before this eigh does
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", solve_meanwhile)
+        op.share_gram_eigh()
+        other.join(timeout=60)
+        assert not other.is_alive() and len(xs) == 1
+        assert factors == [] and op.shifted_grams[-1.0]._lu is None
+        assert np.linalg.norm(xs[0] - x_lu) <= 1e-12 * np.linalg.norm(x_lu)
+
     def test_exact_eigenvalue_raises_without_a_warning(self):
         # A^T A = diag(9, 4, 1, 0.25), whose eigendecomposition is exact: 4 - 4 is
         # an exact zero, which must not divide into an inf or NaN
@@ -578,6 +616,8 @@ class TestSynthesize:
         U, sigma, V = op.factors
         r = min(m, n)
         assert U.shape == (m, r) and V.shape == (n, r)
+        # column-major, the layout in which the oracle reads them in place
+        assert U.strides[0] == V.strides[0] == U.itemsize
         assert np.array_equal(sigma, prof.values)
         assert np.array_equal(op.dense, (U * sigma) @ V.T)
         assert np.linalg.norm(U.T @ U - np.eye(r)) <= 1e-13

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gmfkrylov import builtin, compact_svd, functions, gmf_apply_reference, gmf_dense
+from gmfkrylov import (builtin, compact_svd, functions, gmf_apply_factors, gmf_apply_reference,
+                       gmf_dense, reference)
 
 from conftest import seeded_problem, small_problems
 from oracles import check_identities
@@ -50,6 +53,43 @@ def test_compact_svd_truncates_rank():
     svd = compact_svd(A)
     assert svd.rank == 1
     assert gmf_dense(builtin("sqrt"), A)[1, 1] == 0.0
+
+
+def test_truncation_keeps_views_when_nothing_is_dropped():
+    op, _ = seeded_problem(9, 6, "logspace", 0.5, 4.0, 2)
+    U, sigma, V = op.factors
+    svd = reference._truncated(U, sigma, V.T)
+    assert svd.rank == 6
+    assert all(np.shares_memory(*pair) for pair in ((svd.U, U), (svd.sigma, sigma), (svd.V, V)))
+
+
+@pytest.mark.parametrize("sigma", [[3.0, 2.0, 0.0], [3.0, 1e-20, 2.0]])
+def test_truncation_copies_the_kept_columns_in_any_order(sigma):
+    rng = np.random.default_rng(4)
+    U = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+    sigma, keep = np.array(sigma), np.array(sigma) > 1e-10
+    svd = reference._truncated(U, sigma, V.T)
+    assert not np.shares_memory(svd.U, U) and not np.shares_memory(svd.V, V)
+    assert np.array_equal(svd.U, U[:, keep]) and np.array_equal(svd.V, V[:, keep])
+    b, f = rng.standard_normal(4), builtin("sqrt")
+    expected = (U[:, keep] * f(sigma[keep])) @ V[:, keep].T @ b
+    assert gmf_apply_factors(f, U, sigma, V, b) == pytest.approx(expected, rel=1e-14)
+
+
+def test_oracle_from_synthesis_factors_copies_no_factor():
+    # a 400 x 400 synthesis: the oracle allocates vectors only, where copies
+    # of U and V took 2 n^2 doubles
+    n, f = 400, builtin("sqrt")
+    op, b = seeded_problem(n, n, "logspace", 0.1, 10.0, 1)
+    gmf_apply_factors(f, *op.factors, b)
+    tracemalloc.start()
+    try:
+        gmf_apply_factors(f, *op.factors, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * n * 8
 
 
 def test_identities_identity_matrix():
