@@ -184,10 +184,11 @@ def one_blas_thread(lib):
 
     pip's numpy and scipy each ship an OpenBLAS with its own pool, and after
     a call a pool's idle workers spin for more work, taking the CPU that the
-    other pool's parallel region needs. The package's only threaded call
-    into scipy is the Gram LU, so it runs on scipy's pool at one thread and
-    scipy's workers never wake. ``harness.run`` runs on numpy's at one
-    thread, so its bits do not depend on the thread count. Blocks may nest
+    other pool's parallel region needs. The package's threaded calls into
+    scipy, the Gram LU and the dense oracle's LAPACK routines, run on scipy's
+    pool at one thread, so scipy's workers never wake. ``harness.run`` and
+    the dense oracle's gemvs run on numpy's at one thread, so their bits do
+    not depend on the thread count. Blocks may nest
     and run concurrently: the first to enter saves the count and the last to
     leave restores it, so concurrent callers cannot leave the pool at one
     thread. Nothing is set where there is no OpenBLAS pool, and for scipy

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ class TestPolynomialBound:
     @pytest.mark.parametrize("k_max", [1, 30])
     @pytest.mark.parametrize("name", ["sqrt", "inv_quarter", "sqrt_log", "z_log_z"])
     def test_one_pass_equals_per_rho_loop(self, name, k_max):
-        # all ellipses sampled at once give the per-rho curve bit for bit
+        # the ellipses sampled a block at a time give the per-rho curve bit for bit
         f, a, b, nb = builtin(name), 0.1, 10.0, 1.7
         curve = polynomial_bound_curve(f, a, b, k_max, norm_b=nb)
         ks = np.arange(1, k_max + 1).astype(float)
@@ -116,6 +117,28 @@ class TestPolynomialBound:
             C = _chui_hasson_constants(f.complex_eval, a, b, rho)
             per_rho.append(2.0 * C * nb * rho / (rho - 1.0) * rho ** (-ks))
         assert np.array_equal(curve.values, np.min(per_rho, axis=0))
+
+    @pytest.mark.parametrize("name", ["sqrt", "inv_quarter", "sqrt_log", "z_log_z"])
+    def test_block_size_moves_no_bit(self, monkeypatch, name):
+        f = builtin(name)
+        curves = []
+        for block in (1, 3, bounds.RHO_GRID_SIZE):
+            monkeypatch.setattr(bounds, "RHO_BLOCK", block)
+            curves.append(polynomial_bound_curve(f, 0.1, 10.0, 120, norm_b=1.7).values)
+        assert all(np.array_equal(c, curves[0]) for c in curves[1:])
+
+    @pytest.mark.parametrize("name", ["sqrt", "inv_quarter", "sqrt_log", "z_log_z"])
+    def test_one_curve_stays_below_2_mb(self, name):
+        # sampling all 40 ellipses at once took 8.8 MB per call, whatever n is
+        f = builtin(name)
+        polynomial_bound_curve(f, 0.1, 10.0, 120)
+        tracemalloc.start()
+        try:
+            polynomial_bound_curve(f, 0.1, 10.0, 120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestShiftInvertBound:

@@ -393,12 +393,15 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [float(x) for x in lines] == pytest.approx([2.0, 3.0])
 
-    def test_oracle_dimension_mismatch_exit_code(self, tmp_path):
+    def test_oracle_dimension_mismatch_exit_code(self, tmp_path, capsys):
         mat = tmp_path / "m.txt"
         save_dense_matrix(mat, np.eye(2))
         vec = tmp_path / "b.txt"
         vec.write_text("1\n2\n3\n", encoding="ascii")
         assert main(["oracle", str(mat), "sqrt", str(vec)]) == 2
+        # the library's check, not one of the command's own
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["gmf: invalid input: b must be a finite vector of length 2"]
 
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_oracle_nonfinite_matrix_exit_code(self, tmp_path, entry):

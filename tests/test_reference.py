@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gmfkrylov import (builtin, compact_svd, functions, gmf_apply_factors, gmf_apply_reference,
-                       gmf_dense, reference)
+from gmfkrylov import (ArgumentError, EvaluationError, builtin, compact_svd, functions,
+                       gmf_apply_factors, gmf_apply_reference, gmf_dense, reference)
+from gmfkrylov.cli import main
+from gmfkrylov.operators import blas_thread_counts, save_dense_matrix
 
-from conftest import seeded_problem, small_problems
+from conftest import explicit_profile_problem, seeded_problem, small_problems
 from oracles import check_identities
 
 
@@ -90,6 +92,118 @@ def test_oracle_from_synthesis_factors_copies_no_factor():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * n * n * 8
+
+
+@pytest.mark.parametrize("m,n", [(30, 20), (20, 30), (25, 25), (1, 9), (9, 1)])
+def test_apply_only_svd_matches_the_synthesis_factors(m, n):
+    f = builtin("sqrt")
+    for seed in (1, 2):
+        op, b = seeded_problem(m, n, "logspace", 0.1, 10.0, seed)
+        expected = gmf_apply_factors(f, *op.factors, b)
+        y = gmf_apply_reference(f, op.dense, b)
+        assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m,n", [(8, 6), (6, 8)])
+def test_rank_cut_keeps_f_off_the_dropped_values(m, n):
+    op, b = explicit_profile_problem([4.0, 3.0, 2.0, 1e-14, 0.0, 0.0], m, n, 3)
+    seen = []
+
+    def recording(s):
+        seen.append(np.array(s))
+        return np.sqrt(s)
+
+    y = gmf_apply_reference(recording, op.dense, b)
+    assert len(seen) == 1 and seen[0] == pytest.approx([4.0, 3.0, 2.0], rel=1e-13)
+    assert np.all(seen[0] > reference.RANK_RTOL * 4.0)
+    expected = gmf_apply_factors(builtin("sqrt"), *op.factors, b)
+    assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (3, 4)])
+def test_zero_matrix_gives_zeros(m, n):
+    calls = []
+    y = gmf_apply_reference(lambda s: calls.append(s) or np.sqrt(s), np.zeros((m, n)), np.ones(n))
+    assert np.array_equal(y, np.zeros(m)) and not calls
+
+
+@pytest.mark.parametrize("m,n", [(400, 400), (400, 250), (250, 400)])
+def test_apply_only_svd_footprint(m, n):
+    # T, U_B, V_B and dbdsdc's work: about 6 n^2 doubles for a square A, where
+    # numpy's gesdd with U and V held about 8 n^2
+    rng = np.random.default_rng(5)
+    A, b, f = rng.standard_normal((m, n)), rng.standard_normal(n), builtin("sqrt")
+    gmf_apply_reference(f, A, b)
+    tracemalloc.start()
+    try:
+        gmf_apply_reference(f, A, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * m * n * 8
+
+
+def test_apply_only_svd_restores_the_thread_counts():
+    op, b = seeded_problem(60, 40, "logspace", 0.1, 10.0, 4)
+    before = blas_thread_counts()
+    gmf_apply_reference(builtin("sqrt"), op.dense, b)
+    assert blas_thread_counts() == before
+
+
+@pytest.mark.parametrize("A,b", [
+    (np.ones(3), np.ones(3)),
+    (np.ones((2, 2, 2)), np.ones(2)),
+    (np.zeros((0, 3)), np.ones(3)),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+    (np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2)),
+    (np.eye(2), np.ones(3)),
+    (np.eye(2), np.ones((2, 1))),
+    (np.eye(2), np.array([1.0, np.nan])),
+    (np.eye(2), ["a", "b"]),
+], ids=["A_1d", "A_3d", "A_empty", "A_nan", "A_inf", "b_length", "b_2d", "b_nan", "b_text"])
+def test_oracle_refuses_invalid_inputs(A, b):
+    with pytest.raises(ArgumentError):
+        gmf_apply_reference(builtin("sqrt"), A, b)
+
+
+def test_lapack_info_raises_evaluation_error():
+    # M = -1 is dgebrd's first illegal argument: info = -1
+    work = np.empty(4)
+    with pytest.raises(EvaluationError, match="dgebrd failed: info = -1"):
+        reference._lapack("dgebrd", -1, 1, work, 1, work, work, work, work, work, 4)
+
+
+def fail_routine(monkeypatch, name):
+    """Make LAPACK's ``name`` report info = 1 and do nothing else; returns the
+    list of its calls."""
+    calls, routine = [], reference._routine
+
+    def failing(*args):
+        calls.append(name)
+        args[-1]._obj.value = 1      # info, passed by reference last
+
+    monkeypatch.setattr(reference, "_routine",
+                        lambda n: failing if n == name else routine(n))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["dgebrd", "dbdsdc", "dormbr"])
+def test_each_routine_failure_raises_evaluation_error(monkeypatch, name):
+    failing = fail_routine(monkeypatch, name)
+    op, b = seeded_problem(6, 4, "logspace", 0.5, 2.0, 1)
+    with pytest.raises(EvaluationError, match=f"{name} failed: info = 1"):
+        gmf_apply_reference(builtin("sqrt"), op.dense, b)
+    assert failing
+
+
+@pytest.mark.parametrize("name", ["dgebrd", "dbdsdc", "dormbr"])
+def test_oracle_command_exits_3_on_a_lapack_failure(tmp_path, capsys, monkeypatch, name):
+    fail_routine(monkeypatch, name)
+    save_dense_matrix(tmp_path / "m.txt", np.diag([4.0, 9.0, 1.0]))
+    (tmp_path / "b.txt").write_text("1\n1\n1\n", encoding="ascii")
+    assert main(["oracle", str(tmp_path / "m.txt"), "sqrt", str(tmp_path / "b.txt")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"gmf: numerical failure: LAPACK {name} failed: info = 1"]
 
 
 def test_identities_identity_matrix():
