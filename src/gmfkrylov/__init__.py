@@ -22,7 +22,6 @@ from .poles import (INF, PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
 from .rational import GramLanczos, rational_gmf_approximate
 from .rectangular import gmf_via_transpose
-from .reference import (CompactSvd, compact_svd, gmf_apply_factors, gmf_apply_reference,
-                        gmf_dense)
+from .reference import gmf_apply_factors, gmf_apply_reference, gmf_dense
 from .short_recurrence import QuasiseparableUpper, reconstruct_dense, rgk_run, rgk_step
 from .traces import ConvergenceTrace, emit_dat, read_dat, relative_error

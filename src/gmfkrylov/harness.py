@@ -25,11 +25,10 @@ from .operators import (blas_thread_counts, one_blas_thread, singular_profile,
                         synthesize_test_matrix)
 from .poles import (PoleSequence, extended_poles, load_user_poles,
                     polynomial_poles, si_optimal_pole)
-from .rectangular import ENGINES, gmf_via_transpose
+from .rectangular import ENGINES
 from .reference import gmf_apply_factors
 from .traces import emit_dat
 
-METHODS = (*ENGINES, "transpose_trick")
 # the keys each pole kind reads
 POLE_KINDS = {"polynomial": {"kind"}, "extended": {"kind"},
               "shift_invert": {"kind", "xi"}, "user_file": {"kind", "path"}}
@@ -81,7 +80,7 @@ class ExperimentConfig:
                      f"{f.name} must be {_FIELD_TYPES.get(f.type)}, not {value!r}")
         _require(os.path.basename(self.name) == self.name, "name must be a file name, not a path")
         require_count("seed", self.seed, least=0)
-        _require(self.method in METHODS, f"method must be one of {METHODS}")
+        _require(self.method in ENGINES, f"method must be one of {tuple(ENGINES)}")
         require_count("k_max", self.k_max)
         builtin(self.function)   # raises on unknown names
         for tag in self.bounds:
@@ -188,7 +187,7 @@ def build_poles(config):
             xi = spec["xi"]
             _require(type(xi) in (int, float) and -sys.float_info.max <= xi < 0,
                      f"shift_invert xi override must be a finite negative number, not {xi!r}")
-            return PoleSequence((xi,) * count, kind="shift_invert")
+            return PoleSequence((xi,) * count)
         return si_optimal_pole(smin, smax, count)
     return load_user_poles(spec["path"], sigma_min=smin, sigma_max=smax)
 
@@ -219,7 +218,7 @@ def _bound_overlays(config, b, poles):
             curve = polynomial_bound_curve(f, smin, smax, config.k_max, norm_b=nb)
             overlays["bound_poly"] = curve.pairs()
         elif tag == "shift_invert":
-            xi = poles[0] if poles.kind == "shift_invert" else -smin * smax
+            xi = poles[0] if config.poles["kind"] == "shift_invert" else -smin * smax
             M = sample_h_sup(f, xi)
             # the closed form holds only at its own pole; an override takes
             # the two-branch rate
@@ -250,10 +249,7 @@ def run(config, output_dir=None):
         y_ref = gmf_apply_factors(f, *op.factors, b)
         op.factors = None
 
-        if config.method == "transpose_trick":
-            ys, trace = gmf_via_transpose(f, op, b, poles, config.k_max, reference=y_ref)
-        else:
-            ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
+        ys, trace = ENGINES[config.method](f, op, b, poles, config.k_max, reference=y_ref)
         files = {"err": trace.pairs()}
         if trace.orthogonality_drift:
             files["drift"] = trace.pairs("drift")

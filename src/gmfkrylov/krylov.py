@@ -6,7 +6,7 @@ in how they produce the columns of P_k and B_k; each keeps its own basis step
 either of them with every pole at infinity.
 Everything after that step is written once here: ``approximation_loop`` stores
 p_k and column k of B_k in arrays allocated once, forms
-y_k = ||b|| P_k f◇(B_k) e_1 and records the convergence trace.
+y_k = ||b|| P_k f◇(B_k) e_1 and records its error in the convergence trace.
 
 B_k only ever grows by one column, B_{k+1} = [[B_k, c], [0, delta]], so the
 loop does not take a fresh SVD of B_k per k: ``BorderedSvd`` updates U_k, the
@@ -257,7 +257,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, bas
     ``orthogonality_drift`` takes ||I - P_k^T P_k||_2 when first read.
     ``basis``, the ``Rows`` that hold q_1..q_k once step k returns, makes
     y_k = ||b|| Q_k B_k^T f◇(B_k) e_1 instead: O(k^2) plus one O(n k) product.
-    Returns (ys, trace).
+    Returns (ys, trace), the trace's errors those of each y_k to ``reference``.
     """
     _, nb = start_vector(b)
     k_max = min(k_max, len(b), rows + 1)
@@ -265,7 +265,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, bas
     B = np.zeros((k_max, k_max), order="F")
     gram = np.zeros((k_max, k_max)) if drift else None
     svd = BorderedSvd()
-    ys, z, k = [], None, 0
+    ys, errors, z, k = [], [], None, 0
     while k < k_max:
         column = step(P[:, :k], z)
         if column is None:
@@ -280,13 +280,7 @@ def approximation_loop(f, b, rows, k_max, step, reference=None, drift=False, bas
             z = gmf_dense(f, B[:k, :k], rtol=0.0)[:, 0]
         ys.append(nb * (P[:, :k] @ z if basis is None
                         else (B[:k, :k].T @ z) @ basis.filled))
-    return ys, error_trace(ys, reference, None if gram is None else gram[:k, :k])
-
-
-def error_trace(ys, reference=None, gram=None):
-    """Trace over k = 1..len(ys): the relative error of each y_k, and the
-    basis Gram matrix ``gram`` (k by k after k steps) the drift is read from."""
-    trace = ConvergenceTrace(gram=gram)
-    for k, y in enumerate(ys, 1):
-        trace.record(k, error=None if reference is None else relative_error(y, reference))
-    return trace
+        if reference is not None:
+            errors.append(relative_error(ys[-1], reference))
+    return ys, ConvergenceTrace(list(range(1, k + 1)), errors,
+                                None if gram is None else gram[:k, :k])

@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ArgumentError, SolveFailure
-from .krylov import Rows, normalize, require_count, require_number
+from .krylov import Rows, _require_vector, normalize, require_count, require_number
 
 GRAM_SOLVE_RTOL = 1e-10
 
@@ -240,8 +240,9 @@ class KrylovBasis:
     beside q_i (``products``), so a solve's residual takes no new product.
     Q stops growing at a vanished beta (``normalize``), at n columns, and once
     its m passes, O(n m) each, cost more than its m products: from there CG
-    or MINRES costs less. Both are costed at the fastest rate seen, so a
-    stall does not stop Q.
+    or MINRES costs less. Both are costed at the fastest rate seen, so a later
+    stall does not stop Q; but the first step's rates are one sample each, so a
+    stall in that first pass does stop it, for the whole run.
     """
 
     def __init__(self, op, q):
@@ -374,11 +375,8 @@ class ShiftedGram:
         if not (isinstance(rtol, numbers.Real) and 0.0 < rtol < 1.0):
             raise ArgumentError(f"rtol must lie in (0, 1), got {rtol}")
         op, xi = self.op, self.xi
+        _require_vector("v", v, op.cols)
         v = np.asarray(v, dtype=float)
-        if v.shape != (op.cols,):
-            raise ArgumentError(f"expected vector of length {op.cols}")
-        if not np.all(np.isfinite(v)):
-            raise ArgumentError("right-hand side contains non-finite entries")
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return np.zeros(op.cols)

@@ -19,7 +19,6 @@ class PoleSequence:
     """Ordered poles driving the rational subspace denominator."""
 
     poles: tuple
-    kind: str = "user_file"
 
     def __post_init__(self):
         try:
@@ -71,13 +70,12 @@ def require_poles(poles, k=1):
 
 def polynomial_poles(k):
     """k poles at infinity (the polynomial Krylov subspace)."""
-    return PoleSequence((INF,) * require_count("k", k), kind="polynomial")
+    return PoleSequence((INF,) * require_count("k", k))
 
 
 def extended_poles(k):
     """Alternating (inf, 0, inf, 0, ...) of length k."""
-    return PoleSequence(tuple(INF if i % 2 == 0 else 0.0 for i in range(require_count("k", k))),
-                        kind="extended")
+    return PoleSequence(tuple(INF if i % 2 == 0 else 0.0 for i in range(require_count("k", k))))
 
 
 def require_interval(sigma_min, sigma_max):
@@ -93,7 +91,7 @@ def si_optimal_pole(sigma_min, sigma_max, k):
     """k copies of the Shift-and-Invert pole xi = -sigma_min * sigma_max."""
     sigma_min, sigma_max = require_interval(sigma_min, sigma_max)
     xi = -sigma_min * sigma_max
-    return PoleSequence((xi,) * require_count("k", k), kind="shift_invert")
+    return PoleSequence((xi,) * require_count("k", k))
 
 
 def load_user_poles(path, sigma_min=None, sigma_max=None):
@@ -115,7 +113,7 @@ def load_user_poles(path, sigma_min=None, sigma_max=None):
                 raise ArgumentError(f"{path}:{lineno}: cannot parse pole {tok!r}") from None
     if not poles:
         raise ArgumentError(f"{path}: empty pole file")
-    seq = PoleSequence(tuple(poles), kind="user_file")
+    seq = PoleSequence(tuple(poles))
     if sigma_min is not None and sigma_max is not None:
         seq.validate_interval(sigma_min, sigma_max)
     return seq

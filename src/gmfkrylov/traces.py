@@ -5,8 +5,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError
-
 
 @dataclass(eq=False)
 class ConvergenceTrace:
@@ -23,15 +21,6 @@ class ConvergenceTrace:
     ks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     gram: np.ndarray = field(default=None, repr=False)
-
-    def record(self, k, error=None):
-        if self.ks and k <= self.ks[-1]:
-            raise ArgumentError("iteration indices must be strictly increasing")
-        self.ks.append(int(k))
-        if error is not None:
-            if error < 0:
-                raise ArgumentError("errors must be nonnegative")
-            self.errors.append(float(error))
 
     @cached_property
     def orthogonality_drift(self):

@@ -101,19 +101,15 @@ def _direct(name):
                                                                reference=reference)
 
 
-def _transposed(op, b, poles, k, reference=None):
-    return gmf_via_transpose(F, op, b, poles=poles, k_max=k, reference=reference)
-
-
 def _golub_kahan(reorth):
     return lambda op, b, poles, k, reference=None: gk_approximate(
         F, op, b, k, reorth=reorth, reference=reference)
 
 
-# every engine of the package table under one name, the transpose trick (the
-# full engine inside) and the library's Golub-Kahan entry, which takes no poles
+# every method of the package table under one name, the transpose trick (the
+# full engine inside) among them, and the library's Golub-Kahan entry, which
+# takes no poles
 ENGINES = {**{name: _direct(name) for name in TABLE},
-           "transpose_rational_full": _transposed,
            "gk_reorth": _golub_kahan(True), "gk_short": _golub_kahan(False)}
 BAD_INPUTS = [(name, case) for case in ("k_max=0", "poles=None", "b=nan") for name in ENGINES
               if case != "poles=None" or not name.startswith("gk_")]
@@ -291,6 +287,8 @@ PUBLIC_CALLS = {
         F, op, b, poles, k, reference=ref),
     "rational_short": lambda op, b, poles, k, ref: rgk_run(
         F, op, b, poles, k, reference=ref)[::2],
+    "transpose_trick": lambda op, b, poles, k, ref: gmf_via_transpose(
+        F, op, b, poles, k, reference=ref),
 }
 POLES = {"shift_invert": si_optimal_pole(0.5, 3.0, 8), "polynomial": polynomial_poles(8)}
 
@@ -388,6 +386,18 @@ class TestBreakdownAtInvariance:
         ys, _ = rational_gmf_approximate(F, op, b, si_optimal_pole(0.5, 4.0, 26), 26)
         assert max(converged_errors(ys, gmf_apply_reference(F, op.dense, b))) <= 1e-12
 
+    # ROADMAP item 14's wide category: the P side drifts, and the run ends
+    # after 21 steps at 7.4e-6 with every pole at infinity and at 1.3e-8 with
+    # the SI pole, where rational_full ends near 1e-15 with either
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="rgk_run misses on a wide A (ROADMAP item 14)")
+    @pytest.mark.parametrize("poles", [polynomial_poles(26), si_optimal_pole(0.5, 4.0, 26)],
+                             ids=["polynomial", "shift_invert"])
+    def test_rgk_run_wide_chebyshev2(self, poles):
+        op, b = seeded_problem(20, 30, "chebyshev2", 0.5, 4.0, 3)
+        ys, _, _ = rgk_run(F, op, b, poles, 26)
+        assert relative_error(ys[-1], gmf_apply_reference(F, op.dense, b)) <= 1e-11
+
 
 def probe_draw(index):
     """Draw ``index`` of a randomized step-cap probe: from default_rng(12345),
@@ -413,7 +423,9 @@ class TestStepCap:
     Past n steps (tall or square A) or m + 1 (wide A) a basis vector is
     roundoff. The short recurrence normalized it and ended far off the answer
     it had reached (draw 0, 9 x 4: 1.8e-13 at k = 4, then 0.15 at k = 6); on a
-    wide A the full engine's secular equation met 0/0 (a RuntimeWarning).
+    wide A the full engine's secular equation met 0/0 (a RuntimeWarning), as
+    did the transpose trick's inner run on a tall one (draws 0 and 4), whose
+    start vector A b lies in range(A), until that run stopped at n steps.
     """
 
     @pytest.mark.parametrize("engine", sorted(TABLE))
@@ -426,7 +438,8 @@ class TestStepCap:
         assert relative_error(ys[-1], ref) <= 1e-11
 
     # the short engine's wide runs still miss at the index (ROADMAP item 14)
-    @pytest.mark.parametrize("engine,tol", [("rational_full", 1e-13), ("rational_short", 1e-6)])
+    @pytest.mark.parametrize("engine,tol", [("rational_full", 1e-13), ("rational_short", 1e-6),
+                                            ("transpose_trick", 1e-13)])
     @pytest.mark.parametrize("draw", [2, 3, 36])
     def test_wide_run_ends_by_m_plus_one(self, engine, tol, draw):
         op, b, ref, poles = probe_draw(draw)

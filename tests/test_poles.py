@@ -47,7 +47,6 @@ def test_load_user_poles(tmp_path):
     path.write_text("inf\n-1.5\n0\n", encoding="ascii")
     seq = load_user_poles(path)
     assert tuple(seq) == (INF, -1.5, 0.0)
-    assert seq.kind == "user_file"
 
 
 def test_negative_infinity_is_the_pole_at_infinity(tmp_path):

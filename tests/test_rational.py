@@ -161,7 +161,7 @@ class TestRationalApproximation:
                       si_optimal_pole(0.4, 6.0, 8)):
             sv = np.linalg.svd(project(op, rational_arnoldi(op, b, poles, 8).Q).B,
                                compute_uv=False)
-            assert sv.max() <= 6.0 + 1e-10 and sv.min() >= 0.4 - 1e-10, poles.kind
+            assert sv.max() <= 6.0 + 1e-10 and sv.min() >= 0.4 - 1e-10, poles.poles
 
     def test_projected_gram_positive_definite(self):
         op, b = seeded_problem(15, 15, "logspace", 0.5, 4.0, 7)
@@ -199,7 +199,7 @@ class TestShortMode:
                 cols.append(q)
             Q = np.column_stack(cols)
             defect = np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q)
-            assert defect <= 1e-10, poles.kind
+            assert defect <= 1e-10, poles.poles
             assert eng.columns is None
 
     def test_zero_pole_mix_keeps_every_column_orthonormal(self):
